@@ -1,9 +1,10 @@
 //! `fleet-live`: one `serve_fleet` session at batch speed (pace 0) with
 //! `max_running` = nproc. A submitter thread sends jobs of the three paper
 //! models under several tenants through `POST /jobs`, keeping one job
-//! queued behind the running ones; one open-loop scraper alternates
-//! `GET /metrics` and `GET /phases` at a fixed rate. Two client threads,
-//! one connection each at a time.
+//! queued behind the running ones, and times each job from its submit to
+//! its completion; one open-loop scraper alternates `GET /metrics` and
+//! `GET /phases` at a fixed rate. Two client threads, one connection each
+//! at a time.
 
 use std::io;
 use std::net::SocketAddr;
@@ -34,14 +35,16 @@ use crate::{
 /// counts as failed.
 const SCRAPE_PERIOD: Duration = Duration::from_millis(50);
 
-/// Job length relative to each model's default simulated length.
-const JOB_SIZE: f64 = 6.0;
+/// Job length relative to each model's default simulated length. Short
+/// enough that a 30 s run finishes 48 jobs, so the turnaround tail can
+/// leave ten samples beyond p79.
+const JOB_SIZE: f64 = 3.0;
 
 /// Jobs per second of `--seconds` in the plan: the rate this fleet
 /// sustained on a 2-core host when the benchmark was written. The plan
 /// is fixed by `--seconds` and `--seed` alone, so a faster or slower
 /// program finishes the same jobs sooner or later.
-const PLAN_JOBS_PER_SECOND: f64 = 0.8;
+const PLAN_JOBS_PER_SECOND: f64 = 1.6;
 
 /// Tenants the submitter rotates through.
 const TENANTS: [&str; 2] = ["tenant-a", "tenant-b"];
@@ -132,8 +135,10 @@ struct ScrapeLog {
     /// How late each request was sent, ms.
     lag_ms: Vec<f64>,
     attempted: u64,
-    /// Non-200, connection errors, and requests sent over a period late.
-    failed: u64,
+    /// Non-200 replies and connection errors.
+    errors: u64,
+    /// Requests sent more than a period late.
+    late: u64,
 }
 
 /// Sends `GET /metrics` and `GET /phases` alternately, each due at a
@@ -157,10 +162,14 @@ fn scrape_loop(addr: SocketAddr, start: Instant, stop: &AtomicBool) -> ScrapeLog
         log.attempted += 1;
         log.lag_ms.push(secs(lag) * 1e3);
         match reply {
-            Ok(reply) if reply.status == 200 && lag <= SCRAPE_PERIOD => {
-                log.latency_ms.push(secs(due.elapsed()) * 1e3);
+            Ok(reply) if reply.status == 200 => {
+                if lag <= SCRAPE_PERIOD {
+                    log.latency_ms.push(secs(due.elapsed()) * 1e3);
+                } else {
+                    log.late += 1;
+                }
             }
-            _ => log.failed += 1,
+            _ => log.errors += 1,
         }
         n += 1;
     }
@@ -172,9 +181,33 @@ struct DriveLog {
     /// `(job id, shape index)` of every admitted job.
     jobs: Vec<(String, usize)>,
     admit_us: Vec<f64>,
+    /// Each admitted job's turnaround: from sending its `POST /jobs` to
+    /// the first status poll that finds it finished, ms.
+    turnaround_ms: Vec<f64>,
     refused: u64,
     elapsed: Duration,
     scrapes: ScrapeLog,
+}
+
+/// How often the submitter polls the status of unfinished jobs.
+const POLL_PERIOD: Duration = Duration::from_millis(1);
+
+/// Polls each job of `pending` (id and submit time) once; each one found
+/// finished leaves the list and its turnaround goes to `turnaround_ms`.
+fn reap(
+    pending: &mut Vec<(String, Instant)>,
+    session: &FleetSession,
+    turnaround_ms: &mut Vec<f64>,
+) {
+    pending.retain(|(id, submitted)| {
+        let finished = session
+            .status(id)
+            .is_none_or(|status| status.phase.is_terminal());
+        if finished {
+            turnaround_ms.push(secs(submitted.elapsed()) * 1e3);
+        }
+        !finished
+    });
 }
 
 /// The timed part: submit the `jobs`-long plan, keeping one job queued
@@ -189,9 +222,12 @@ fn drive(state: &Setup, jobs: usize) -> DriveLog {
         let mut admitted = Vec::new();
         let mut admit_us = Vec::new();
         let mut refused = 0;
+        let mut pending = Vec::new();
+        let mut turnaround_ms = Vec::new();
         for n in 0..jobs {
             while state.session.active_count() > nproc() {
-                std::thread::sleep(Duration::from_millis(1));
+                reap(&mut pending, &state.session, &mut turnaround_ms);
+                std::thread::sleep(POLL_PERIOD);
             }
             let shape = n % state.shapes.len();
             let id = format!("job-{n}");
@@ -201,9 +237,16 @@ fn drive(state: &Setup, jobs: usize) -> DriveLog {
             let reply = http::request(addr, "POST", "/jobs", &body);
             admit_us.push(secs(t.elapsed()) * 1e6);
             match reply {
-                Ok(reply) if reply.status == 201 => admitted.push((id, shape)),
+                Ok(reply) if reply.status == 201 => {
+                    pending.push((id.clone(), t));
+                    admitted.push((id, shape));
+                }
                 _ => refused += 1,
             }
+        }
+        while !pending.is_empty() {
+            reap(&mut pending, &state.session, &mut turnaround_ms);
+            std::thread::sleep(POLL_PERIOD);
         }
         state.session.wait_jobs_idle();
         let elapsed = start.elapsed();
@@ -212,6 +255,7 @@ fn drive(state: &Setup, jobs: usize) -> DriveLog {
         DriveLog {
             jobs: admitted,
             admit_us,
+            turnaround_ms,
             refused,
             elapsed,
             scrapes,
@@ -348,17 +392,19 @@ pub fn bench(ctx: &Ctx) -> io::Result<Outcome> {
             stats::beyond(&scrapes.latency_ms, 0.99) as f64,
             "count",
         ),
+        ("scrapes_late".into(), scrapes.late as f64, "count"),
+        ("scrape_errors".into(), scrapes.errors as f64, "count"),
         ("load.lag_ms_p99".into(), lag_p99, "ms"),
         ("jobs".into(), log.jobs.len() as f64, "count"),
         ("admit_us_p50".into(), stats::median(&log.admit_us), "us"),
     ];
     let attempted = log.admit_us.len() as u64 + scrapes.attempted + log.jobs.len() as u64;
-    let failed = log.refused + scrapes.failed + failed_jobs;
+    let failed = log.refused + scrapes.late + scrapes.errors + failed_jobs;
     let e2e = (!ctx.args.trace).then(|| EndToEnd {
         steps_per_s,
         rss,
-        latency_ms: scrapes.latency_ms.clone(),
-        latency_of: "scrape from its due time",
+        latency_ms: log.turnaround_ms.clone(),
+        latency_of: "job, from its POST /jobs to its completion",
     });
     let outcome = Outcome {
         setup_s,

@@ -29,7 +29,7 @@ use tpupoint::hw::TpuGeneration;
 use tpupoint::workloads::{BuildOptions, WorkloadId};
 
 /// How many times set-up runs; `setup_s` is the median.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 5;
 
 pub const WORKLOADS: &[&str] = &["batch-profile", "fleet-live", "analyze-sweep"];
 
