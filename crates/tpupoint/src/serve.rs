@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use tpupoint_analyzer::{StreamingAnalyzer, StreamingConfig, STREAM_CADENCE};
 use tpupoint_obs::{to_prometheus_labeled, Health, MetricsServer, ServeHooks};
@@ -283,7 +283,7 @@ impl TpuPoint {
         let observer_status = Arc::clone(&status);
         sink.set_seal_observer(
             Box::new(move |records| {
-                let mut analyzer = observer_analyzer.lock().expect("streaming lock");
+                let mut analyzer = lock_streaming(&observer_analyzer);
                 analyzer.observe_seal(records, n_ops);
                 let metrics = tpupoint_obs::metrics();
                 metrics
@@ -365,13 +365,7 @@ impl TpuPoint {
                         hook_status.is_done(),
                     )
                 }),
-                phases: Box::new(move || {
-                    hook_phases
-                        .lock()
-                        .expect("streaming lock")
-                        .report()
-                        .to_json()
-                }),
+                phases: Box::new(move || lock_streaming(&hook_phases).report().to_json()),
                 quit: Box::new(move || hook_quit.store(true, Ordering::SeqCst)),
                 route: None,
             },
@@ -392,9 +386,33 @@ impl TpuPoint {
     }
 }
 
+/// Locks the shared streaming analyzer, tolerating poison: a panic in
+/// one update must not turn every later seal observer call and `/phases`
+/// scrape into a panic as well.
+fn lock_streaming(analyzer: &Mutex<StreamingAnalyzer>) -> MutexGuard<'_, StreamingAnalyzer> {
+    analyzer.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_poisoned_streaming_lock_still_serves_phases() {
+        let analyzer = Arc::new(Mutex::new(StreamingAnalyzer::new(
+            StreamingConfig::default(),
+        )));
+        let holder = Arc::clone(&analyzer);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.lock().unwrap();
+            panic!("update panicked mid-way");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(analyzer.is_poisoned());
+        let json = lock_streaming(&analyzer).report().to_json();
+        assert!(json.contains("\"phases\": []"), "{json}");
+    }
 
     #[test]
     fn preregistration_exposes_the_full_schema_at_zero() {
