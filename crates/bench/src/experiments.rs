@@ -1091,25 +1091,17 @@ fn bench_streaming(out_dir: &Path) -> io::Result<String> {
 
 /// Parallel-simulation benchmark: the same throttled record store as
 /// `bench_pipeline` (a fixed real sleep per store call, standing in for
-/// slow cloud storage) driven over a (workload, seed) grid three ways —
-/// serial engine one cell at a time, laned engine one cell at a time, and
-/// laned engine grid-parallel over the cells on the shared pool.
-/// End-to-end wall (run + drain) is the reproduction target: the laned
-/// engine flushes sink work — and with it every store write, including
-/// the steps the sink now streams at window seals instead of hoarding for
-/// the finish barrier — off the simulation thread, and the grid overlaps
-/// whole cells, while every record stays byte-identical to the serial
-/// engine. A cell's own store sleeps are sequential on its flusher, so
-/// the laned row alone is bounded by the sleep chain (close to 1x when
-/// store latency dominates compute); the 2x target belongs to the grid
-/// row, where cells hide each other's latency. Writes
-/// `BENCH_simcore.json`.
+/// slow cloud storage) driven over a (workload, seed) grid two ways —
+/// the serial engine one cell at a time, and the same engine per cell
+/// with the cells grid-parallel on the shared pool. End-to-end wall, run
+/// plus drain, is the reproduction target: the grid overlaps whole cells,
+/// so cells hide each other's store latency, while every record stays
+/// byte-identical to the sequential run. Writes `BENCH_simcore.json`.
 fn bench_simcore(out_dir: &Path) -> io::Result<String> {
     use std::time::{Duration, Instant};
     use tpupoint::profiler::{JsonlStore, RecordStore, ThrottledStore};
 
     const THREADS: usize = 4;
-    const LANES: usize = 2;
     const THROTTLE_US: u64 = 75;
     const WINDOW_MAX_EVENTS: u64 = 256;
     const SCALE: f64 = 0.35;
@@ -1126,91 +1118,74 @@ fn bench_simcore(out_dir: &Path) -> io::Result<String> {
         tmp.join(phase).join(format!("{}-{seed}", id.label()))
     };
     // One cell, end to end: build the job, run it into a throttled JSONL
-    // store, finish the profile. `lanes = 1` is the serial engine.
-    let run_cell = |dir: &Path,
-                    (id, seed): (WorkloadId, u64),
-                    lanes: usize|
-     -> io::Result<(RunReport, Profile)> {
-        let config = build(
-            id,
-            TpuGeneration::V2,
-            &BuildOptions {
-                scale: SCALE,
-                seed,
-                ..BuildOptions::default()
-            },
-        );
-        let job = TrainingJob::new(config.clone());
-        let store: Box<dyn RecordStore + Send> = Box::new(ThrottledStore::new(
-            JsonlStore::create(dir)?,
-            Duration::from_micros(THROTTLE_US),
-        ));
-        let options = ProfilerOptions {
-            window_max_events: WINDOW_MAX_EVENTS,
-            ..ProfilerOptions::default()
+    // store, finish the profile.
+    let run_cell =
+        |dir: &Path, (id, seed): (WorkloadId, u64)| -> io::Result<(RunReport, Profile)> {
+            let config = build(
+                id,
+                TpuGeneration::V2,
+                &BuildOptions {
+                    scale: SCALE,
+                    seed,
+                    ..BuildOptions::default()
+                },
+            );
+            let job = TrainingJob::new(config.clone());
+            let store: Box<dyn RecordStore + Send> = Box::new(ThrottledStore::new(
+                JsonlStore::create(dir)?,
+                Duration::from_micros(THROTTLE_US),
+            ));
+            let options = ProfilerOptions {
+                window_max_events: WINDOW_MAX_EVENTS,
+                ..ProfilerOptions::default()
+            };
+            let mut sink = ProfilerSink::with_store(job.catalog().clone(), options, store);
+            sink.set_source(&config.model, &config.dataset.name);
+            let report = job.run(&mut sink);
+            Ok((report, sink.finish()))
         };
-        let mut sink = ProfilerSink::with_store(job.catalog().clone(), options, store);
-        sink.set_source(&config.model, &config.dataset.name);
-        let report = job.run_laned(lanes, &mut sink);
-        Ok((report, sink.finish()))
-    };
     let us = |t: Instant| t.elapsed().as_secs_f64() * 1e6;
     tpupoint_par::set_threads(THREADS);
 
-    // Phase 1: serial engine, cells one after another — every store sleep
-    // lands on the simulation thread.
+    // Phase 1: cells one after another — every store sleep lands on the
+    // one simulation thread.
     let t = Instant::now();
     let mut serial_runs = Vec::new();
     for &cell in cells {
-        serial_runs.push(run_cell(&cell_dir("serial", cell), cell, 1)?);
+        serial_runs.push(run_cell(&cell_dir("serial", cell), cell)?);
     }
     let serial_us = us(t);
 
-    // Phase 2: laned engine, still one cell at a time — isolates the
-    // lanes' own contribution (sink work, store sleeps included, flushed
-    // off the critical path).
+    // Phase 2: the same cells grid-parallel across the pool.
     let t = Instant::now();
-    let mut laned_runs = Vec::new();
-    for &cell in cells {
-        laned_runs.push(run_cell(&cell_dir("laned", cell), cell, LANES)?);
-    }
-    let laned_us = us(t);
-
-    // Phase 3: laned engine, cells grid-parallel across the pool.
-    let t = Instant::now();
-    let grid_runs: Vec<io::Result<(RunReport, Profile)>> = tpupoint_par::pool()
-        .par_map(cells, |_, &cell| {
-            run_cell(&cell_dir("grid", cell), cell, LANES)
-        });
+    let grid_runs: Vec<io::Result<(RunReport, Profile)>> =
+        tpupoint_par::pool().par_map(cells, |_, &cell| run_cell(&cell_dir("grid", cell), cell));
     let grid_us = us(t);
     tpupoint_par::set_threads(0);
 
-    // Neither lanes nor the grid may change a single byte of output.
+    // The grid may not change a single byte of output.
     for (i, &cell) in cells.iter().enumerate() {
         let (serial_report, serial_profile) = &serial_runs[i];
-        let grid = grid_runs[i]
+        let (grid_report, grid_profile) = grid_runs[i]
             .as_ref()
             .map_err(|e| io::Error::other(e.to_string()))?;
-        for (flavor, (report, profile)) in [("laned", &laned_runs[i]), ("grid", grid)] {
-            assert_eq!(serial_report, report, "{flavor} report diverged");
-            assert_eq!(serial_profile, profile, "{flavor} profile diverged");
-        }
+        assert_eq!(serial_report, grid_report, "grid report diverged");
+        assert_eq!(serial_profile, grid_profile, "grid profile diverged");
         for file in ["steps.jsonl", "windows.jsonl"] {
             let reference = std::fs::read(cell_dir("serial", cell).join(file))?;
             assert!(!reference.is_empty(), "{file} empty for {cell:?}");
-            for phase in ["laned", "grid"] {
-                let other = std::fs::read(cell_dir(phase, cell).join(file))?;
-                assert!(
-                    reference == other,
-                    "{file} diverged between serial and {phase} for {cell:?}"
-                );
-            }
+            let grid = std::fs::read(cell_dir("grid", cell).join(file))?;
+            assert!(
+                reference == grid,
+                "{file} diverged between serial and grid for {cell:?}"
+            );
         }
     }
     let windows_sealed: usize = serial_runs.iter().map(|(_, p)| p.windows.len()).sum();
     let steps_recorded: usize = serial_runs.iter().map(|(_, p)| p.steps.len()).sum();
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let speedup = |base: f64, new: f64| base / new.max(1.0);
+    let grid_speedup = serial_us / grid_us.max(1.0);
     let doc = serde_json::json!({
         "cells": cells
             .iter()
@@ -1218,17 +1193,15 @@ fn bench_simcore(out_dir: &Path) -> io::Result<String> {
             .collect::<Vec<_>>(),
         "scale": SCALE,
         "threads": THREADS,
-        "sim_lanes": LANES,
+        "host_cores": host_cores,
         "store_throttle_us_per_op": THROTTLE_US,
         "window_max_events": WINDOW_MAX_EVENTS,
         "windows_sealed": windows_sealed,
         "steps_recorded": steps_recorded,
         "end_to_end": {
             "serial_us": serial_us,
-            "laned_us": laned_us,
             "grid_us": grid_us,
-            "laned_speedup": speedup(serial_us, laned_us),
-            "grid_speedup": speedup(serial_us, grid_us),
+            "grid_speedup": grid_speedup,
             "target_speedup": 2.0,
         },
         "byte_identical": true,
@@ -1239,19 +1212,15 @@ fn bench_simcore(out_dir: &Path) -> io::Result<String> {
     std::fs::remove_dir_all(&tmp)?;
 
     Ok(format!(
-        "Parallel-simulation benchmark ({} cells, {THREADS} threads, {LANES} lanes, \
+        "Parallel-simulation benchmark ({} cells, {THREADS} threads on {host_cores} core(s), \
          {THROTTLE_US}us/store-op throttle):\n  \
          serial engine    {:>9.1} ms  (sequential cells)\n  \
-         laned engine     {:>9.1} ms  ({:.2}x, sequential cells)\n  \
-         grid + lanes     {:>9.1} ms  ({:.2}x, target >= 2.0x)\n  \
+         grid-parallel    {:>9.1} ms  ({grid_speedup:.2}x, target >= 2.0x)\n  \
          {windows_sealed} windows / {steps_recorded} steps stored, \
-         records byte-identical across all three\n",
+         records byte-identical across both\n",
         cells.len(),
         serial_us / 1e3,
-        laned_us / 1e3,
-        speedup(serial_us, laned_us),
         grid_us / 1e3,
-        speedup(serial_us, grid_us),
     ))
 }
 

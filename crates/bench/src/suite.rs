@@ -26,23 +26,12 @@ struct CacheCell(Mutex<Option<Arc<ProfiledRun>>>);
 pub struct Suite {
     cache: Mutex<BTreeMap<Key, Arc<CacheCell>>>,
     profiles_run: AtomicU64,
-    sim_lanes: usize,
 }
 
 impl Suite {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty cache whose profiled runs use the laned simulation
-    /// engine with `lanes` shards. Results are byte-identical to the
-    /// default serial engine — only wall time changes.
-    pub fn with_sim_lanes(lanes: usize) -> Self {
-        Suite {
-            sim_lanes: lanes,
-            ..Self::default()
-        }
     }
 
     fn variant_key(variant: Variant) -> u8 {
@@ -97,10 +86,7 @@ impl Suite {
             return hit.clone();
         }
         self.profiles_run.fetch_add(1, Ordering::Relaxed);
-        let tp = TpuPoint::builder()
-            .analyzer(false)
-            .sim_lanes(self.sim_lanes.max(1))
-            .build();
+        let tp = TpuPoint::builder().analyzer(false).build();
         let run = Arc::new(
             tp.profile(self.config(id, generation, variant))
                 .expect("in-memory profiling cannot fail"),
@@ -162,16 +148,5 @@ mod tests {
         // And hits afterwards are free.
         suite.tuned(WorkloadId::BertMrpc, TpuGeneration::V2);
         assert_eq!(suite.profiles_run(), 2);
-    }
-
-    #[test]
-    fn laned_suite_matches_serial_suite() {
-        let serial = Suite::new();
-        let laned = Suite::with_sim_lanes(2);
-        let a = serial.tuned(WorkloadId::BertMrpc, TpuGeneration::V2);
-        let b = laned.tuned(WorkloadId::BertMrpc, TpuGeneration::V2);
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.profile.windows, b.profile.windows);
-        assert_eq!(a.profile.steps, b.profile.steps);
     }
 }

@@ -22,7 +22,7 @@ USAGE:
                    [--store-fault-prob F] [--store-fault-seed N]
                    [--store-format jsonl|binary] [--store-segment-kib N]
                    [--store-retain-mib N] [--pipeline-profiler]
-                   [--paired-baseline] [--sim-lanes N]
+                   [--paired-baseline]
       Simulate and profile a training session; writes <DIR>/profile.json.
       --store-retries bounds record-store retries before spilling to
       memory (default 3; 0 disables resilience). --store-fault-prob
@@ -40,10 +40,6 @@ USAGE:
       byte-identical to the default serial path. --paired-baseline also
       runs an uninstrumented twin of the job and reports the *measured*
       instrumented-to-baseline wall ratio instead of the modeled bound.
-      --sim-lanes shards the simulator's processes into N event lanes
-      under conservative time-window sync, flushing trace records off
-      the critical path on the shared pool; output is byte-identical to
-      the serial engine for any N (default 1 = serial).
 
   tpupoint analyze <profile.json> [--algorithm ols|kmeans|dbscan]
                    [--threshold F] [--k N] [--min-samples N] [--out DIR]
@@ -248,7 +244,6 @@ fn profile(argv: &[String]) -> Result<(), String> {
         "store-retries",
         "store-fault-prob",
         "store-fault-seed",
-        "sim-lanes",
     ]);
     options.extend(STORE_OPTIONS);
     let args = Args::parse(
@@ -271,8 +266,7 @@ fn profile(argv: &[String]) -> Result<(), String> {
         .store_retries(args.get_or("store-retries", 3)?)
         .store_fault(fault_prob, args.get_or("store-fault-seed", 0xFA117)?)
         .pipeline_profiler(args.flag("pipeline-profiler"))
-        .paired_baseline(args.flag("paired-baseline"))
-        .sim_lanes(args.get_or("sim-lanes", 1)?);
+        .paired_baseline(args.flag("paired-baseline"));
     let tp = apply_store_options(builder, &args)?.build();
     let run = tp
         .profile(config)
@@ -764,33 +758,6 @@ mod tests {
         run(&["compare", &p, &p, "--top", "5"]).unwrap();
         run(&["audit", &p]).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn laned_profile_writes_identical_records() {
-        let base = std::env::temp_dir().join(format!("tpupoint-cli-lanes-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        for (sub, lanes) in [("serial", "1"), ("laned", "2")] {
-            let out = base.join(sub);
-            run(&[
-                "profile",
-                "--workload",
-                "bert-mrpc",
-                "--scale",
-                "0.1",
-                "--out",
-                out.to_str().unwrap(),
-                "--sim-lanes",
-                lanes,
-            ])
-            .unwrap();
-        }
-        for file in ["records/steps.jsonl", "records/windows.jsonl"] {
-            let serial = std::fs::read(base.join("serial").join(file)).unwrap();
-            let laned = std::fs::read(base.join("laned").join(file)).unwrap();
-            assert_eq!(serial, laned, "{file} must be byte-identical");
-        }
-        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -89,26 +89,7 @@ pub fn to_prometheus(snapshot: &MetricsSnapshot) -> String {
 pub fn to_prometheus_labeled(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -> String {
     let plain = label_block(labels, None);
     let mut out = String::new();
-    // `sim.lane_events.<L>` counters form a family exactly like the phase
-    // occupancy gauges below: one HELP/TYPE header, a `lane="L"` label per
-    // member.
-    let mut lane_header_done = false;
     for (name, value) in &snapshot.counters {
-        if let Some(lane) = name.strip_prefix(LANE_EVENTS_PREFIX) {
-            if lane.chars().all(|c| c.is_ascii_digit()) && !lane.is_empty() {
-                let family = LANE_EVENTS_PREFIX.trim_end_matches('.');
-                let prom = prom_name(family);
-                if !lane_header_done {
-                    push_headers(&mut out, &prom, family, "counter");
-                    lane_header_done = true;
-                }
-                let mut with_lane = labels.to_vec();
-                with_lane.push(("lane", lane));
-                let block = label_block(&with_lane, None);
-                out.push_str(&format!("{prom}{block} {value}\n"));
-                continue;
-            }
-        }
         let prom = prom_name(name);
         push_headers(&mut out, &prom, name, "counter");
         out.push_str(&format!("{prom}{plain} {value}\n"));
@@ -215,8 +196,7 @@ impl<'a> LabeledSnapshotRef<'a> {
 /// exposition text. This exporter groups series by family first: one
 /// header per family, then every registry's series for it, each stamped
 /// with that registry's constant labels. The `analyzer.phase_occupancy.*`
-/// and `sim.lane_events.*` dotted-name families keep their `phase=`/
-/// `lane=` label treatment.
+/// dotted-name family keeps its `phase=` label treatment.
 pub fn to_prometheus_multi(groups: &[LabeledSnapshot]) -> String {
     let borrowed: Vec<LabeledSnapshotRef<'_>> = groups
         .iter()
@@ -237,14 +217,15 @@ pub fn to_prometheus_multi_ref(groups: &[LabeledSnapshotRef<'_>]) -> String {
     let mut counters: std::collections::BTreeMap<String, Series> = Default::default();
     let mut gauges: std::collections::BTreeMap<String, Series> = Default::default();
     let mut histograms: std::collections::BTreeMap<String, HistSeries> = Default::default();
-    // Splits family members like `sim.lane_events.3` into the family name
-    // and an extra `lane="3"` pair; plain names pass through unchanged.
-    let family_of = |name: &str, prefix: &str, label: &str| -> (String, Option<(String, String)>) {
-        if let Some(suffix) = name.strip_prefix(prefix) {
+    // Splits family members like `analyzer.phase_occupancy.3` into the
+    // family name and an extra `phase="3"` pair; plain names pass through
+    // unchanged.
+    let family_of = |name: &str| -> (String, Option<(String, String)>) {
+        if let Some(suffix) = name.strip_prefix(PHASE_OCCUPANCY_PREFIX) {
             if !suffix.is_empty() && suffix.chars().all(|c| c.is_ascii_digit()) {
                 return (
-                    prefix.trim_end_matches('.').to_owned(),
-                    Some((label.to_owned(), suffix.to_owned())),
+                    PHASE_OCCUPANCY_PREFIX.trim_end_matches('.').to_owned(),
+                    Some(("phase".to_owned(), suffix.to_owned())),
                 );
             }
         }
@@ -252,16 +233,13 @@ pub fn to_prometheus_multi_ref(groups: &[LabeledSnapshotRef<'_>]) -> String {
     };
     for group in groups {
         for (name, value) in &group.snapshot.counters {
-            let (family, extra) = family_of(name, LANE_EVENTS_PREFIX, "lane");
-            let mut labels = group.labels.clone();
-            labels.extend(extra);
             counters
-                .entry(family)
+                .entry(name.clone())
                 .or_default()
-                .push((labels, value.to_string()));
+                .push((group.labels.clone(), value.to_string()));
         }
         for (name, value) in &group.snapshot.gauges {
-            let (family, extra) = family_of(name, PHASE_OCCUPANCY_PREFIX, "phase");
+            let (family, extra) = family_of(name);
             let mut labels = group.labels.clone();
             labels.extend(extra);
             gauges
@@ -316,10 +294,6 @@ pub fn to_prometheus_multi_ref(groups: &[LabeledSnapshotRef<'_>]) -> String {
 /// Gauge-name prefix whose suffix is a phase id, exported as a
 /// `phase="N"` label on the family series.
 const PHASE_OCCUPANCY_PREFIX: &str = "analyzer.phase_occupancy.";
-
-/// Counter-name prefix whose suffix is a simulation-lane id, exported as
-/// a `lane="L"` label on the family series.
-const LANE_EVENTS_PREFIX: &str = "sim.lane_events.";
 
 fn push_headers(out: &mut String, prom: &str, raw: &str, kind: &str) {
     out.push_str(&format!(
@@ -382,9 +356,6 @@ fn help_text(name: &str) -> String {
         "analyzer.phase_count" => "Phases with at least one assigned step in the streaming analyzer",
         "analyzer.stable_windows" => "Consecutive streaming updates at or above the stability threshold",
         "analyzer.last_transition_step" => "Step of the most recent phase-label change in the streaming timeline",
-        "sim.lane_events" => "Signals delivered per simulation lane by the laned engine",
-        "sim.sync_barriers" => "Conservative time-window sync barriers executed by the laned engine",
-        "sim.lookahead_stall_us" => "Simulated time lanes overshot the conservative horizon when batches were cut short, microseconds",
         "store.segments" => "Sealed binary segments currently listed in the store manifest",
         "store.compactions" => "Binary segment compaction merges completed",
         "store.bytes_reclaimed" => "Bytes of disk freed by segment maintenance: compaction merges (net) plus retention-retired segments",
@@ -546,34 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_event_counters_export_as_one_labeled_family() {
-        let metrics = Metrics::new();
-        metrics.counter("sim.lane_events.0").add(512);
-        metrics.counter("sim.lane_events.1").add(301);
-        metrics.counter("sim.sync_barriers").add(44);
-        let text = to_prometheus_labeled(&metrics.snapshot(), &[("workload", "bert-mrpc")]);
-        assert!(
-            text.contains("tpupoint_sim_lane_events{workload=\"bert-mrpc\",lane=\"0\"} 512"),
-            "{text}"
-        );
-        assert!(
-            text.contains("tpupoint_sim_lane_events{workload=\"bert-mrpc\",lane=\"1\"} 301"),
-            "{text}"
-        );
-        assert_eq!(
-            text.matches("# TYPE tpupoint_sim_lane_events counter")
-                .count(),
-            1,
-            "{text}"
-        );
-        // Unsuffixed sim counters keep their bare form.
-        assert!(
-            text.contains("tpupoint_sim_sync_barriers{workload=\"bert-mrpc\"} 44"),
-            "{text}"
-        );
-    }
-
-    #[test]
     fn non_numeric_phase_suffix_falls_back_to_a_plain_series() {
         let metrics = Metrics::new();
         metrics.gauge("analyzer.phase_occupancy.odd-name").set(1.0);
@@ -593,7 +536,7 @@ mod tests {
         job_a.histogram("profiler.store_backoff_us").record(100);
         let job_b = Metrics::new();
         job_b.counter("profiler.windows_sealed").add(9);
-        job_b.counter("sim.lane_events.1").add(7);
+        job_b.gauge("analyzer.phase_occupancy.1").set(7.0);
         job_b.histogram("profiler.store_backoff_us").record(900);
         let text = to_prometheus_multi(&[
             LabeledSnapshot::new(&[("job", "a")], job_a.snapshot()),
@@ -608,13 +551,13 @@ mod tests {
         );
         assert!(text.contains("tpupoint_profiler_windows_sealed{job=\"a\"} 5"));
         assert!(text.contains("tpupoint_profiler_windows_sealed{job=\"b\"} 9"));
-        // Dotted-name families keep their phase/lane label treatment.
+        // The phase-occupancy family keeps its phase label treatment.
         assert!(
             text.contains("tpupoint_analyzer_phase_occupancy{job=\"a\",phase=\"0\"} 3"),
             "{text}"
         );
         assert!(
-            text.contains("tpupoint_sim_lane_events{job=\"b\",lane=\"1\"} 7"),
+            text.contains("tpupoint_analyzer_phase_occupancy{job=\"b\",phase=\"1\"} 7"),
             "{text}"
         );
         // Histograms expand per job under one header.

@@ -91,24 +91,8 @@ pub struct PhaseHealth {
     pub last_transition_step: Option<u64>,
 }
 
-/// Health of the laned (sharded) simulation engine, when one ran. Kept as
-/// an `Option` on [`ObsReport`] following the [`PhaseHealth`] convention:
-/// the `sim.sync_barriers` counter is the sentinel — the laned engine
-/// publishes it after every run, even a run short enough to need a single
-/// barrier, so its absence means the serial engine ran instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimHealth {
-    /// Conservative time-window sync barriers executed.
-    pub barriers: u64,
-    /// Signals delivered per lane, indexed by lane id (`sim.lane_events.<L>`).
-    pub lane_events: Vec<u64>,
-    /// Simulated time lanes overshot the conservative horizon when batches
-    /// were cut short, microseconds.
-    pub lookahead_stall_us: u64,
-}
-
 /// Health of the binary segment store, when one ran. Kept as an `Option`
-/// on [`ObsReport`] following the [`SimHealth`] convention: the
+/// on [`ObsReport`] following the [`PhaseHealth`] convention: the
 /// `store.segments` gauge is the sentinel — the binary store publishes it
 /// on every rotation/compaction/retention pass and on a registry rebind
 /// (any binary run that stored records has published it by seal time), so
@@ -188,8 +172,6 @@ pub struct ObsReport {
     pub overhead_measured: bool,
     /// Streaming-analyzer phase structure, when one ran.
     pub phase_health: Option<PhaseHealth>,
-    /// Laned-simulation-engine health, when the laned engine ran.
-    pub sim_health: Option<SimHealth>,
     /// Window-pipeline health, when profiler counters are present.
     pub window_health: Option<WindowHealth>,
     /// Record-store resilience health, when store metrics are present.
@@ -287,7 +269,7 @@ impl ObsReport {
         // every rotation/compaction/retention pass and on a registry
         // rebind — by seal time for any binary run that stored records —
         // so its absence means the JSONL store ran: the same sentinel
-        // convention as `sim.sync_barriers`.
+        // convention as the phase gauges.
         let store_format = gauge("store.segments").map(|segments| StoreFormatHealth {
             segments: segments as u64,
             compactions: counter("store.compactions"),
@@ -303,26 +285,6 @@ impl ObsReport {
             mean_latency_us: latency.mean(),
             backpressure_waits: counter("profiler.seal_backpressure_waits"),
             queue_depth: gauge("profiler.seal_queue_depth").unwrap_or(0.0) as u64,
-        });
-
-        // `sim.sync_barriers` is published after every laned run (any run
-        // executes at least one barrier), so its absence means the serial
-        // engine ran — the same sentinel convention as the phase gauges.
-        let sim_health = snapshot.counters.get("sim.sync_barriers").map(|&barriers| {
-            let mut lanes: Vec<(u64, u64)> = snapshot
-                .counters
-                .iter()
-                .filter_map(|(name, &events)| {
-                    let lane = name.strip_prefix("sim.lane_events.")?;
-                    lane.parse::<u64>().ok().map(|lane| (lane, events))
-                })
-                .collect();
-            lanes.sort_unstable();
-            SimHealth {
-                barriers,
-                lane_events: lanes.into_iter().map(|(_, events)| events).collect(),
-                lookahead_stall_us: counter("sim.lookahead_stall_us"),
-            }
         });
 
         // `analyzer.phase_stability` is published on every streaming
@@ -341,7 +303,6 @@ impl ObsReport {
             overhead_ratio: gauge("profiler.overhead_ratio"),
             overhead_measured: gauge("profiler.overhead_measured").is_some_and(|v| v > 0.0),
             phase_health,
-            sim_health,
             window_health,
             store_health,
             store_format,
@@ -412,25 +373,6 @@ impl ObsReport {
                 );
             }
             None => out.push_str("streaming analyzer: not run\n"),
-        }
-
-        match &self.sim_health {
-            Some(sim) => {
-                let per_lane: Vec<String> = sim
-                    .lane_events
-                    .iter()
-                    .map(|events| events.to_string())
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "laned engine: {} lanes [{} events], {} sync barriers, {} lookahead stall",
-                    sim.lane_events.len(),
-                    per_lane.join("/"),
-                    sim.barriers,
-                    format_us(sim.lookahead_stall_us)
-                );
-            }
-            None => out.push_str("laned engine: not run\n"),
         }
 
         match &self.window_health {
@@ -655,34 +597,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("last transition @ step 120"), "{text}");
-    }
-
-    #[test]
-    fn missing_sim_counters_report_laned_engine_not_run() {
-        let report = ObsReport::from_snapshot(&instrumented_snapshot());
-        assert!(report.sim_health.is_none());
-        let text = report.render();
-        assert!(text.contains("laned engine: not run"), "{text}");
-    }
-
-    #[test]
-    fn sim_health_reflects_lane_counters() {
-        let metrics = Metrics::new();
-        metrics.counter("sim.sync_barriers").add(40);
-        metrics.counter("sim.lookahead_stall_us").add(2_500);
-        metrics.counter("sim.lane_events.0").add(120);
-        metrics.counter("sim.lane_events.1").add(95);
-        let report = ObsReport::from_snapshot(&metrics.snapshot());
-        let sim = report.sim_health.as_ref().expect("barrier counter present");
-        assert_eq!(sim.barriers, 40);
-        assert_eq!(sim.lane_events, vec![120, 95]);
-        assert_eq!(sim.lookahead_stall_us, 2_500);
-        let text = report.render();
-        assert!(
-            text.contains("laned engine: 2 lanes [120/95 events], 40 sync barriers"),
-            "{text}"
-        );
-        assert!(text.contains("2.500ms lookahead stall"), "{text}");
     }
 
     #[test]

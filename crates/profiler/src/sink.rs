@@ -153,11 +153,10 @@ impl std::fmt::Debug for ProfilerSink {
     }
 }
 
-// The laned simulation engine ships buffered sink calls to a flusher job on
-// the `tpupoint-par` pool, which requires the profiler sink — and therefore
-// every record-store decorator it can hold — to stay `Send`. Keep this
-// assertion next to the struct so a non-Send field fails here, not in a
-// downstream crate.
+// Serve mode hands the profiler sink to its recorder thread, which takes
+// ownership of it, so the sink — and therefore every record-store decorator
+// it can hold — must stay `Send`. Keep this assertion next to the struct so
+// a non-Send field fails here, not in a downstream crate.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<ProfilerSink>();
@@ -369,10 +368,7 @@ impl ProfilerSink {
     /// store, in ascending step order, while the run is still in flight.
     /// Rides every kept window seal, so the finish-time store drain
     /// shrinks from "every step of the run" to the last
-    /// [`STEP_STREAM_SLACK`] steps plus the synthetic step-0 record. On
-    /// the laned engine the writes happen inside sink flushes that run
-    /// off the simulation thread, so streaming also moves this work off
-    /// the critical path.
+    /// [`STEP_STREAM_SLACK`] steps plus the synthetic step-0 record.
     fn stream_completed_steps(&mut self) {
         if self.store.is_none() {
             return;

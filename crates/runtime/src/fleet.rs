@@ -809,7 +809,11 @@ mod tests {
         let failed = fleet.status("panic-job").unwrap();
         assert_eq!(failed.phase, JobPhase::Failed);
         assert!(
-            failed.error.as_deref().unwrap().contains("panicked: runner exploded"),
+            failed
+                .error
+                .as_deref()
+                .unwrap()
+                .contains("panicked: runner exploded"),
             "{:?}",
             failed.error
         );

@@ -9,7 +9,6 @@ use crate::hostops::HostOps;
 use crate::metrics::shared_metrics;
 use tpupoint_graph::Graph;
 use tpupoint_hw::{LinkSpec, OpWork, TpuCoreModel, TpuGeneration};
-use tpupoint_simcore::laned::{LaneAssignment, LaneStats};
 use tpupoint_simcore::trace::{OpAttrs, OpCatalog, TraceSink};
 use tpupoint_simcore::{Engine, SimDuration, SimTime};
 
@@ -133,54 +132,16 @@ impl TrainingJob {
 
     /// Runs the session to completion, streaming the trace into `sink`.
     pub fn run(&self, sink: &mut dyn TraceSink) -> RunReport {
-        let _span = tpupoint_obs::span!(
-            "runtime.job",
-            steps = self.config.step_plan().len(),
-            model = self.config.model.as_str()
-        );
+        let c = &self.config;
+        let plan = c.step_plan();
+        assert!(!plan.is_empty(), "job must have at least one step");
+        let _span =
+            tpupoint_obs::span!("runtime.job", steps = plan.len(), model = c.model.as_str());
         // Host (real) wall time of the simulation loop, published as a
         // gauge rather than a report field: RunReport is compared for
         // bit-identity across runs, and wall clocks never agree twice.
         let host_wall_start = std::time::Instant::now();
         let metrics = shared_metrics();
-        let mut engine = self.build_engine(&metrics);
-        engine.run(sink);
-        self.finish(&metrics, host_wall_start)
-    }
-
-    /// Runs the session on the laned engine with `lanes` process shards.
-    /// Produces the same trace, byte for byte, as [`TrainingJob::run`] —
-    /// see [`tpupoint_simcore::laned`] — while sink work is flushed off the
-    /// critical path on the `tpupoint-par` pool. Publishes
-    /// `sim.sync_barriers`, `sim.lane_events.<lane>` and
-    /// `sim.lookahead_stall_us` counters. `lanes <= 1` falls back to the
-    /// serial engine.
-    pub fn run_laned(&self, lanes: usize, sink: &mut (dyn TraceSink + Send)) -> RunReport {
-        if lanes <= 1 {
-            return self.run(sink);
-        }
-        let _span = tpupoint_obs::span!(
-            "runtime.job",
-            steps = self.config.step_plan().len(),
-            model = self.config.model.as_str()
-        );
-        let host_wall_start = std::time::Instant::now();
-        let metrics = shared_metrics();
-        let mut engine = self.build_engine(&metrics);
-        let assignment = LaneAssignment::contiguous(engine.process_count(), lanes);
-        let stats = engine.run_laned(&assignment, sink);
-        publish_lane_stats(&stats);
-        self.finish(&metrics, host_wall_start)
-    }
-
-    /// Wires queues and actors into a started engine. Process registration
-    /// order doubles as the lane-partition order: host-side actors (storage,
-    /// decode, infeed) first, device-side (outfeed, TPU, session) after, so
-    /// a two-lane contiguous split is the host/device partition.
-    fn build_engine(&self, metrics: &crate::metrics::SharedMetrics) -> Engine {
-        let c = &self.config;
-        let plan = c.step_plan();
-        assert!(!plan.is_empty(), "job must have at least one step");
         let mut engine = Engine::new(c.seed);
 
         let raw_q = engine.create_queue(c.pipeline.read_ahead.max(1) as usize);
@@ -320,16 +281,8 @@ impl TrainingJob {
         assert_eq!(session_actual, session_id, "session id prediction broke");
 
         engine.start(session_actual);
-        engine
-    }
+        engine.run(sink);
 
-    /// Builds the report once the engine has drained.
-    fn finish(
-        &self,
-        metrics: &crate::metrics::SharedMetrics,
-        host_wall_start: std::time::Instant,
-    ) -> RunReport {
-        let c = &self.config;
         let m = metrics.borrow();
         let session_end = m
             .session_end
@@ -354,21 +307,6 @@ impl TrainingJob {
             final_loss: loss_from_digest(digest, m.train_steps_completed),
             step_walls: m.step_walls.clone(),
         }
-    }
-}
-
-/// Publishes laned-engine counters to the global obs registry, where the
-/// Prometheus exporter and `obs-report`'s SimHealth section pick them up.
-fn publish_lane_stats(stats: &LaneStats) {
-    let metrics = tpupoint_obs::metrics();
-    metrics.counter("sim.sync_barriers").add(stats.barriers);
-    metrics
-        .counter("sim.lookahead_stall_us")
-        .add(stats.lookahead_stall.as_micros());
-    for (lane, events) in stats.lane_events.iter().enumerate() {
-        metrics
-            .counter(&format!("sim.lane_events.{lane}"))
-            .add(*events);
     }
 }
 
@@ -444,21 +382,6 @@ mod tests {
         cfg.seed = 1; // same seed first to sanity check
         let a2 = TrainingJob::new(cfg.clone()).run(&mut NullSink);
         assert_eq!(a.session_wall, a2.session_wall);
-    }
-
-    #[test]
-    fn laned_run_matches_serial_run_exactly() {
-        let job = TrainingJob::new(JobConfig::demo());
-        let mut serial = VecSink::new();
-        let report_serial = job.run(&mut serial);
-        for lanes in [2, 3, 6] {
-            let mut laned = VecSink::new();
-            let report_laned = job.run_laned(lanes, &mut laned);
-            assert_eq!(report_laned, report_serial, "lanes={lanes}");
-            assert_eq!(laned.events, serial.events, "lanes={lanes}");
-            assert_eq!(laned.steps, serial.steps, "lanes={lanes}");
-            assert_eq!(laned.checkpoints, serial.checkpoints, "lanes={lanes}");
-        }
     }
 
     #[test]

@@ -61,11 +61,11 @@ pub trait Process {
 }
 
 #[derive(Debug)]
-pub(crate) struct Scheduled {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) target: ProcessId,
-    pub(crate) signal: Signal,
+struct Scheduled {
+    at: SimTime,
+    seq: u64,
+    target: ProcessId,
+    signal: Signal,
 }
 
 impl PartialEq for Scheduled {
@@ -180,9 +180,9 @@ impl<'a> Ctx<'a> {
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 pub struct Engine {
-    pub(crate) now: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) heap: BinaryHeap<Reverse<Scheduled>>,
+    now: SimTime,
+    seq: u64,
+    heap: BinaryHeap<Reverse<Scheduled>>,
     processes: Vec<Option<Box<dyn Process>>>,
     queues: QueueTable,
     rng: SimRng,
@@ -286,10 +286,8 @@ impl Engine {
     }
 
     /// Delivers one event to its target process, collecting any newly
-    /// scheduled events into `pending` (which must be empty on entry). The
-    /// caller decides how to route `pending` — the serial loop feeds it back
-    /// into the global heap, the laned loop partitions it across lane heaps.
-    pub(crate) fn dispatch(
+    /// scheduled events into `pending` (which must be empty on entry).
+    fn dispatch(
         &mut self,
         event: Scheduled,
         sink: &mut dyn TraceSink,
@@ -314,11 +312,6 @@ impl Engine {
             process.on_signal(event.signal, &mut ctx);
         }
         self.processes[slot] = Some(process);
-    }
-
-    /// Number of registered processes.
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
     }
 
     /// True if no events are waiting to be delivered.

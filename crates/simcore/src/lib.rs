@@ -46,14 +46,12 @@
 //! ```
 
 pub mod engine;
-pub mod laned;
 pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
 pub use engine::{Ctx, Engine, Process, ProcessId, Signal};
-pub use laned::{LaneAssignment, LaneStats};
 pub use queue::{PopOutcome, PushOutcome, QueueId};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

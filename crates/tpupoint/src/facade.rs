@@ -56,7 +56,6 @@ pub struct TpuPointBuilder {
     pub(crate) serve_sigint: bool,
     pub(crate) paired_baseline: bool,
     pub(crate) stop_on_stable: Option<u64>,
-    pub(crate) sim_lanes: usize,
     pub(crate) fleet_limits: FleetLimits,
 }
 
@@ -82,7 +81,6 @@ impl Default for TpuPointBuilder {
             serve_sigint: false,
             paired_baseline: false,
             stop_on_stable: None,
-            sim_lanes: 1,
             fleet_limits: FleetLimits::default(),
         }
     }
@@ -241,17 +239,6 @@ impl TpuPointBuilder {
         self
     }
 
-    /// Runs [`TpuPoint::profile`] jobs on the laned simulation engine with
-    /// this many process shards (default 1 = serial engine). The trace,
-    /// JSONL records, and profile are byte-identical for any value — lanes
-    /// move sink work off the simulation's critical path onto the
-    /// `tpupoint-par` pool, they never change results. The paired-baseline
-    /// twin always runs serially; its report is identical either way.
-    pub fn sim_lanes(mut self, lanes: usize) -> Self {
-        self.sim_lanes = lanes.max(1);
-        self
-    }
-
     /// Admission and concurrency bounds for [`TpuPoint::serve_fleet`]:
     /// how many jobs run at once, how deep the admission queue goes, and
     /// how many active jobs any one tenant may hold.
@@ -399,11 +386,7 @@ impl TpuPoint {
             ProfilerSink::new(job.catalog().clone(), self.options.profiler_options)
         };
         sink.set_source(&job.config().model, &job.config().dataset.name);
-        let report = if self.options.sim_lanes > 1 {
-            job.run_laned(self.options.sim_lanes, &mut sink)
-        } else {
-            job.run(&mut sink)
-        };
+        let report = job.run(&mut sink);
         let profile = sink.finish();
         let measured = baseline_wall.map(|baseline| {
             report.session_wall.as_micros() as f64 / baseline.as_micros().max(1) as f64
@@ -555,18 +538,6 @@ mod tests {
             run.report.steps_completed
         );
         assert_eq!(run.profile.model, "demo-mlp");
-    }
-
-    #[test]
-    fn sim_lanes_do_not_change_the_profile() {
-        let serial = TpuPoint::builder().analyzer(false).build();
-        let laned = TpuPoint::builder().analyzer(false).sim_lanes(2).build();
-        let a = serial.profile(demo()).expect("serial profiling");
-        let b = laned.profile(demo()).expect("laned profiling");
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.profile.windows, b.profile.windows);
-        assert_eq!(a.profile.steps, b.profile.steps);
-        assert_eq!(a.profile.step_marks, b.profile.step_marks);
     }
 
     #[test]

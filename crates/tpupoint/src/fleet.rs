@@ -168,7 +168,9 @@ impl JobRuntime {
         *slot = Arc::new(self.registry.snapshot());
         drop(slot);
         self.publish_version.fetch_add(1, Ordering::Release);
-        tpupoint_obs::metrics().counter("fleet.snapshot_publishes").inc();
+        tpupoint_obs::metrics()
+            .counter("fleet.snapshot_publishes")
+            .inc();
     }
 
     /// Swaps a pre-rendered phases report into the published slot.
@@ -262,7 +264,10 @@ impl FleetShared {
             ));
         }
         if let Some(merged) = &aggregate {
-            groups.push(LabeledSnapshotRef::new(&[("job", AGGREGATE_JOB_ID)], merged));
+            groups.push(LabeledSnapshotRef::new(
+                &[("job", AGGREGATE_JOB_ID)],
+                merged,
+            ));
         }
         to_prometheus_multi_ref(&groups)
     }
@@ -780,6 +785,9 @@ fn parse_job_request(body: &str) -> Result<FleetJobRequest, String> {
         .get("scale")
         .and_then(serde_json::Value::as_f64)
         .unwrap_or_else(|| workload_id.default_sim_scale());
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(format!("\"scale\" must be in (0, 1], got {scale}"));
+    }
     let opts = BuildOptions {
         scale,
         seed: value
@@ -1137,6 +1145,20 @@ mod tests {
             .submit(FleetJobRequest::new(JobConfig::demo()).id("NOT VALID"))
             .unwrap_err();
         assert_eq!(admit_status(&err), 400);
+        // Out-of-range scales are refused as client errors before the
+        // workload builder (which asserts the range) ever sees them.
+        for scale in ["0", "2"] {
+            let body = format!("{{\"workload\": \"bert-mrpc\", \"scale\": {scale}}}");
+            let response = http(
+                session.addr(),
+                &format!(
+                    "POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                ),
+            );
+            assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+            assert!(response.contains("{\"error\": "), "{response}");
+        }
         // A refused submission leaves no runtime entry behind.
         assert_eq!(session.shared.jobs.lock().unwrap().len(), 1);
         session.request_quit();
@@ -1184,7 +1206,7 @@ mod tests {
                 }
             })
         };
-        while !job.streaming.try_lock().is_err() {
+        while job.streaming.try_lock().is_ok() {
             std::thread::sleep(Duration::from_millis(1));
         }
 

@@ -96,11 +96,7 @@ fn churn_storm_keeps_the_scrape_plane_honest() {
 
     for (tag, seed) in [("keep-a", 7u64), ("keep-b", 8u64)] {
         session
-            .submit(
-                FleetJobRequest::new(keep_config(seed))
-                    .id(tag)
-                    .tenant(tag),
-            )
+            .submit(FleetJobRequest::new(keep_config(seed)).id(tag).tenant(tag))
             .expect("admits keep job");
     }
 

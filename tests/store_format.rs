@@ -1,8 +1,8 @@
 //! Integration: the binary segment store is a drop-in for the JSONL store.
 //! The same job profiled through either format must produce the same
 //! [`Profile`], and recovering either record directory must hand back the
-//! same records with the same accounting — across every worker-pool size,
-//! with the laned simulation engine, and under seeded store faults. The
+//! same records with the same accounting — across every worker-pool size
+//! and under seeded store faults. The
 //! format knob may change bytes on disk; it may never change answers.
 
 use std::path::{Path, PathBuf};
@@ -33,12 +33,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_lane(
-    dir: &Path,
-    format: StoreFormat,
-    lanes: usize,
-    fault: Option<(f64, u64, u32)>,
-) -> ProfiledRun {
+fn run_format(dir: &Path, format: StoreFormat, fault: Option<(f64, u64, u32)>) -> ProfiledRun {
     let mut builder = TpuPoint::builder()
         .analyzer(true)
         .output_dir(dir)
@@ -47,8 +42,7 @@ fn run_lane(
             ..ProfilerOptions::default()
         })
         .store_format(format)
-        .store_segment_bytes(SEGMENT_BYTES)
-        .sim_lanes(lanes);
+        .store_segment_bytes(SEGMENT_BYTES);
     builder = match fault {
         Some((prob, seed, retries)) => builder.store_fault(prob, seed).store_retries(retries),
         None => builder.store_retries(0),
@@ -61,9 +55,9 @@ fn recover(dir: &Path) -> RecoverySummary {
 }
 
 #[test]
-fn both_formats_yield_equal_profiles_across_the_thread_lane_matrix() {
+fn both_formats_yield_equal_profiles_across_pool_sizes() {
     let baseline_dir = tmp_dir("baseline");
-    let baseline = run_lane(&baseline_dir, StoreFormat::Jsonl, 1, None);
+    let baseline = run_format(&baseline_dir, StoreFormat::Jsonl, None);
     assert!(
         !baseline.profile.windows.is_empty(),
         "fixture must seal windows"
@@ -71,42 +65,40 @@ fn both_formats_yield_equal_profiles_across_the_thread_lane_matrix() {
 
     for threads in [1usize, 2, 4, 8] {
         tpupoint_par::set_threads(threads);
-        for lanes in [1usize, 2] {
-            let jsonl_dir = tmp_dir(&format!("jsonl-t{threads}-l{lanes}"));
-            let binary_dir = tmp_dir(&format!("binary-t{threads}-l{lanes}"));
-            let jsonl = run_lane(&jsonl_dir, StoreFormat::Jsonl, lanes, None);
-            let binary = run_lane(&binary_dir, StoreFormat::Binary, lanes, None);
+        let jsonl_dir = tmp_dir(&format!("jsonl-t{threads}"));
+        let binary_dir = tmp_dir(&format!("binary-t{threads}"));
+        let jsonl = run_format(&jsonl_dir, StoreFormat::Jsonl, None);
+        let binary = run_format(&binary_dir, StoreFormat::Binary, None);
 
-            // Same answers in memory...
-            assert_eq!(
-                jsonl.profile, baseline.profile,
-                "jsonl diverged from baseline at {threads} threads, {lanes} lanes"
-            );
-            assert_eq!(
-                binary.profile, jsonl.profile,
-                "format changed the profile at {threads} threads, {lanes} lanes"
-            );
-            assert_eq!(binary.report, jsonl.report);
+        // Same answers in memory...
+        assert_eq!(
+            jsonl.profile, baseline.profile,
+            "jsonl diverged from baseline at {threads} threads"
+        );
+        assert_eq!(
+            binary.profile, jsonl.profile,
+            "format changed the profile at {threads} threads"
+        );
+        assert_eq!(binary.report, jsonl.report);
 
-            // ...and the same records back off disk, with clean accounting.
-            let jr = recover(&jsonl_dir);
-            let br = recover(&binary_dir);
-            for (tag, summary) in [("jsonl", &jr), ("binary", &br)] {
-                assert!(summary.sealed_files, "{tag}: sealed run");
-                assert!(!summary.is_torn(), "{tag}: clean seal is not torn");
-                assert_eq!(summary.missing_acknowledged(), (0, 0), "{tag}");
-            }
-            assert_eq!(jr.steps, br.steps, "recovered steps diverged");
-            assert_eq!(jr.windows, br.windows, "recovered windows diverged");
-            assert_eq!(
-                jr.to_profile(),
-                br.to_profile(),
-                "salvaged profiles diverged at {threads} threads, {lanes} lanes"
-            );
-
-            std::fs::remove_dir_all(&jsonl_dir).unwrap();
-            std::fs::remove_dir_all(&binary_dir).unwrap();
+        // ...and the same records back off disk, with clean accounting.
+        let jr = recover(&jsonl_dir);
+        let br = recover(&binary_dir);
+        for (tag, summary) in [("jsonl", &jr), ("binary", &br)] {
+            assert!(summary.sealed_files, "{tag}: sealed run");
+            assert!(!summary.is_torn(), "{tag}: clean seal is not torn");
+            assert_eq!(summary.missing_acknowledged(), (0, 0), "{tag}");
         }
+        assert_eq!(jr.steps, br.steps, "recovered steps diverged");
+        assert_eq!(jr.windows, br.windows, "recovered windows diverged");
+        assert_eq!(
+            jr.to_profile(),
+            br.to_profile(),
+            "salvaged profiles diverged at {threads} threads"
+        );
+
+        std::fs::remove_dir_all(&jsonl_dir).unwrap();
+        std::fs::remove_dir_all(&binary_dir).unwrap();
     }
     tpupoint_par::set_threads(0);
     std::fs::remove_dir_all(&baseline_dir).unwrap();
@@ -114,12 +106,12 @@ fn both_formats_yield_equal_profiles_across_the_thread_lane_matrix() {
 
 #[test]
 fn seeded_store_faults_recover_identically_in_both_formats() {
-    // The same seeded fault stream hits both lanes; the retry layer must
+    // The same seeded fault stream hits both formats; the retry layer must
     // absorb it identically regardless of what sits underneath.
     let jsonl_dir = tmp_dir("fault-jsonl");
     let binary_dir = tmp_dir("fault-binary");
-    let jsonl = run_lane(&jsonl_dir, StoreFormat::Jsonl, 2, Some((0.3, 21, 10)));
-    let binary = run_lane(&binary_dir, StoreFormat::Binary, 2, Some((0.3, 21, 10)));
+    let jsonl = run_format(&jsonl_dir, StoreFormat::Jsonl, Some((0.3, 21, 10)));
+    let binary = run_format(&binary_dir, StoreFormat::Binary, Some((0.3, 21, 10)));
     assert_eq!(jsonl.profile.store_errors, 0, "retries absorb the faults");
     assert_eq!(binary.profile, jsonl.profile);
 
