@@ -1,14 +1,19 @@
-//! Golden digests of the live phase timeline and the offline k-means
-//! outputs. Every update's `/phases` JSON, phase count and stable-window
-//! count, the final per-step labels and the stability latch of a replay
-//! are folded into one 64-bit FNV-1a digest per profile, as are the SSE
-//! bits of an offline `kmeans::sweep` and the result of a `kmeans::run`.
-//! A performance change to k-means or the streaming analyzer must leave
-//! every digest as it is: the expected values pin the exact output.
+//! Golden digests of the live phase timeline, the offline k-means
+//! outputs and the analyze artifacts. Every update's `/phases` JSON,
+//! phase count and stable-window count, the final per-step labels and the
+//! stability latch of a replay are folded into one 64-bit FNV-1a digest
+//! per profile, as are the SSE bits of an offline `kmeans::sweep` and the
+//! result of a `kmeans::run`. The bytes of the Chrome trace, the phase CSV
+//! and the per-step operator CSV are digested for three phase sets per
+//! profile (OLS, k-means and DBSCAN with a noise phase), together with the
+//! phase sets themselves and their checkpoint association. A performance
+//! change to k-means, the streaming analyzer or the analyze writers must
+//! leave every digest as it is: the expected values pin the exact output.
 
 use tpupoint::analyzer::features::MAX_DIMS;
 use tpupoint::analyzer::{
-    kmeans, FeatureMatrix, KmeansConfig, StreamingAnalyzer, StreamingConfig, STREAM_CADENCE,
+    kmeans, Analyzer, FeatureMatrix, KmeansConfig, PhaseSet, StreamingAnalyzer, StreamingConfig,
+    STREAM_CADENCE,
 };
 use tpupoint::prelude::*;
 
@@ -168,4 +173,107 @@ fn offline_kmeans_matches_its_golden_digests() {
         ],
         "offline k-means digests changed"
     );
+}
+
+/// Digests a phase set, its checkpoint association and the bytes of the
+/// three analyze artifacts written for it.
+fn artifacts_digest(analyzer: &Analyzer<'_>, set: &PhaseSet) -> u64 {
+    let mut digest = Digest::new();
+    for phase in &set.phases {
+        digest.u64(phase.id as u64);
+        digest.u64(phase.steps.len() as u64);
+        for &step in &phase.steps {
+            digest.u64(step);
+        }
+        digest.u64(phase.total_time.as_micros());
+        digest.u64(u64::from(phase.is_noise));
+    }
+    digest.u64(set.total_time.as_micros());
+    for checkpoint in analyzer.checkpoints_for(set) {
+        match checkpoint {
+            Some(c) => {
+                digest.u64(c.checkpoint_step);
+                digest.u64(c.distance);
+            }
+            None => digest.u64(u64::MAX),
+        }
+    }
+    let mut trace = Vec::new();
+    analyzer.write_chrome_trace(set, &mut trace).unwrap();
+    digest.bytes(&trace);
+    let mut phases_csv = Vec::new();
+    analyzer.write_phase_csv(set, &mut phases_csv).unwrap();
+    digest.bytes(&phases_csv);
+    let mut steps_csv = Vec::new();
+    analyzer.write_step_csv(&mut steps_csv).unwrap();
+    digest.bytes(&steps_csv);
+    digest.0
+}
+
+#[test]
+fn analyze_artifacts_match_their_golden_digests() {
+    // (workload, scale, [OLS 0.7, k-means k = 5, DBSCAN min-samples 30]).
+    let cases = [
+        (
+            WorkloadId::ResnetImagenet,
+            0.008,
+            [
+                0xfb18_4e87_61d4_1ebc,
+                0x03ee_3e7f_f55a_1a0b,
+                0xc7e4_7249_1266_c589,
+            ],
+        ),
+        (
+            WorkloadId::DcganMnist,
+            0.04,
+            [
+                0x9fbe_50e5_4a63_c2fa,
+                0xf30f_fd21_ef98_3a7c,
+                0xa9db_a398_1d56_2ed1,
+            ],
+        ),
+        (
+            WorkloadId::BertMnli,
+            0.0125,
+            [
+                0xb9ab_4317_1156_98b7,
+                0xf869_ec7f_de8c_1489,
+                0xcbe0_fd93_3602_8429,
+            ],
+        ),
+    ];
+    let mut got = Vec::new();
+    for (id, scale, _) in cases {
+        let profile = profile_of(id, scale);
+        let analyzer = Analyzer::new(&profile);
+        let ols = analyzer.ols_phases(0.7);
+        let kmeans = analyzer.kmeans_phases(5);
+        let dbscan = analyzer.dbscan_phases(30).expect("within limits");
+        assert!(
+            kmeans
+                .phases
+                .iter()
+                .any(|p| p.steps.windows(2).any(|w| w[1] != w[0] + 1)),
+            "{id:?}: a k-means phase must be non-contiguous"
+        );
+        assert!(
+            dbscan.phases.iter().any(|p| p.is_noise),
+            "{id:?}: the DBSCAN set must have a noise phase"
+        );
+        let digests = [
+            artifacts_digest(&analyzer, &ols),
+            artifacts_digest(&analyzer, &kmeans),
+            artifacts_digest(&analyzer, &dbscan),
+        ];
+        eprintln!(
+            "{id:?} scale {scale}: {} steps, ols/kmeans/dbscan digests {:#018x} {:#018x} {:#018x}",
+            profile.steps.len(),
+            digests[0],
+            digests[1],
+            digests[2]
+        );
+        got.push(digests);
+    }
+    let expected: Vec<[u64; 3]> = cases.iter().map(|c| c.2).collect();
+    assert_eq!(got, expected, "analyze artifact digests changed");
 }
