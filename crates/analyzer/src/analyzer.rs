@@ -9,6 +9,7 @@ use crate::ols::{self, OlsConfig};
 use crate::phases::{top_operators, Phase, PhaseSet, TopOps};
 use crate::viz;
 use std::io;
+use std::sync::OnceLock;
 use tpupoint_profiler::Profile;
 
 /// Tuning knobs for [`Analyzer`] construction.
@@ -34,37 +35,33 @@ impl Default for AnalyzerOptions {
 
 /// Post-execution analyzer over one [`Profile`].
 ///
-/// Construction extracts and reduces the feature matrix once; every
-/// summarization method reuses it.
+/// The PCA-reduced feature matrix is extracted on first use, by
+/// [`Analyzer::features`] or a k-means, BIC or DBSCAN method, and reused
+/// after that. OLS, checkpoints, top operators and the visualization
+/// writers read the profile directly and never build it.
 #[derive(Debug)]
 pub struct Analyzer<'a> {
     profile: &'a Profile,
-    features: FeatureMatrix,
+    features: OnceLock<FeatureMatrix>,
     options: AnalyzerOptions,
 }
 
 impl<'a> Analyzer<'a> {
-    /// Builds the analyzer, extracting PCA-reduced step features.
+    /// Builds the analyzer over `profile`.
     pub fn new(profile: &'a Profile) -> Self {
         Analyzer::with_options(profile, AnalyzerOptions::default())
     }
 
     /// Builds the analyzer with explicit tuning knobs. A non-zero
-    /// `options.threads` re-sizes the process-wide pool first, so feature
-    /// extraction below already runs at the requested width.
+    /// `options.threads` re-sizes the process-wide pool here, so the
+    /// feature extraction on first use runs at the requested width.
     pub fn with_options(profile: &'a Profile, options: AnalyzerOptions) -> Self {
         if options.threads != 0 {
             tpupoint_par::set_threads(options.threads);
         }
-        let _span = tpupoint_obs::span!(
-            "analyzer.pca",
-            steps = profile.steps.len(),
-            threads = tpupoint_par::current_threads()
-        );
-        let features = FeatureMatrix::from_profile(profile).reduced(MAX_DIMS);
         Analyzer {
             profile,
-            features,
+            features: OnceLock::new(),
             options,
         }
     }
@@ -87,29 +84,36 @@ impl<'a> Analyzer<'a> {
         self.profile
     }
 
-    /// The reduced feature matrix.
+    /// The reduced feature matrix, extracted and PCA-reduced on first use.
     pub fn features(&self) -> &FeatureMatrix {
-        &self.features
+        self.features.get_or_init(|| {
+            let _span = tpupoint_obs::span!(
+                "analyzer.pca",
+                steps = self.profile.steps.len(),
+                threads = tpupoint_par::current_threads()
+            );
+            FeatureMatrix::from_profile(self.profile).reduced(MAX_DIMS)
+        })
     }
 
     /// k-means sum-of-squared-distances sweep (Figure 4).
     pub fn kmeans_sweep(&self, range: std::ops::RangeInclusive<usize>) -> Vec<(usize, f64)> {
         let _span = tpupoint_obs::span!("analyzer.kmeans", k_max = *range.end());
-        kmeans::sweep(&self.features, range, &self.kmeans_config())
+        kmeans::sweep(self.features(), range, &self.kmeans_config())
     }
 
     /// SimPoint-style BIC sweep over k; an alternative to the elbow
     /// method (see `bic` module docs).
     pub fn kmeans_bic_sweep(&self, range: std::ops::RangeInclusive<usize>) -> Vec<(usize, f64)> {
         let _span = tpupoint_obs::span!("analyzer.kmeans", k_max = *range.end(), bic = true);
-        crate::bic::sweep(&self.features, range, &self.kmeans_config())
+        crate::bic::sweep(self.features(), range, &self.kmeans_config())
     }
 
     /// Phases from k-means with the given k (Figure 9 uses k = 5).
     pub fn kmeans_phases(&self, k: usize) -> PhaseSet {
         let _span = tpupoint_obs::span!("analyzer.kmeans", k = k);
         let result = kmeans::run(
-            &self.features,
+            self.features(),
             &KmeansConfig {
                 k,
                 ..KmeansConfig::default()
@@ -128,7 +132,7 @@ impl<'a> Analyzer<'a> {
     pub fn dbscan_sweep(&self) -> Result<Vec<(usize, f64, usize)>, DbscanError> {
         let _span = tpupoint_obs::span!("analyzer.dbscan", sweep = true);
         dbscan::sweep(
-            &self.features,
+            self.features(),
             &dbscan::paper_grid(),
             &DbscanConfig::default(),
         )
@@ -143,7 +147,7 @@ impl<'a> Analyzer<'a> {
     pub fn dbscan_phases(&self, min_samples: usize) -> Result<PhaseSet, DbscanError> {
         let _span = tpupoint_obs::span!("analyzer.dbscan", min_samples = min_samples);
         let result = dbscan::run(
-            &self.features,
+            self.features(),
             &DbscanConfig {
                 min_samples,
                 ..DbscanConfig::default()
@@ -200,15 +204,6 @@ impl<'a> Analyzer<'a> {
     /// Returns any I/O error from `writer`.
     pub fn write_phase_csv<W: io::Write>(&self, set: &PhaseSet, writer: W) -> io::Result<()> {
         viz::write_phase_csv(self.profile, set, writer)
-    }
-
-    /// Writes the consecutive step-similarity CSV (Eq. 1 series).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from `writer`.
-    pub fn write_similarity_csv<W: io::Write>(&self, writer: W) -> io::Result<()> {
-        viz::write_similarity_csv(self.profile, writer)
     }
 
     /// Writes the per-step operations CSV (Section IV-B's second file).

@@ -5,7 +5,7 @@ use crate::ols::Segment;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tpupoint_profiler::{Profile, StepRecord};
-use tpupoint_simcore::{OpId, SimDuration};
+use tpupoint_simcore::{SimDuration, SimTime};
 
 /// One phase: a set of steps exhibiting the same behaviour.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -135,42 +135,113 @@ pub struct TopOps {
     pub tpu: Vec<(String, SimDuration, u64)>,
 }
 
+/// Per-phase operator totals and time extents, gathered in one walk over
+/// a profile's step records. A record counts toward every phase that
+/// lists its step number (once per phase, however often the phase lists
+/// it); steps missing from the profile contribute nothing.
+#[derive(Debug)]
+pub(crate) struct PhaseTotals<'a> {
+    profile: &'a Profile,
+    /// Operator ids covered by both `op_names` and `op_on_host`.
+    n_ops: usize,
+    /// Min event start to max event end over member records with events.
+    extents: Vec<Option<(SimTime, SimTime)>>,
+    /// Row-major `phases × n_ops`: accumulated `(duration, invocations)`
+    /// of each op seen in a member record.
+    ops: Vec<Option<(SimDuration, u64)>>,
+}
+
+impl<'a> PhaseTotals<'a> {
+    /// Accumulates `phases` over `profile.steps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member record names an op id outside the profile's op
+    /// tables.
+    pub fn new(profile: &'a Profile, phases: &[Phase]) -> Self {
+        let n_ops = profile.op_names.len().min(profile.op_on_host.len());
+        let mut members: Vec<(u64, usize)> = phases
+            .iter()
+            .enumerate()
+            .flat_map(|(i, phase)| phase.steps.iter().map(move |&step| (step, i)))
+            .collect();
+        members.sort_unstable();
+        members.dedup();
+        let mut extents: Vec<Option<(SimTime, SimTime)>> = vec![None; phases.len()];
+        let mut ops = vec![None; phases.len() * n_ops];
+        for record in &profile.steps {
+            let first = members.partition_point(|&(step, _)| step < record.step);
+            for &(_, i) in members[first..]
+                .iter()
+                .take_while(|&&(step, _)| step == record.step)
+            {
+                if !record.ops.is_empty() {
+                    let extent = &mut extents[i];
+                    *extent = Some(match *extent {
+                        Some((lo, hi)) => (lo.min(record.first_start), hi.max(record.last_end)),
+                        None => (record.first_start, record.last_end),
+                    });
+                }
+                let row = &mut ops[i * n_ops..(i + 1) * n_ops];
+                for (op, stats) in &record.ops {
+                    let (total, count) = row[op.0 as usize].get_or_insert((SimDuration::ZERO, 0));
+                    *total += stats.total;
+                    *count += stats.count;
+                }
+            }
+        }
+        PhaseTotals {
+            profile,
+            n_ops,
+            extents,
+            ops,
+        }
+    }
+
+    /// Time extent of phase `i`; `None` when no member record has events.
+    pub fn extent(&self, i: usize) -> Option<(SimTime, SimTime)> {
+        self.extents[i]
+    }
+
+    /// Top-`n` operators of phase `i` by accumulated duration, host and
+    /// TPU ranked apart; ties keep ascending op id.
+    pub fn top_operators(&self, i: usize, n: usize) -> TopOps {
+        let row = &self.ops[i * self.n_ops..(i + 1) * self.n_ops];
+        let mut host = Vec::new();
+        let mut tpu = Vec::new();
+        for (op, slot) in row.iter().enumerate() {
+            if let Some((total, count)) = *slot {
+                let side = if self.profile.op_on_host[op] {
+                    &mut host
+                } else {
+                    &mut tpu
+                };
+                side.push((op, total, count));
+            }
+        }
+        let named = |mut rows: Vec<(usize, SimDuration, u64)>| {
+            rows.sort_by_key(|row| std::cmp::Reverse(row.1));
+            rows.truncate(n);
+            rows.into_iter()
+                .map(|(op, total, count)| (self.profile.op_names[op].clone(), total, count))
+                .collect()
+        };
+        TopOps {
+            host: named(host),
+            tpu: named(tpu),
+        }
+    }
+}
+
 /// Ranks the operators of `phase` by accumulated duration.
 pub fn top_operators(profile: &Profile, phase: &Phase, n: usize) -> TopOps {
-    let mut acc: BTreeMap<OpId, (SimDuration, u64)> = BTreeMap::new();
-    let members: std::collections::HashSet<u64> = phase.steps.iter().copied().collect();
-    for record in &profile.steps {
-        if !members.contains(&record.step) {
-            continue;
-        }
-        for (op, stats) in &record.ops {
-            let entry = acc.entry(*op).or_insert((SimDuration::ZERO, 0));
-            entry.0 += stats.total;
-            entry.1 += stats.count;
-        }
-    }
-    let mut host = Vec::new();
-    let mut tpu = Vec::new();
-    for (op, (total, count)) in acc {
-        let row = (profile.op_name(op).to_owned(), total, count);
-        if profile.op_on_host[op.0 as usize] {
-            host.push(row);
-        } else {
-            tpu.push(row);
-        }
-    }
-    let by_time = |a: &(String, SimDuration, u64), b: &(String, SimDuration, u64)| b.1.cmp(&a.1);
-    host.sort_by(by_time);
-    tpu.sort_by(by_time);
-    host.truncate(n);
-    tpu.truncate(n);
-    TopOps { host, tpu }
+    PhaseTotals::new(profile, std::slice::from_ref(phase)).top_operators(0, n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpupoint_simcore::{SimTime, Track};
+    use tpupoint_simcore::{OpId, Track};
 
     fn record(step: u64, ops: &[(u32, u64, bool)]) -> StepRecord {
         let mut r = StepRecord::new(step);
@@ -290,6 +361,118 @@ mod tests {
         assert_eq!(top.tpu[0].2, 3);
         assert_eq!(top.host[0].0, "OutfeedDequeueTuple");
         assert_eq!(top.host[0].2, 2);
+    }
+
+    /// The per-phase scan `top_operators` and the trace's phase extent
+    /// made before [`PhaseTotals`]: a step set, a pass over every record
+    /// and a `BTreeMap` of op totals.
+    fn naive_totals(
+        profile: &Profile,
+        phase: &Phase,
+        n: usize,
+    ) -> (Option<(SimTime, SimTime)>, TopOps) {
+        let members: std::collections::HashSet<u64> = phase.steps.iter().copied().collect();
+        let mut extent: Option<(SimTime, SimTime)> = None;
+        let mut acc: BTreeMap<OpId, (SimDuration, u64)> = BTreeMap::new();
+        for record in profile.steps.iter().filter(|r| members.contains(&r.step)) {
+            if !record.ops.is_empty() {
+                extent = Some(
+                    extent.map_or((record.first_start, record.last_end), |(lo, hi)| {
+                        (lo.min(record.first_start), hi.max(record.last_end))
+                    }),
+                );
+            }
+            for (op, stats) in &record.ops {
+                let entry = acc.entry(*op).or_insert((SimDuration::ZERO, 0));
+                entry.0 += stats.total;
+                entry.1 += stats.count;
+            }
+        }
+        let mut host = Vec::new();
+        let mut tpu = Vec::new();
+        for (op, (total, count)) in acc {
+            let row = (profile.op_name(op).to_owned(), total, count);
+            if profile.op_on_host[op.0 as usize] {
+                host.push(row);
+            } else {
+                tpu.push(row);
+            }
+        }
+        for side in [&mut host, &mut tpu] {
+            side.sort_by_key(|row| std::cmp::Reverse(row.1));
+            side.truncate(n);
+        }
+        (extent, TopOps { host, tpu })
+    }
+
+    /// A profile with duplicated step numbers, empty records, zero-count
+    /// op entries and durations drawn from a few values, so ties are
+    /// common.
+    fn random_profile(rng: &mut tpupoint_simcore::SimRng) -> Profile {
+        let n_ops = rng.uniform_u64(1, 8) as usize;
+        let mut steps = Vec::new();
+        for _ in 0..rng.uniform_u64(0, 40) {
+            let mut record = StepRecord::new(rng.uniform_u64(0, 30));
+            for _ in 0..rng.uniform_u64(0, 6) {
+                let op = OpId(rng.uniform_u64(0, n_ops as u64 - 1) as u32);
+                if rng.chance(0.1) {
+                    record.ops.entry(op).or_default();
+                    continue;
+                }
+                record.absorb(
+                    op,
+                    Track::Host,
+                    SimTime::from_micros(rng.uniform_u64(0, 1000)),
+                    SimDuration::from_micros(10 * rng.uniform_u64(0, 4)),
+                    SimDuration::ZERO,
+                );
+            }
+            steps.push(record);
+        }
+        Profile {
+            model: "m".into(),
+            dataset: "d".into(),
+            op_names: (0..n_ops).map(|i| format!("op{i}")).collect(),
+            op_uses_mxu: vec![false; n_ops],
+            op_on_host: (0..n_ops).map(|_| rng.chance(0.5)).collect(),
+            steps,
+            windows: vec![],
+            step_marks: vec![],
+            checkpoints: vec![],
+            dropped_windows: 0,
+            lost_events: 0,
+            store_errors: 0,
+            store_error: None,
+        }
+    }
+
+    #[test]
+    fn phase_totals_match_a_per_phase_scan() {
+        let mut rng = tpupoint_simcore::SimRng::seed_from(0x7074);
+        for _ in 0..300 {
+            let profile = random_profile(&mut rng);
+            // Hand-built phases: overlapping, repeating steps, naming
+            // steps the profile lacks, or empty.
+            let phases: Vec<Phase> = (0..rng.uniform_u64(0, 6))
+                .map(|id| Phase {
+                    id: id as usize,
+                    steps: (0..rng.uniform_u64(0, 12))
+                        .map(|_| rng.uniform_u64(0, 40))
+                        .collect(),
+                    total_time: SimDuration::ZERO,
+                    is_noise: false,
+                })
+                .collect();
+            let totals = PhaseTotals::new(&profile, &phases);
+            for (i, phase) in phases.iter().enumerate() {
+                for n in [0, 1, 3, 10] {
+                    let (extent, top) = naive_totals(&profile, phase, n);
+                    assert_eq!(totals.extent(i), extent, "phase {phase:?}");
+                    assert_eq!(totals.top_operators(i, n), top, "phase {phase:?}, n {n}");
+                    assert_eq!(top_operators(&profile, phase, n), top);
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,33 +3,18 @@
 //! TPUPoint-Analyzer writes a JSON file compatible with Chrome's
 //! `chrome://tracing` viewer showing two horizontal tracks — "Profile
 //! Breakdown" (the sealed profile windows) and "Phase Breakdown" (the
-//! detected phases spanning them) — plus a CSV with the per-phase
-//! description and top operators.
+//! detected phases spanning them) — plus two CSVs: the per-phase
+//! description and top operators, and each step's host and TPU
+//! operators. Every file is rendered in memory and handed to its writer
+//! in one `write_all`, so an unbuffered `File` costs one `write(2)` per
+//! file rather than several per row.
 
-use crate::phases::{top_operators, Phase, PhaseSet};
+use crate::phases::{PhaseSet, PhaseTotals};
 use serde_json::{json, Value};
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use tpupoint_profiler::Profile;
-use tpupoint_simcore::SimTime;
-
-/// Time extent of a phase: min event start to max event end over member
-/// steps. Returns `None` for phases with no events.
-fn phase_extent(profile: &Profile, phase: &Phase) -> Option<(SimTime, SimTime)> {
-    let members: std::collections::HashSet<u64> = phase.steps.iter().copied().collect();
-    let mut lo: Option<SimTime> = None;
-    let mut hi: Option<SimTime> = None;
-    for record in &profile.steps {
-        if !members.contains(&record.step) || record.ops.is_empty() {
-            continue;
-        }
-        lo = Some(lo.map_or(record.first_start, |t: SimTime| t.min(record.first_start)));
-        hi = Some(hi.map_or(record.last_end, |t: SimTime| t.max(record.last_end)));
-    }
-    match (lo, hi) {
-        (Some(a), Some(b)) => Some((a, b)),
-        _ => None,
-    }
-}
+use tpupoint_simcore::SimDuration;
 
 /// Builds the Chrome-tracing JSON value for a profile and its phases.
 pub fn chrome_trace(profile: &Profile, phases: &PhaseSet) -> Value {
@@ -61,12 +46,13 @@ pub fn chrome_trace(profile: &Profile, phases: &PhaseSet) -> Value {
             },
         }));
     }
-    for phase in &phases.phases {
-        let Some((start, end)) = phase_extent(profile, phase) else {
+    let totals = PhaseTotals::new(profile, &phases.phases);
+    for (i, phase) in phases.phases.iter().enumerate() {
+        let Some((start, end)) = totals.extent(i) else {
             continue;
         };
-        let top = top_operators(profile, phase, 5);
-        let describe = |rows: &[(String, tpupoint_simcore::SimDuration, u64)]| -> Vec<String> {
+        let top = totals.top_operators(i, 5);
+        let describe = |rows: &[(String, SimDuration, u64)]| -> Vec<String> {
             rows.iter()
                 .map(|(name, dur, count)| format!("{name} ({count}x, {dur})"))
                 .collect()
@@ -114,7 +100,8 @@ pub fn write_chrome_trace<W: Write>(
 }
 
 /// Writes the companion CSV: one row per phase with description and top
-/// operators.
+/// operators. The file is rendered in memory and handed to `writer` in
+/// one `write_all`.
 ///
 /// # Errors
 ///
@@ -124,21 +111,22 @@ pub fn write_phase_csv<W: Write>(
     phases: &PhaseSet,
     mut writer: W,
 ) -> io::Result<()> {
-    writeln!(
-        writer,
-        "phase,steps,first_step,last_step,total_op_time_us,share,top_host_ops,top_tpu_ops"
-    )?;
+    let totals = PhaseTotals::new(profile, &phases.phases);
+    let mut out = String::with_capacity(80 + 200 * phases.phases.len());
+    out.push_str(
+        "phase,steps,first_step,last_step,total_op_time_us,share,top_host_ops,top_tpu_ops\n",
+    );
     let total = phases.total_time.as_micros().max(1) as f64;
-    for phase in &phases.phases {
-        let top = top_operators(profile, phase, 5);
-        let fmt_ops = |rows: &[(String, tpupoint_simcore::SimDuration, u64)]| -> String {
+    for (i, phase) in phases.phases.iter().enumerate() {
+        let top = totals.top_operators(i, 5);
+        let fmt_ops = |rows: &[(String, SimDuration, u64)]| -> String {
             rows.iter()
                 .map(|(n, _, _)| n.as_str())
                 .collect::<Vec<_>>()
                 .join("|")
         };
         writeln!(
-            writer,
+            out,
             "{},{},{},{},{},{:.4},{},{}",
             phase.id,
             phase.steps.len(),
@@ -148,60 +136,68 @@ pub fn write_phase_csv<W: Write>(
             phase.total_time.as_micros() as f64 / total,
             fmt_ops(&top.host),
             fmt_ops(&top.tpu),
-        )?;
+        )
+        .expect("writing to a String cannot fail");
     }
-    Ok(())
+    writer.write_all(out.as_bytes())
 }
 
 /// Writes the per-step operations CSV: "the TPU and Host CPU operations
 /// executed during training steps" (Section IV-B). One row per
-/// (step, operator) with counts and durations.
+/// (step, operator) with counts and durations, rendered in memory and
+/// handed to `writer` in one `write_all`.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from `writer`.
 pub fn write_step_csv<W: Write>(profile: &Profile, mut writer: W) -> io::Result<()> {
-    writeln!(writer, "step,op,side,invocations,total_us")?;
+    // The `,{name},{side},` middle of every row, built once per op id.
+    let middles: Vec<String> = profile
+        .op_names
+        .iter()
+        .zip(&profile.op_on_host)
+        .map(|(name, &on_host)| format!(",{name},{},", if on_host { "host" } else { "tpu" }))
+        .collect();
+    let rows: usize = profile.steps.iter().map(|r| r.ops.len()).sum();
+    let widest = middles.iter().map(String::len).max().unwrap_or(0);
+    let mut out = String::with_capacity(32 + rows * (widest + 32));
+    out.push_str("step,op,side,invocations,total_us\n");
     for record in &profile.steps {
         for (op, stats) in &record.ops {
-            writeln!(
-                writer,
-                "{},{},{},{},{}",
-                record.step,
-                profile.op_name(*op),
-                if profile.op_on_host[op.0 as usize] {
-                    "host"
-                } else {
-                    "tpu"
-                },
-                stats.count,
-                stats.total.as_micros(),
-            )?;
+            push_u64(&mut out, record.step);
+            out.push_str(&middles[op.0 as usize]);
+            push_u64(&mut out, stats.count);
+            out.push(',');
+            push_u64(&mut out, stats.total.as_micros());
+            out.push('\n');
         }
     }
-    Ok(())
+    writer.write_all(out.as_bytes())
 }
 
-/// Writes the consecutive step-similarity series (Eq. 1) as CSV — the raw
-/// data behind Figure 6's threshold sweep. One row per adjacent step pair.
-///
-/// # Errors
-///
-/// Returns any I/O error from `writer`.
-pub fn write_similarity_csv<W: Write>(profile: &Profile, mut writer: W) -> io::Result<()> {
-    writeln!(writer, "step,prev_step,similarity")?;
-    let sims = crate::ols::consecutive_similarities(&profile.steps);
-    for (pair, sim) in profile.steps.windows(2).zip(sims) {
-        writeln!(writer, "{},{},{:.6}", pair[1].step, pair[0].step, sim)?;
+/// Appends `v` in decimal.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-    Ok(())
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::Phase;
     use tpupoint_profiler::{StepRecord, WindowRecord};
-    use tpupoint_simcore::{OpId, SimDuration, Track};
+    use tpupoint_simcore::{OpId, SimTime, Track};
 
     fn profile() -> Profile {
         let mut r1 = StepRecord::new(1);
@@ -326,15 +322,77 @@ mod tests {
         assert!(lines[2].starts_with("2,OutfeedDequeueTuple,host,1,80"));
     }
 
+    /// Accepts every byte and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
-    fn similarity_csv_has_one_row_per_adjacent_pair() {
-        let p = profile();
+    fn each_writer_makes_one_write_call() {
+        // 1500 steps of two ops each: 3000 step-CSV rows, three phases.
+        let mut p = profile();
+        let template = p.steps.clone();
+        p.steps = (0..1500u64)
+            .map(|i| {
+                let mut record = template[(i % 2) as usize].clone();
+                record.step = i + 1;
+                record.absorb(
+                    OpId((i % 2) as u32 ^ 1),
+                    Track::Host,
+                    SimTime::from_micros(300 * i),
+                    SimDuration::from_micros(i % 7),
+                    SimDuration::ZERO,
+                );
+                record
+            })
+            .collect();
+        let labels: Vec<isize> = (0..1500).map(|i| i % 3).collect();
+        let set = PhaseSet::from_labels(&p.steps, &labels);
+
+        let mut trace = CountingWriter::default();
+        write_chrome_trace(&p, &set, &mut trace).unwrap();
+        let mut phases = CountingWriter::default();
+        write_phase_csv(&p, &set, &mut phases).unwrap();
+        let mut steps = CountingWriter::default();
+        write_step_csv(&p, &mut steps).unwrap();
+        assert_eq!(
+            [trace.writes, phases.writes, steps.writes],
+            [1, 1, 1],
+            "trace, phase CSV and step CSV must each be one write"
+        );
+    }
+
+    #[test]
+    fn step_csv_renders_integers_of_every_width() {
+        let mut p = profile();
+        p.steps[0].step = 0;
+        p.steps[1].step = u64::MAX;
+        p.steps[1]
+            .ops
+            .get_mut(&OpId(1))
+            .expect("op 1 in step 2")
+            .count = 1_000_000_007;
         let mut buf = Vec::new();
-        write_similarity_csv(&p, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.trim().lines().collect();
-        assert_eq!(lines.len(), 2); // header + 1 pair
-        assert!(lines[1].starts_with("2,1,0.000000")); // disjoint op sets
+        write_step_csv(&p, &mut buf).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            format!(
+                "step,op,side,invocations,total_us\n0,fusion,tpu,1,50\n{},OutfeedDequeueTuple,host,1000000007,80\n",
+                u64::MAX
+            )
+        );
     }
 
     #[test]

@@ -773,8 +773,8 @@ fn bench_analyzer(suite: &Suite, out_dir: &Path) -> io::Result<String> {
             ..AnalyzerOptions::default()
         },
     );
-    let serial_pca_us = us(t);
     let features = serial_analyzer.features();
+    let serial_pca_us = us(t);
     let cold = KmeansConfig {
         warm_start: false,
         ..KmeansConfig::default()
@@ -808,6 +808,7 @@ fn bench_analyzer(suite: &Suite, out_dir: &Path) -> io::Result<String> {
             ..AnalyzerOptions::default()
         },
     );
+    analyzer.features();
     let parallel_pca_us = us(t);
     let t = Instant::now();
     let parallel_kmeans = analyzer.kmeans_sweep(1..=15);

@@ -53,6 +53,8 @@ USAGE:
       replays the streaming analyzer over the profile and, once its phase
       assignments stabilize, analyzes only that prefix of the steps — a
       SeqPoint-style answer to \"how little of the run characterizes it\".
+      --out DIR writes the Chrome trace (trace.json), the phase CSV
+      (phases.csv) and the per-step operator CSV (steps.csv) there.
 
   tpupoint serve --workload <id> [--generation v2|v3] [--scale F]
                  [--seed N] [--naive] [--out DIR]
@@ -570,13 +572,22 @@ fn analyze(argv: &[String]) -> Result<(), String> {
         std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
         let trace = dir.join("trace.json");
         let csv = dir.join("phases.csv");
+        let steps = dir.join("steps.csv");
         analyzer
             .write_chrome_trace(&set, File::create(&trace).map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
         analyzer
             .write_phase_csv(&set, File::create(&csv).map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
-        println!("wrote {} and {}", trace.display(), csv.display());
+        analyzer
+            .write_step_csv(File::create(&steps).map_err(|e| e.to_string())?)
+            .map_err(|e| e.to_string())?;
+        println!(
+            "wrote {}, {} and {}",
+            trace.display(),
+            csv.display(),
+            steps.display()
+        );
     }
     session.finish()
 }
@@ -751,7 +762,20 @@ mod tests {
         let profile_path = dir.join("profile.json");
         assert!(profile_path.exists());
         let p = profile_path.to_str().unwrap().to_owned();
-        run(&["analyze", &p, "--algorithm", "ols"]).unwrap();
+        let analysis = dir.join("analysis");
+        run(&[
+            "analyze",
+            &p,
+            "--algorithm",
+            "ols",
+            "--out",
+            analysis.to_str().unwrap(),
+        ])
+        .unwrap();
+        for file in ["trace.json", "phases.csv", "steps.csv"] {
+            let len = std::fs::metadata(analysis.join(file)).unwrap().len();
+            assert!(len > 0, "{file} is empty");
+        }
         run(&["analyze", &p, "--algorithm", "kmeans", "--k", "4"]).unwrap();
         run(&["analyze", &p, "--algorithm", "kmeans", "--prefix-stable"]).unwrap();
         run(&["report", &p]).unwrap();
