@@ -1007,14 +1007,16 @@ fn bench_pipeline(out_dir: &Path) -> io::Result<String> {
     ))
 }
 
-/// Streaming early-stop benchmark: the same paced serve run twice — once
-/// to completion and once with `--stop-on-stable` — measuring the real
+/// Streaming early-stop benchmark: the same paced served job (a fleet of
+/// one) twice — once to completion and once with `--stop-on-stable` —
+/// measuring the real
 /// wall-clock win from skipping the paced tail after the live phase
 /// structure latches. Early stop cancels only the pacing: the remaining
 /// steps rush at batch speed, so both runs' recorded JSONL must stay
 /// byte-identical. Writes `BENCH_streaming.json`.
 fn bench_streaming(out_dir: &Path) -> io::Result<String> {
     use std::time::Instant;
+    use tpupoint::{runtime::JobPhase, FleetJobRequest};
 
     const PACE_US: u64 = 2_000;
     const STABLE_K: u64 = 3;
@@ -1033,6 +1035,8 @@ fn bench_streaming(out_dir: &Path) -> io::Result<String> {
     let tmp = std::env::temp_dir().join(format!("tpupoint-bench-streaming-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
 
+    // One served run: a fleet of one, waited on until its job settles.
+    let job_id = "bert-mrpc";
     let serve_once = |dir: &Path, stop: Option<u64>| -> io::Result<(f64, u64)> {
         let mut builder = TpuPoint::builder()
             .analyzer(true)
@@ -1043,8 +1047,15 @@ fn bench_streaming(out_dir: &Path) -> io::Result<String> {
             builder = builder.stop_on_stable(k);
         }
         let t = Instant::now();
-        let run = builder.build().serve(config())?.wait()?;
-        Ok((t.elapsed().as_secs_f64() * 1e6, run.report.steps_completed))
+        let session = builder.build().serve_fleet()?;
+        session
+            .submit(FleetJobRequest::new(config()).id(job_id))
+            .map_err(|e| io::Error::other(e.to_string()))?;
+        let outcome = session.wait_for(Some(job_id))?;
+        let elapsed_us = t.elapsed().as_secs_f64() * 1e6;
+        let job = &outcome.jobs[0];
+        assert_eq!(job.phase, JobPhase::Completed, "{:?}", job.error);
+        Ok((elapsed_us, job.steps_completed))
     };
 
     let full_dir = tmp.join("full");
@@ -1054,17 +1065,20 @@ fn bench_streaming(out_dir: &Path) -> io::Result<String> {
 
     // Early stop skips pacing, never recording.
     assert_eq!(steps, early_steps, "early stop lost recorded steps");
+    let records = |dir: &Path| dir.join("jobs").join(job_id).join("records");
     for file in ["steps.jsonl", "windows.jsonl"] {
-        let a = std::fs::read(full_dir.join("records").join(file))?;
-        let b = std::fs::read(early_dir.join("records").join(file))?;
+        let a = std::fs::read(records(&full_dir).join(file))?;
+        let b = std::fs::read(records(&early_dir).join(file))?;
         assert!(a == b, "{file} diverged under --stop-on-stable");
         assert!(!a.is_empty(), "{file} empty");
     }
 
     let speedup = full_us / early_us.max(1.0);
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let doc = serde_json::json!({
         "workload": id.label(),
         "scale": 0.3,
+        "host_cores": host_cores,
         "pace_us_per_step": PACE_US,
         "stop_on_stable_k": STABLE_K,
         "steps_recorded": steps,
@@ -1083,7 +1097,7 @@ fn bench_streaming(out_dir: &Path) -> io::Result<String> {
     Ok(format!(
         "Streaming early-stop benchmark ({}, {PACE_US}us/step pace, K = {STABLE_K}):\n  \
          serve wall {:>9.1} ms -> {:>9.1} ms  ({speedup:.2}x via --stop-on-stable)\n  \
-         {steps} steps recorded either way, records byte-identical\n",
+         {steps} steps recorded either way, records byte-identical ({host_cores} core(s))\n",
         id.label(),
         full_us / 1e3,
         early_us / 1e3,

@@ -3,12 +3,13 @@
 use crate::args::Args;
 use crate::obs::{obs_report_cmd, ObsSession, OBS_OPTIONS};
 use std::fs::File;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use tpupoint::analyzer::PhaseSet;
 use tpupoint::optimizer::{TpuPointOptimizer, TrialOutcome};
 use tpupoint::prelude::*;
 use tpupoint::profiler::audit_windows;
 use tpupoint::sim::SimDuration;
+use tpupoint::FleetJobRequest;
 
 const USAGE: &str = "\
 tpupoint — automatic characterization of (simulated) TPU ML behavior
@@ -56,66 +57,51 @@ USAGE:
       --out DIR writes the Chrome trace (trace.json), the phase CSV
       (phases.csv) and the per-step operator CSV (steps.csv) there.
 
-  tpupoint serve --workload <id> [--generation v2|v3] [--scale F]
-                 [--seed N] [--naive] [--out DIR]
-                 [--metrics-listen HOST:PORT] [--pace-us N]
-                 [--store-retries N] [--store-fault-prob F]
-                 [--store-fault-seed N] [--store-format jsonl|binary]
-                 [--store-segment-kib N] [--store-retain-mib N]
-                 [--recorded-backoff]
-                 [--stop-on-stable K] [--paired-baseline]
-      Run the job as a long-lived daemon on a wall-clock recording
-      thread, serving live observability over HTTP (default listen
-      127.0.0.1:9090; port 0 picks an ephemeral port):
-        GET  /metrics   Prometheus text exposition of all live series
-        GET  /healthz   200 ok, or 503 + degradation causes
-        GET  /status    JSON: step, OLS phase, windows, spill depth
-        GET  /phases    JSON: live streaming-analyzer phase structure
-        POST /quit      graceful shutdown (as does Ctrl-C / SIGINT)
-      --pace-us paces the job by sleeping N real microseconds per step
-      (default 500; 0 runs at batch speed). Retry backoff is actually
-      slept on this lane unless --recorded-backoff restores the batch
-      recorded-not-slept behavior. Graceful shutdown seals all .part
-      record files and flushes a final scrape to <DIR>/metrics.prom;
-      the recorded JSONL is byte-identical to a batch run of the seed.
-      --stop-on-stable K ends the paced run early (exactly like /quit)
-      once the live phase assignments hold stable for K consecutive
-      analyzer updates; the remaining steps rush at batch speed so the
-      recorded profile stays complete.
-
-  tpupoint serve --fleet [--out DIR] [--metrics-listen HOST:PORT]
-                 [--pace-us N] [--max-running N] [--max-queued N]
-                 [--per-tenant N] [--fleet-memory-mib N]
-                 [--store-retries N]
+  tpupoint serve [--workload <id> [--generation v2|v3] [--scale F]
+                  [--seed N] [--naive] [--store-fault-prob F]
+                  [--store-fault-seed N]]
+                 [--out DIR] [--metrics-listen HOST:PORT] [--pace-us N]
+                 [--max-running N] [--max-queued N] [--per-tenant N]
+                 [--fleet-memory-mib N] [--store-retries N]
                  [--store-format jsonl|binary] [--store-segment-kib N]
                  [--store-retain-mib N] [--recorded-backoff]
-      Run the multi-job fleet daemon: one scrape plane over N concurrent
-      jobs, each recording to its own sharded store under
-      <DIR>/jobs/<id>/ and into its own metrics registry. No --workload
-      here — jobs arrive over the control API:
+                 [--stop-on-stable K] [--paired-baseline]
+      Serve live training jobs on wall-clock recording threads behind one
+      HTTP plane (default listen 127.0.0.1:9090; port 0 is ephemeral).
+      With --workload it is a fleet of one: that job runs under its suite
+      id (e.g. bert-mrpc) and the daemon exits once it settles. Without
+      it the daemon starts empty and takes jobs over POST /jobs until
+      /quit. Each job records to <DIR>/jobs/<id>/ (records/, profile.json,
+      final metrics.prom) in its own metrics registry; DIR defaults to
+      tpupoint-out with --workload, tpupoint-fleet without.
+        GET    /metrics    every job's series labeled {job,tenant,
+                           workload}, plus a merged job=\"fleet\" aggregate
+        GET    /healthz    200 ok, or 503 + causes attributed per job
+        GET    /status     JSON: job counts per lifecycle phase
+        GET    /phases     JSON: each job's live streaming phase set
         POST   /jobs       admit a job; JSON body: {\"workload\": \"...\",
                            \"id\"?, \"tenant\"?, \"generation\"?, \"scale\"?,
                            \"seed\"?, \"naive\"?, \"pace_us\"?,
                            \"store_fault_prob\"?, \"store_fault_seed\"?}
-        GET    /jobs       list all jobs;  GET /jobs/<id> one job
+        GET    /jobs[/<id>[/phases]]  all jobs; one job (step, online OLS
+                           phase, checkpoints, streaming stability); its phases
         DELETE /jobs/<id>  cancel (queued exits now, running drains)
-        GET    /metrics    every job's series labeled {job,tenant,
-                           workload}, plus a merged job=\"fleet\" aggregate
-        GET    /healthz    degradations attributed per job and tenant
-        POST   /quit       drain every job gracefully and exit
-      --max-running bounds concurrent jobs (default 4), --max-queued the
-      admission queue (default 64), --per-tenant each tenant's active
-      jobs (default 8). --fleet-memory-mib caps the fleet's memory
-      budget (default 0 = unbounded): admissions past the budget are
-      shed with 429, each admitted job's seal-queue and spill caps are
-      sized from its share, and the budget is exported as
-      fleet.memory_budget_bytes / fleet.memory_inuse_bytes. Scrapes are
-      served from per-job published snapshots (refreshed at seal points
-      and on a ~200 ms cadence), so /metrics never blocks on a live
-      job. Each job's sealed JSONL is byte-identical to a
-      solo profile run of the same workload, scale, and seed. Under
-      --store-format binary the --store-retain-mib budget applies per
-      job, bounding every tenant's record footprint.
+        POST   /quit       drain every job and exit (as does Ctrl-C)
+      --pace-us sleeps N real microseconds per step (default 500; 0 is
+      batch speed); retry backoff is slept too unless --recorded-backoff.
+      Draining seals every .part record file and flushes a final scrape
+      to <DIR>/metrics.prom; each job's sealed JSONL is byte-identical to
+      a solo profile run of the same workload, scale, and seed.
+      --stop-on-stable K ends a job's pacing once its live phases hold
+      stable for K analyzer updates (the rest rushes at batch speed, so
+      records stay complete). --paired-baseline exports each job's
+      measured overhead ratio. --max-running (default 4), --max-queued
+      (64) and --per-tenant (8) bound admission; --fleet-memory-mib
+      (default 0 = unbounded) sheds admissions past the budget with 429
+      and sizes each job's seal-queue and spill caps from its share.
+      Under --store-format binary, --store-retain-mib applies per job.
+      --metrics-out exports the process registry merged with every
+      job's final metrics.
 
   tpupoint optimize --workload <id> [--generation v2|v3] [--scale F]
                     [--naive]
@@ -134,7 +120,7 @@ USAGE:
       Summarize a --metrics-out file: per-stage wall time, analyzer
       algorithm runtimes, profiler overhead, and window health.
 
-OBSERVABILITY (profile, analyze, optimize):
+OBSERVABILITY (profile, serve, analyze, optimize):
   --metrics-out <path>   Write the command's own metrics (counters,
                          gauges, histograms) to <path>.
   --self-trace <path>    Write a Chrome-tracing JSON of the command's
@@ -174,12 +160,15 @@ fn parse_generation(args: &Args) -> Result<TpuGeneration, String> {
     }
 }
 
-fn build_from_args(args: &Args) -> Result<JobConfig, String> {
-    let id: WorkloadId = args
-        .get("workload")
+fn workload_id(args: &Args) -> Result<WorkloadId, String> {
+    args.get("workload")
         .ok_or("--workload is required")?
         .parse()
-        .map_err(|e| format!("{e}"))?;
+        .map_err(|e| format!("{e}"))
+}
+
+fn build_from_args(args: &Args) -> Result<JobConfig, String> {
+    let id = workload_id(args)?;
     let generation = parse_generation(args)?;
     let opts = BuildOptions {
         scale: args.get_or("scale", id.default_sim_scale())?,
@@ -223,17 +212,19 @@ fn with_obs<'a>(options: &[&'a str]) -> Vec<&'a str> {
 /// The record-store tuning options shared by `profile` and `serve`.
 const STORE_OPTIONS: [&str; 3] = ["store-format", "store-segment-kib", "store-retain-mib"];
 
-/// Applies `--store-format`, `--store-segment-kib`, and
-/// `--store-retain-mib` to the builder.
-fn apply_store_options(
-    builder: tpupoint::TpuPointBuilder,
-    args: &Args,
-) -> Result<tpupoint::TpuPointBuilder, String> {
+/// The analyzer-mode builder `profile` and `serve` share: records under
+/// `out`, `--store-retries`, `--paired-baseline`, `--store-format`,
+/// `--store-segment-kib`, and `--store-retain-mib`.
+fn recording_builder(args: &Args, out: &Path) -> Result<tpupoint::TpuPointBuilder, String> {
     let format: tpupoint::profiler::StoreFormat =
         args.get("store-format").unwrap_or("jsonl").parse()?;
     let segment_kib: u64 = args.get_or("store-segment-kib", 256)?;
     let retain_mib: u64 = args.get_or("store-retain-mib", 0)?;
-    Ok(builder
+    Ok(TpuPoint::builder()
+        .analyzer(true)
+        .output_dir(out)
+        .store_retries(args.get_or("store-retries", 3)?)
+        .paired_baseline(args.flag("paired-baseline"))
         .store_format(format)
         .store_segment_bytes(segment_kib.max(1) * 1024)
         .store_retention_bytes(retain_mib * 1024 * 1024))
@@ -256,20 +247,13 @@ fn profile(argv: &[String]) -> Result<(), String> {
     let session = ObsSession::start(&args)?;
     let config = build_from_args(&args)?;
     let out: PathBuf = args.get("out").unwrap_or("tpupoint-out").into();
-    let fault_prob: f64 = args.get_or("store-fault-prob", 0.0)?;
-    if !(0.0..=1.0).contains(&fault_prob) {
-        return Err(format!(
-            "--store-fault-prob must be in [0, 1], got {fault_prob}"
-        ));
-    }
-    let builder = TpuPoint::builder()
-        .analyzer(true)
-        .output_dir(&out)
-        .store_retries(args.get_or("store-retries", 3)?)
-        .store_fault(fault_prob, args.get_or("store-fault-seed", 0xFA117)?)
+    let tp = recording_builder(&args, &out)?
+        .store_fault(
+            parse_fault_prob(&args)?,
+            args.get_or("store-fault-seed", 0xFA117)?,
+        )
         .pipeline_profiler(args.flag("pipeline-profiler"))
-        .paired_baseline(args.flag("paired-baseline"));
-    let tp = apply_store_options(builder, &args)?.build();
+        .build();
     let run = tp
         .profile(config)
         .map_err(|e| format!("profiling failed: {e}"))?;
@@ -329,79 +313,55 @@ fn serve(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(
         argv,
         &options,
-        &["naive", "recorded-backoff", "paired-baseline", "fleet"],
+        &["naive", "recorded-backoff", "paired-baseline"],
     )?;
-    if args.flag("fleet") {
-        return serve_fleet(&args);
-    }
+    // The command-line job, if any: a fleet of one under its suite id.
+    let job = match args.get("workload") {
+        Some(_) => {
+            // The job id is the suite id; the half-size variants'
+            // `/` is not an id character, so `qanet-squad/2` runs as
+            // `qanet-squad-2`.
+            let id = workload_id(&args)?
+                .label()
+                .to_ascii_lowercase()
+                .replace('/', "-");
+            Some(
+                FleetJobRequest::new(build_from_args(&args)?)
+                    .id(id)
+                    .store_fault(
+                        parse_fault_prob(&args)?,
+                        args.get_or("store-fault-seed", 0xFA117)?,
+                    ),
+            )
+        }
+        None => {
+            let job_only = [
+                "generation",
+                "scale",
+                "seed",
+                "naive",
+                "store-fault-prob",
+                "store-fault-seed",
+            ];
+            if let Some(name) = job_only
+                .iter()
+                .find(|name| args.get(name).is_some() || args.flag(name))
+            {
+                return Err(format!(
+                    "--{name} applies to the --workload job; jobs sent to POST /jobs \
+                     take their settings in the request body"
+                ));
+            }
+            None
+        }
+    };
     let session = ObsSession::start(&args)?;
-    let config = build_from_args(&args)?;
-    let out: PathBuf = args.get("out").unwrap_or("tpupoint-out").into();
-    let fault_prob: f64 = args.get_or("store-fault-prob", 0.0)?;
-    if !(0.0..=1.0).contains(&fault_prob) {
-        return Err(format!(
-            "--store-fault-prob must be in [0, 1], got {fault_prob}"
-        ));
-    }
-    let listen = args.get("metrics-listen").unwrap_or("127.0.0.1:9090");
-    let mut builder = TpuPoint::builder()
-        .analyzer(true)
-        .output_dir(&out)
-        .store_retries(args.get_or("store-retries", 3)?)
-        .store_fault(fault_prob, args.get_or("store-fault-seed", 0xFA117)?)
-        .serve(listen)
-        .serve_pace_us(args.get_or("pace-us", 500)?)
-        .serve_real_backoff(!args.flag("recorded-backoff"))
-        .serve_sigint(true)
-        .paired_baseline(args.flag("paired-baseline"));
-    builder = apply_store_options(builder, &args)?;
-    if let Some(raw) = args.get("stop-on-stable") {
-        let k: u64 = raw
-            .parse()
-            .map_err(|_| format!("--stop-on-stable got unparsable value `{raw}`"))?;
-        builder = builder.stop_on_stable(k);
-    }
-    let tp = builder.build();
-    let serving = tp
-        .serve(config)
-        .map_err(|e| format!("serve failed to start: {e}"))?;
-    let addr = serving.addr();
-    println!("serving on http://{addr}");
-    println!(
-        "  GET /metrics  GET /healthz  GET /status  GET /phases  POST /quit  (Ctrl-C to stop)"
-    );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    let run = serving
-        .wait()
-        .map_err(|e| format!("serve run failed: {e}"))?;
-    std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
-    let path = out.join("profile.json");
-    run.profile
-        .save_json(File::create(&path).map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "served {} ({}): {} steps, {} windows, {} checkpoints",
-        run.profile.model,
-        run.profile.dataset,
-        run.report.steps_completed,
-        run.profile.windows.len(),
-        run.profile.checkpoints.len()
-    );
-    println!(
-        "sealed records under {}; final scrape at {}",
-        out.join("records").display(),
-        out.join("metrics.prom").display()
-    );
-    println!("profile written to {}", path.display());
-    session.finish()
-}
-
-/// The `serve --fleet` lane: no workload on the command line — jobs
-/// arrive over `POST /jobs` until `/quit` (or Ctrl-C) drains the fleet.
-fn serve_fleet(args: &Args) -> Result<(), String> {
-    let out: PathBuf = args.get("out").unwrap_or("tpupoint-fleet").into();
-    let listen = args.get("metrics-listen").unwrap_or("127.0.0.1:9090");
+    let default_out = if job.is_some() {
+        "tpupoint-out"
+    } else {
+        "tpupoint-fleet"
+    };
+    let out: PathBuf = args.get("out").unwrap_or(default_out).into();
     let memory_mib: u64 = args.get_or("fleet-memory-mib", 0)?;
     let limits = tpupoint::runtime::FleetLimits {
         max_running: args.get_or("max-running", 4)?,
@@ -409,38 +369,46 @@ fn serve_fleet(args: &Args) -> Result<(), String> {
         per_tenant_active: args.get_or("per-tenant", 8)?,
         memory_budget_bytes: memory_mib * 1024 * 1024,
     };
-    let builder = TpuPoint::builder()
-        .analyzer(true)
-        .output_dir(&out)
-        .store_retries(args.get_or("store-retries", 3)?)
-        .serve(listen)
+    let mut builder = recording_builder(&args, &out)?
+        .serve(args.get("metrics-listen").unwrap_or("127.0.0.1:9090"))
         .serve_pace_us(args.get_or("pace-us", 500)?)
         .serve_real_backoff(!args.flag("recorded-backoff"))
         .serve_sigint(true)
         .fleet_limits(limits);
-    let tp = apply_store_options(builder, args)?.build();
-    let session = tp
+    if args.get("stop-on-stable").is_some() {
+        builder = builder.stop_on_stable(args.get_or("stop-on-stable", 0)?);
+    }
+    let fleet = builder
+        .build()
         .serve_fleet()
-        .map_err(|e| format!("fleet failed to start: {e}"))?;
-    let addr = session.addr();
-    println!("fleet serving on http://{addr}");
+        .map_err(|e| format!("serve failed to start: {e}"))?;
+    let job_id = match job {
+        Some(request) => Some(
+            fleet
+                .submit(request)
+                .map_err(|e| format!("cannot admit the --workload job: {e}"))?,
+        ),
+        None => None,
+    };
+    println!("serving on http://{}", fleet.addr());
     println!(
-        "  POST /jobs  GET /jobs[/<id>]  DELETE /jobs/<id>  GET /metrics  \
-         GET /healthz  POST /quit  (Ctrl-C to stop)"
+        "  GET /metrics  GET /healthz  GET /status  GET /phases  POST /quit  (Ctrl-C to stop)\n  \
+         POST /jobs  GET /jobs[/<id>[/phases]]  DELETE /jobs/<id>"
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    let statuses = session
-        .wait()
-        .map_err(|e| format!("fleet drain failed: {e}"))?;
-    println!("fleet drained: {} job(s)", statuses.len());
-    for job in &statuses {
+    let outcome = fleet
+        .wait_for(job_id.as_deref())
+        .map_err(|e| format!("serve drain failed: {e}"))?;
+    println!("drained {} job(s)", outcome.jobs.len());
+    for job in &outcome.jobs {
         println!(
-            "  {:20} tenant {:10} {:9} {:>6} steps{}",
+            "  {:20} tenant {:10} {:9} {:>6} steps {:>4} checkpoints{}",
             job.id,
             job.tenant,
             job.phase.as_str(),
             job.steps_completed,
+            job.checkpoints,
             job.error
                 .as_deref()
                 .map(|e| format!("  error: {e}"))
@@ -448,11 +416,30 @@ fn serve_fleet(args: &Args) -> Result<(), String> {
         );
     }
     println!(
-        "sharded records under {}; final scrape at {}",
+        "records, profile.json and metrics.prom per job under {}; final scrape at {}",
         out.join("jobs").display(),
         out.join("metrics.prom").display()
     );
-    Ok(())
+    session.finish_with(&outcome.job_metrics)?;
+    match outcome.jobs.iter().find(|j| Some(&j.id) == job_id.as_ref()) {
+        Some(job) if job.phase == tpupoint::runtime::JobPhase::Failed => Err(format!(
+            "job {} failed: {}",
+            job.id,
+            job.error.as_deref().unwrap_or("no error recorded")
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// `--store-fault-prob`, validated to `[0, 1]` (default 0).
+fn parse_fault_prob(args: &Args) -> Result<f64, String> {
+    let fault_prob: f64 = args.get_or("store-fault-prob", 0.0)?;
+    if !(0.0..=1.0).contains(&fault_prob) {
+        return Err(format!(
+            "--store-fault-prob must be in [0, 1], got {fault_prob}"
+        ));
+    }
+    Ok(fault_prob)
 }
 
 fn load_profile(path: &str) -> Result<Profile, String> {
@@ -898,6 +885,7 @@ mod tests {
     fn serve_at_batch_speed_completes_and_seals_records() {
         let dir = std::env::temp_dir().join(format!("tpupoint-cli-serve-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let metrics = dir.join("obs/metrics.json");
         run(&[
             "serve",
             "--workload",
@@ -913,12 +901,55 @@ mod tests {
             "--stop-on-stable",
             "3",
             "--paired-baseline",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(dir.join("profile.json").exists());
-        assert!(dir.join("metrics.prom").exists());
-        assert!(dir.join("records/steps.jsonl").exists());
+        let job = dir.join("jobs/bert-mrpc");
+        assert!(job.join("profile.json").exists());
+        assert!(job.join("records/steps.jsonl").exists());
+        assert!(dir.join("metrics.prom").exists(), "fleet scrape flushed");
+        // --paired-baseline measured this job's overhead, in its own
+        // labeled series.
+        let scrape = std::fs::read_to_string(job.join("metrics.prom")).unwrap();
+        assert!(
+            scrape.contains("tpupoint_profiler_overhead_measured{job=\"bert-mrpc\""),
+            "{scrape}"
+        );
+        // --metrics-out folds the job's registry into the process one,
+        // so obs-report keeps its store, pipeline and analyzer sections.
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        let report = tpupoint::obs::ObsReport::from_snapshot(
+            &crate::obs::parse_metrics_json(&text).unwrap(),
+        )
+        .render();
+        for section in [
+            "measured against an uninstrumented twin",
+            "record store:    0 errors",
+            "seal pipeline:",
+            "window audit:",
+        ] {
+            assert!(report.contains(section), "{section}:\n{report}");
+        }
+        assert!(!report.contains("streaming analyzer: not run"), "{report}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn serve_without_a_workload_rejects_job_only_flags() {
+        for flag in [
+            &["--store-fault-prob", "0.5"][..],
+            &["--scale", "0.1"],
+            &["--naive"],
+        ] {
+            let mut argv = vec!["serve", "--metrics-listen", "127.0.0.1:0"];
+            argv.extend(flag);
+            let err = run(&argv).unwrap_err();
+            assert!(
+                err.contains(flag[0]) && err.contains("--workload"),
+                "{flag:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -956,22 +987,40 @@ mod tests {
             assert!(created.starts_with("HTTP/1.1 201"), "{created}");
             let scrape = http("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n".to_owned());
             assert!(scrape.contains("job=\"cli-a\""), "{scrape}");
+            // Let the job finish so its final metrics are in the export.
+            for _ in 0..500 {
+                let job = http("GET /jobs/cli-a HTTP/1.1\r\nHost: t\r\n\r\n".to_owned());
+                if job.contains("\"completed\"") {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
             http("POST /quit HTTP/1.1\r\nHost: t\r\n\r\n".to_owned());
         });
+        let metrics = dir.join("metrics.json");
         run(&[
             "serve",
-            "--fleet",
             "--out",
             &out,
             "--metrics-listen",
             &listen,
             "--pace-us",
             "0",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
         ])
         .unwrap();
         driver.join().unwrap();
         assert!(dir.join("metrics.prom").exists());
         assert!(dir.join("jobs/cli-a/records/steps.jsonl").exists());
+        // Every serve flag takes effect: --metrics-out carries the jobs'
+        // own series, not only the process registry's.
+        let text = std::fs::read_to_string(&metrics).expect("--metrics-out written");
+        let snapshot = crate::obs::parse_metrics_json(&text).unwrap();
+        assert!(
+            snapshot.counters.get("profiler.windows_sealed").copied() > Some(0),
+            "{text}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -62,7 +62,19 @@ impl ObsSession {
     ///
     /// Returns a message when an output file cannot be written.
     pub fn finish(self) -> Result<(), String> {
-        let snapshot = obs::metrics().snapshot().since(&self.before);
+        self.finish_with(&MetricsSnapshot::default())
+    }
+
+    /// [`ObsSession::finish`], with `jobs` — the final metrics of the
+    /// jobs a `serve` ran, each in its own registry — folded into the
+    /// command's own activity before export.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when an output file cannot be written.
+    pub fn finish_with(self, jobs: &MetricsSnapshot) -> Result<(), String> {
+        let mut snapshot = obs::metrics().snapshot().since(&self.before);
+        snapshot.merge(jobs);
         if let Some(path) = &self.metrics_out {
             let text = match self.format {
                 Format::Json => obs::to_json(&snapshot),
@@ -108,7 +120,7 @@ pub fn obs_report_cmd(argv: &[String]) -> Result<(), String> {
 }
 
 /// Parses the `--obs-format json` document back into a snapshot.
-fn parse_metrics_json(text: &str) -> Result<MetricsSnapshot, String> {
+pub(crate) fn parse_metrics_json(text: &str) -> Result<MetricsSnapshot, String> {
     let value: serde_json::Value =
         serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
     let root = value

@@ -11,8 +11,8 @@
 //! * `GET /healthz` — degradation-aware health: `200 ok` while the run is
 //!   clean, `503 degraded` once store errors, shed records, spilled
 //!   backlog, or seal-queue backpressure appear ([`Health`]);
-//! * `GET /status` — a JSON view of the live run (current step, OLS
-//!   phase, window counts, spill depth), assembled by the caller's hook;
+//! * `GET /status` — a JSON summary assembled by the caller's hook (the
+//!   serving layer reports its job counts per lifecycle phase);
 //! * `GET /phases` — the streaming analyzer's live phase structure
 //!   (centroids, occupancy, transition timeline, stability; see
 //!   [`crate::PhasesReport`]);

@@ -20,7 +20,7 @@
 //! * **Graceful cancel.** [`Fleet::cancel`] removes a queued job
 //!   outright; a running job gets its quit flag set, which cancels only
 //!   the live pacing — the run rushes to completion at batch speed and
-//!   seals its store, exactly like single-job serve shutdown.
+//!   seals its store, so a cancelled job's records are still complete.
 //!
 //! The fleet knows nothing about profilers or stores: jobs are executed
 //! by a caller-supplied [`JobRunner`], keeping this crate free of
@@ -137,8 +137,10 @@ impl fmt::Display for JobPhase {
 }
 
 /// Handles a [`JobRunner`] uses to cooperate with the fleet: publish
-/// progress into `status`, and treat `quit` exactly like serve-mode
-/// shutdown (stop pacing, rush to completion, seal).
+/// progress into `status`, and treat `quit` as a graceful stop (stop
+/// pacing, rush to completion, seal). A runner may set `quit` itself to
+/// end its own pacing early; only [`Fleet::cancel`] marks a job
+/// [`JobPhase::Cancelled`].
 #[derive(Debug, Clone)]
 pub struct JobControl {
     /// Cooperative cancel flag; set by [`Fleet::cancel`] and
@@ -169,6 +171,16 @@ pub struct JobStatus {
     pub phase: JobPhase,
     /// Latest recorded training step.
     pub step: u64,
+    /// The live sink's online OLS phase index (0-based; one per phase
+    /// boundary detected so far).
+    pub ols_phase: u64,
+    /// Checkpoints written so far.
+    pub checkpoints: u64,
+    /// Phases the streaming analyzer currently distinguishes.
+    pub stream_phases: u64,
+    /// Consecutive streaming-analyzer updates whose phase assignments
+    /// held stable.
+    pub stream_stable_for: u64,
     /// Steps completed, once terminal.
     pub steps_completed: u64,
     /// The runner's error, when `phase` is [`JobPhase::Failed`].
@@ -279,11 +291,16 @@ struct JobEntry {
 
 impl JobEntry {
     fn status(&self) -> JobStatus {
+        let live = &self.ctl.status;
         JobStatus {
             id: self.spec.id.clone(),
             tenant: self.spec.tenant.clone(),
             phase: self.phase,
-            step: self.ctl.status.current_step(),
+            step: live.current_step(),
+            ols_phase: live.ols_phase(),
+            checkpoints: live.checkpoints(),
+            stream_phases: live.stream_phases(),
+            stream_stable_for: live.stream_stable_for(),
             steps_completed: self.steps_completed,
             error: self.error.clone(),
         }

@@ -3,7 +3,7 @@
 //! Batch runs complete as fast as the host allows — the simulated clock is
 //! the only notion of time. A long-running `tpupoint serve` job instead
 //! wants the simulation to *unfold* on the wall clock so a scraper watching
-//! `/metrics` and `/status` sees a training job in motion. [`LiveSink`]
+//! `/metrics` and `/jobs/<id>` sees a training job in motion. [`LiveSink`]
 //! provides that lane: it forwards every trace callback to an inner
 //! [`TraceSink`] unchanged (so the recorded profile is byte-identical to a
 //! batch run of the same seed) while
@@ -12,8 +12,8 @@
 //! * tracking an *online* OLS phase estimate — the same Eq. 1 similarity
 //!   the analyzer applies offline, here over consecutive steps' operator
 //!   sets — and
-//! * publishing progress into a shared [`LiveStatus`] that the HTTP status
-//!   hook reads from another thread.
+//! * publishing progress into a shared [`LiveStatus`] that the fleet's
+//!   job status (and so `GET /jobs/<id>`) reads from another thread.
 //!
 //! A cooperative quit flag cancels the pacing (and only the pacing): once
 //! shutdown is requested the job rushes through its remaining steps at
@@ -34,11 +34,9 @@ use tpupoint_simcore::{OpId, SimTime};
 pub struct LiveStatus {
     step: AtomicU64,
     phase: AtomicU64,
-    phase_changes: AtomicU64,
     checkpoints: AtomicU64,
     stream_phases: AtomicU64,
     stream_stable_for: AtomicU64,
-    done: AtomicBool,
 }
 
 impl LiveStatus {
@@ -56,12 +54,6 @@ impl LiveStatus {
     /// detected boundary).
     pub fn ols_phase(&self) -> u64 {
         self.phase.load(Ordering::Relaxed)
-    }
-
-    /// Phase boundaries detected so far (== [`Self::ols_phase`], kept as
-    /// its own accessor for readability at call sites).
-    pub fn phase_changes(&self) -> u64 {
-        self.phase_changes.load(Ordering::Relaxed)
     }
 
     /// Checkpoints written so far.
@@ -86,17 +78,6 @@ impl LiveStatus {
     pub fn set_stream_state(&self, phases: u64, stable_for: u64) {
         self.stream_phases.store(phases, Ordering::Relaxed);
         self.stream_stable_for.store(stable_for, Ordering::Relaxed);
-    }
-
-    /// Whether the job has finished (set by the serve driver after the
-    /// run returns).
-    pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// Marks the job finished.
-    pub fn set_done(&self) {
-        self.done.store(true, Ordering::Relaxed);
     }
 }
 
@@ -137,7 +118,8 @@ impl<S: TraceSink> LiveSink<S> {
         }
     }
 
-    /// Unwraps the recording sink (serve finishes it after the run).
+    /// Unwraps the recording sink (the job runner finishes it after the
+    /// run).
     pub fn into_inner(self) -> S {
         self.inner
     }
@@ -157,7 +139,6 @@ impl<S: TraceSink> LiveSink<S> {
     fn roll_phase(&mut self) {
         if self.seen_step && Self::similarity(&self.prev_ops, &self.cur_ops) < self.threshold {
             self.status.phase.fetch_add(1, Ordering::Relaxed);
-            self.status.phase_changes.fetch_add(1, Ordering::Relaxed);
         }
         self.prev_ops = std::mem::take(&mut self.cur_ops);
         self.seen_step = true;
@@ -267,7 +248,6 @@ mod tests {
         }
         sink.on_step(3, SimTime::from_micros(300));
         assert_eq!(status.ols_phase(), 1, "disjoint op set is a boundary");
-        assert_eq!(status.phase_changes(), 1);
     }
 
     #[test]
@@ -287,13 +267,5 @@ mod tests {
             start.elapsed() < Duration::from_millis(100),
             "quit cancels pacing and the run rushes to completion"
         );
-    }
-
-    #[test]
-    fn done_flag_round_trips() {
-        let status = LiveStatus::new();
-        assert!(!status.is_done());
-        status.set_done();
-        assert!(status.is_done());
     }
 }

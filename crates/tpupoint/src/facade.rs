@@ -4,12 +4,14 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use tpupoint_analyzer::{checkpoint::PhaseCheckpoint, Analyzer, AnalyzerOptions, PhaseSet};
+use tpupoint_obs::Metrics;
 use tpupoint_optimizer::{OptimizerReport, TpuPointOptimizer};
 use tpupoint_profiler::{
     BinaryStore, BinaryStoreConfig, FaultConfig, FaultStore, JsonlStore, PipelineConfig, Profile,
     ProfilerOptions, ProfilerSink, RecordStore, RetryPolicy, RetryStore, StoreFormat,
 };
 use tpupoint_runtime::{FleetLimits, JobConfig, RunReport, TrainingJob};
+use tpupoint_simcore::SimDuration;
 
 /// A profiled training session: the runtime's ground-truth report plus the
 /// profiler's statistical view.
@@ -161,9 +163,11 @@ impl TpuPointBuilder {
         self
     }
 
-    /// Injects faults into the analyzer-mode record store: each store
-    /// operation fails independently with probability `probability`, from
-    /// a stream seeded by `seed` (deterministic replay).
+    /// Injects faults into the analyzer-mode record store of
+    /// [`TpuPoint::profile`]: each store operation fails independently
+    /// with probability `probability`, from a stream seeded by `seed`
+    /// (deterministic replay). Served jobs take their fault settings
+    /// from their [`crate::FleetJobRequest`] instead.
     pub fn store_fault(mut self, probability: f64, seed: u64) -> Self {
         self.store_fault_prob = probability.clamp(0.0, 1.0);
         self.store_fault_seed = seed;
@@ -182,9 +186,9 @@ impl TpuPointBuilder {
 
     /// Enables serve mode at the given listen address (e.g.
     /// `127.0.0.1:9090`, or port `0` for an ephemeral port): a later
-    /// [`TpuPoint::serve`] runs the job on a wall-clock recording thread
-    /// and exposes `/metrics`, `/healthz`, `/status`, and `/quit` over
-    /// HTTP at this address.
+    /// [`TpuPoint::serve_fleet`] runs each submitted job on a wall-clock
+    /// recording thread and exposes `/metrics`, `/healthz`, `/status`,
+    /// `/phases`, `/jobs`, and `/quit` over HTTP at this address.
     pub fn serve(mut self, listen: impl Into<String>) -> Self {
         self.serve_listen = Some(listen.into());
         self
@@ -222,18 +226,18 @@ impl TpuPointBuilder {
     /// walls are simulated time, so the measurement is deterministic
     /// and unaffected by serve-mode pacing; the measured ratio is
     /// usually *below* the modeled bound because pipeline overlap
-    /// absorbs part of the host slowdown.
+    /// absorbs part of the host slowdown. Served jobs each run their own
+    /// twin and export the ratio in their own registry.
     pub fn paired_baseline(mut self, enabled: bool) -> Self {
         self.paired_baseline = enabled;
         self
     }
 
-    /// SeqPoint-style early stop for serve mode: end the run gracefully
-    /// (exactly like `POST /quit`) once the streaming analyzer's phase
-    /// assignments have been stable for `k` consecutive updates. The
-    /// remaining steps still execute at batch speed, so the recorded
-    /// profile stays complete — only the paced wall-clock tail is
-    /// skipped.
+    /// SeqPoint-style early stop for served jobs: each job stops pacing
+    /// once its streaming analyzer's phase assignments have been stable
+    /// for `k` consecutive updates. The remaining steps still execute at
+    /// batch speed, so the recorded profile stays complete — only the
+    /// paced wall-clock tail is skipped — and the job ends `completed`.
     pub fn stop_on_stable(mut self, k: u64) -> Self {
         self.stop_on_stable = Some(k);
         self
@@ -259,6 +263,109 @@ impl TpuPointBuilder {
     /// Finishes the builder.
     pub fn build(self) -> TpuPoint {
         TpuPoint { options: self }
+    }
+
+    /// With [`TpuPointBuilder::paired_baseline`], runs the uninstrumented
+    /// twin of `config` at batch speed and returns its simulated wall.
+    /// The twin runs the *clean* config — before the profiling overhead
+    /// is charged — so its wall is what an uninstrumented run of the same
+    /// seed would take, and serve-mode pacing never skews the ratio.
+    pub(crate) fn baseline_wall(&self, config: &JobConfig) -> Option<SimDuration> {
+        if !self.paired_baseline {
+            return None;
+        }
+        let _twin_span = tpupoint_obs::span!("tpupoint.paired_baseline");
+        let twin = TrainingJob::new(config.clone());
+        Some(
+            twin.run(&mut tpupoint_simcore::trace::NullSink)
+                .session_wall,
+        )
+    }
+
+    /// Builds the analyzer-mode record store chain: the configured
+    /// backend (JSONL lines or binary segments, the retention budget
+    /// applying to this one store), wrapped in fault injection when
+    /// `fault`'s probability is non-zero, wrapped in retry/spill
+    /// resilience unless retries are disabled. `sleep_backoff` selects
+    /// the wall-clock lane (serve passes `true` so the recorded retry
+    /// schedule is actually slept); `max_spill` caps the spill queue.
+    pub(crate) fn build_store(
+        &self,
+        dir: &Path,
+        (fault_prob, fault_seed): (f64, u64),
+        sleep_backoff: bool,
+        max_spill: usize,
+    ) -> io::Result<Box<dyn RecordStore + Send>> {
+        let mut store: Box<dyn RecordStore + Send> = match self.store_format {
+            StoreFormat::Jsonl => Box::new(JsonlStore::create(dir)?),
+            StoreFormat::Binary => Box::new(BinaryStore::with_config(
+                dir,
+                BinaryStoreConfig {
+                    segment_bytes: self.store_segment_bytes,
+                    retention_bytes: self.store_retention_bytes,
+                    ..BinaryStoreConfig::default()
+                },
+            )?),
+        };
+        if fault_prob > 0.0 {
+            store = Box::new(FaultStore::new(
+                store,
+                FaultConfig {
+                    error_probability: fault_prob,
+                    seed: fault_seed,
+                    ..FaultConfig::default()
+                },
+            ));
+        }
+        if self.store_retries > 0 {
+            store = Box::new(RetryStore::with_policy(
+                store,
+                RetryPolicy {
+                    max_retries: self.store_retries,
+                    sleep_backoff,
+                    max_spill,
+                    ..RetryPolicy::default()
+                },
+            ));
+        }
+        Ok(store)
+    }
+
+    /// Publishes one run's observability gauges into `metrics`: the
+    /// instrumented-vs-uninstrumented wall ratio (measured against the
+    /// paired-baseline twin's `baseline_wall` when one ran, modeled as
+    /// `1 + profiling_overhead_frac` otherwise) and the window-audit
+    /// health of the captured profile. The `profiler.overhead_measured`
+    /// marker gauge is only ever set on the measured path — obs-report
+    /// uses its presence to label the ratio's provenance.
+    pub(crate) fn publish_run_gauges(
+        &self,
+        metrics: &Metrics,
+        report: &RunReport,
+        profile: &Profile,
+        baseline_wall: Option<SimDuration>,
+    ) {
+        match baseline_wall {
+            Some(baseline) => {
+                let ratio =
+                    report.session_wall.as_micros() as f64 / baseline.as_micros().max(1) as f64;
+                metrics.gauge("profiler.overhead_ratio").set(ratio);
+                metrics.gauge("profiler.overhead_measured").set(1.0);
+            }
+            None => {
+                metrics
+                    .gauge("profiler.overhead_ratio")
+                    .set(1.0 + self.profiling_overhead_frac);
+            }
+        }
+        let audit = tpupoint_profiler::audit_windows(&profile.windows, SimDuration::from_millis(1));
+        metrics.gauge("audit.gaps").set(audit.gaps.len() as f64);
+        metrics
+            .gauge("audit.overlaps")
+            .set(audit.overlaps.len() as f64);
+        metrics
+            .gauge("audit.unobserved_fraction")
+            .set(audit.unobserved_fraction());
     }
 }
 
@@ -344,132 +451,41 @@ impl TpuPoint {
     /// Returns an error if analyzer-mode recording to the output directory
     /// fails.
     pub fn profile(&self, mut config: JobConfig) -> io::Result<ProfiledRun> {
+        let options = &self.options;
         let _span = tpupoint_obs::span!(
             "tpupoint.profile",
-            analyzer = self.options.analyzer,
-            overhead_frac = self.options.profiling_overhead_frac
+            analyzer = options.analyzer,
+            overhead_frac = options.profiling_overhead_frac
         );
-        // The paired baseline runs the *clean* config — before the
-        // profiling overhead is charged — so its simulated wall is what
-        // an uninstrumented run of the same seed would take.
-        let baseline_wall = if self.options.paired_baseline {
-            let _twin_span = tpupoint_obs::span!("tpupoint.paired_baseline");
-            let twin = TrainingJob::new(config.clone());
-            let report = twin.run(&mut tpupoint_simcore::trace::NullSink);
-            Some(report.session_wall)
-        } else {
-            None
-        };
-        config.host_overhead_frac += self.options.profiling_overhead_frac;
+        let baseline_wall = options.baseline_wall(&config);
+        config.host_overhead_frac += options.profiling_overhead_frac;
         let job = TrainingJob::new(config);
-        let mut sink = if self.options.analyzer {
-            if let Some(dir) = &self.options.output_dir {
-                let store = self.build_store(&dir.join("records"), false)?;
-                if self.options.pipeline_profiler {
+        let mut sink = match (&options.output_dir, options.analyzer) {
+            (Some(dir), true) => {
+                let store = options.build_store(
+                    &dir.join("records"),
+                    (options.store_fault_prob, options.store_fault_seed),
+                    false,
+                    RetryPolicy::default().max_spill,
+                )?;
+                if options.pipeline_profiler {
                     ProfilerSink::with_pipelined_store(
                         job.catalog().clone(),
-                        self.options.profiler_options,
+                        options.profiler_options,
                         store,
                         PipelineConfig::default(),
                     )
                 } else {
-                    ProfilerSink::with_store(
-                        job.catalog().clone(),
-                        self.options.profiler_options,
-                        store,
-                    )
+                    ProfilerSink::with_store(job.catalog().clone(), options.profiler_options, store)
                 }
-            } else {
-                ProfilerSink::new(job.catalog().clone(), self.options.profiler_options)
             }
-        } else {
-            ProfilerSink::new(job.catalog().clone(), self.options.profiler_options)
+            _ => ProfilerSink::new(job.catalog().clone(), options.profiler_options),
         };
         sink.set_source(&job.config().model, &job.config().dataset.name);
         let report = job.run(&mut sink);
         let profile = sink.finish();
-        let measured = baseline_wall.map(|baseline| {
-            report.session_wall.as_micros() as f64 / baseline.as_micros().max(1) as f64
-        });
-        self.publish_run_gauges(&profile, measured);
+        options.publish_run_gauges(tpupoint_obs::metrics(), &report, &profile, baseline_wall);
         Ok(ProfiledRun { report, profile })
-    }
-
-    /// Builds the analyzer-mode record store: the configured backend
-    /// (JSONL lines or binary segments), wrapped in fault injection when
-    /// configured, wrapped in retry/spill resilience unless retries are
-    /// disabled. `sleep_backoff` selects the wall-clock lane: serve mode
-    /// passes `true` so the recorded retry schedule is actually slept.
-    pub(crate) fn build_store(
-        &self,
-        dir: &Path,
-        sleep_backoff: bool,
-    ) -> io::Result<Box<dyn RecordStore + Send>> {
-        let mut store: Box<dyn RecordStore + Send> = match self.options.store_format {
-            StoreFormat::Jsonl => Box::new(JsonlStore::create(dir)?),
-            StoreFormat::Binary => Box::new(BinaryStore::with_config(
-                dir,
-                BinaryStoreConfig {
-                    segment_bytes: self.options.store_segment_bytes,
-                    retention_bytes: self.options.store_retention_bytes,
-                    ..BinaryStoreConfig::default()
-                },
-            )?),
-        };
-        if self.options.store_fault_prob > 0.0 {
-            store = Box::new(FaultStore::new(
-                store,
-                FaultConfig {
-                    error_probability: self.options.store_fault_prob,
-                    seed: self.options.store_fault_seed,
-                    ..FaultConfig::default()
-                },
-            ));
-        }
-        if self.options.store_retries > 0 {
-            store = Box::new(RetryStore::with_policy(
-                store,
-                RetryPolicy {
-                    max_retries: self.options.store_retries,
-                    sleep_backoff,
-                    ..RetryPolicy::default()
-                },
-            ));
-        }
-        Ok(store)
-    }
-
-    /// Publishes the run-level observability gauges: the
-    /// instrumented-vs-uninstrumented wall ratio (measured against the
-    /// paired-baseline twin when one ran, modeled as
-    /// `1 + profiling_overhead_frac` otherwise) and the window-audit
-    /// health of the captured profile. The `profiler.overhead_measured`
-    /// marker gauge is only ever set on the measured path — obs-report
-    /// uses its presence to label the ratio's provenance.
-    pub(crate) fn publish_run_gauges(&self, profile: &Profile, measured_ratio: Option<f64>) {
-        let metrics = tpupoint_obs::metrics();
-        match measured_ratio {
-            Some(ratio) => {
-                metrics.gauge("profiler.overhead_ratio").set(ratio);
-                metrics.gauge("profiler.overhead_measured").set(1.0);
-            }
-            None => {
-                metrics
-                    .gauge("profiler.overhead_ratio")
-                    .set(1.0 + self.options.profiling_overhead_frac);
-            }
-        }
-        let audit = tpupoint_profiler::audit_windows(
-            &profile.windows,
-            tpupoint_simcore::SimDuration::from_millis(1),
-        );
-        metrics.gauge("audit.gaps").set(audit.gaps.len() as f64);
-        metrics
-            .gauge("audit.overlaps")
-            .set(audit.overlaps.len() as f64);
-        metrics
-            .gauge("audit.unobserved_fraction")
-            .set(audit.unobserved_fraction());
     }
 
     /// Runs TPUPoint-Analyzer: OLS phases at the configured threshold,

@@ -1,10 +1,23 @@
-//! Fleet mode: many concurrent serve-style jobs behind one scrape plane.
+//! Serve mode: live training jobs behind one scrape plane.
 //!
-//! [`TpuPoint::serve`] runs a single job; the paper's profiler is a cloud
-//! *service* — many tenants' training jobs run at once while TPUPoint
-//! characterizes each one live. [`TpuPoint::serve_fleet`] reproduces that
-//! multi-tenant shape on top of the runtime's
-//! [`Fleet`](tpupoint_runtime::Fleet) orchestrator:
+//! The paper's profiler is a cloud *service* — tenants' training jobs run
+//! while TPUPoint characterizes each one live. [`TpuPoint::serve_fleet`]
+//! reproduces that shape on top of the runtime's
+//! [`Fleet`](tpupoint_runtime::Fleet) orchestrator. It is the only serve
+//! path: `tpupoint serve --workload W` is a fleet of one, a single
+//! [`FleetSession::submit`] waited on with [`FleetSession::wait_for`].
+//!
+//! * **A wall-clock recording lane per job.** Each job runs on its own
+//!   thread, paced in real time per training step
+//!   ([`TpuPointBuilder::serve_pace_us`]) and actually sleeping the
+//!   recorded retry-backoff schedule
+//!   ([`TpuPointBuilder::serve_real_backoff`]). Its streaming analyzer
+//!   rides the profiler's seal observer, and the live sink tracks the
+//!   paper's online OLS phase; `GET /jobs/<id>` shows both. With
+//!   [`TpuPointBuilder::stop_on_stable`] a job stops pacing once its
+//!   phases hold stable (SeqPoint-style early stop) and still ends
+//!   `completed`; with [`TpuPointBuilder::paired_baseline`] it also runs
+//!   an uninstrumented twin and exports the measured overhead ratio.
 //!
 //! * **One scrape plane, decoupled from the jobs.** A single
 //!   [`MetricsServer`] serves the whole fleet. `GET /metrics` renders
@@ -33,19 +46,21 @@
 //!   cancels — a queued job exits immediately, a running one drains
 //!   gracefully (pacing off, records sealed).
 //! * **Sharded stores.** Each job persists to its own
-//!   `<root>/jobs/<id>/records` JSONL store through the same
-//!   fault/retry/seal-pipeline chain as single-job serve, and its sealed
-//!   output stays **byte-identical** to a solo [`TpuPoint::profile`] run
-//!   of the same configuration and seed.
+//!   `<root>/jobs/<id>/records` store through the same fault/retry chain
+//!   as batch [`TpuPoint::profile`] (always on the seal pipeline), and
+//!   its sealed output stays **byte-identical** to a solo
+//!   [`TpuPoint::profile`] run of the same configuration and seed. A
+//!   finished job leaves `profile.json` and its final labeled scrape,
+//!   `metrics.prom`, beside its records.
 //!
 //! `POST /quit` (or Ctrl-C with [`TpuPointBuilder::serve_sigint`]) drains
-//! the whole fleet gracefully and flushes a final multi-job scrape to
-//! `<root>/metrics.prom`.
+//! the whole fleet gracefully — pacing off, every record sealed — and
+//! flushes a final multi-job scrape to `<root>/metrics.prom`.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -139,8 +154,8 @@ struct JobRuntime {
     tenant: String,
     workload: String,
     streaming: Arc<Mutex<StreamingAnalyzer>>,
-    store_fault_prob: f64,
-    store_fault_seed: u64,
+    /// Store fault-injection probability and seed.
+    store_fault: (f64, u64),
     /// Seal-queue backpressure threshold, sized from the fleet memory
     /// budget at admission time.
     high_water: usize,
@@ -203,6 +218,9 @@ impl JobRuntime {
     }
 }
 
+/// One job's published view: id, runtime, publish version, snapshot.
+type Published = (String, Arc<JobRuntime>, u64, Arc<MetricsSnapshot>);
+
 /// Cached `job="fleet"` aggregate, keyed by every job's publish version:
 /// a scrape that arrives while nothing republished reuses the merged
 /// snapshot instead of re-folding each family.
@@ -234,22 +252,26 @@ impl FleetShared {
             .collect()
     }
 
-    /// Renders the whole fleet as one Prometheus exposition: the pooled
-    /// process registry (unlabeled), each job's *published* snapshot
-    /// under `{job,tenant,workload}`, and the merged aggregate under
-    /// `job="fleet"` — one header per family across all of them. No
-    /// per-job registry or streaming lock is taken, and the published
-    /// snapshots are rendered borrowed, without cloning.
-    fn render_metrics(&self) -> String {
-        let jobs = self.job_list();
-        let published: Vec<(String, Arc<JobRuntime>, u64, Arc<MetricsSnapshot>)> = jobs
+    /// Every job's published snapshot with its publish version. No
+    /// per-job registry or streaming lock is taken.
+    fn published(&self) -> Vec<Published> {
+        self.job_list()
             .into_iter()
             .map(|(id, job)| {
                 let version = job.publish_version.load(Ordering::Acquire);
                 let snapshot = job.metrics_view();
                 (id, job, version, snapshot)
             })
-            .collect();
+            .collect()
+    }
+
+    /// Renders the whole fleet as one Prometheus exposition: the pooled
+    /// process registry (unlabeled), each job's *published* snapshot
+    /// under `{job,tenant,workload}`, and the merged aggregate under
+    /// `job="fleet"` — one header per family across all of them. The
+    /// published snapshots are rendered borrowed, without cloning.
+    fn render_metrics(&self) -> String {
+        let published = self.published();
         let process = tpupoint_obs::metrics().snapshot();
         let aggregate = self.fleet_aggregate(&published);
         let mut groups = vec![LabeledSnapshotRef::new(&[], &process)];
@@ -275,10 +297,7 @@ impl FleetShared {
     /// The merged `job="fleet"` snapshot, rebuilt only when some job has
     /// republished since the cached merge (folded into an empty snapshot
     /// — no seed clone of the first job's view).
-    fn fleet_aggregate(
-        &self,
-        published: &[(String, Arc<JobRuntime>, u64, Arc<MetricsSnapshot>)],
-    ) -> Option<Arc<MetricsSnapshot>> {
+    fn fleet_aggregate(&self, published: &[Published]) -> Option<Arc<MetricsSnapshot>> {
         if published.is_empty() {
             return None;
         }
@@ -339,8 +358,8 @@ impl FleetShared {
 }
 
 /// Executes one admitted fleet job on its `tpupoint-job-<id>` thread:
-/// the exact serve-mode recording lane, but writing to the job's own
-/// sharded store and its own metrics registry.
+/// the wall-clock recording lane, writing to the job's own sharded store
+/// and its own metrics registry.
 fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Result<u64, String> {
     let job_runtime = shared
         .jobs
@@ -351,17 +370,24 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
         .ok_or_else(|| format!("job {:?} has no runtime entry", spec.id))?;
     let options = &shared.options;
 
-    // Same overhead charge as profile()/serve(): the recorded JSONL stays
+    // Same twin and overhead charge as profile(): the recorded JSONL stays
     // byte-identical to a solo run of the same configuration and seed.
+    let baseline_wall = options.baseline_wall(&spec.config);
     let mut config = spec.config.clone();
     config.host_overhead_frac += options.profiling_overhead_frac;
     let job = tpupoint_runtime::TrainingJob::new(config);
 
     let dir = shared.root.join("jobs").join(&spec.id);
-    let store = build_job_store(options, &job_runtime, &dir.join("records"))
+    let store = options
+        .build_store(
+            &dir.join("records"),
+            job_runtime.store_fault,
+            options.serve_real_backoff,
+            job_runtime.max_spill,
+        )
         .map_err(|err| format!("store: {err}"))?;
-    // Fleet always takes the pipelined lane, like serve: sealing drains on
-    // the shared pool, off this recording thread's critical path.
+    // Serving always takes the pipelined lane: sealing drains on the
+    // shared pool, off this recording thread's critical path.
     let mut sink = ProfilerSink::with_pipelined_store(
         job.catalog().clone(),
         options.profiler_options,
@@ -376,44 +402,55 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
     sink.use_registry(&job_runtime.registry);
     sink.set_source(&job.config().model, &job.config().dataset.name);
 
+    // The streaming analyzer rides the seal observer: completed step
+    // records arrive on this thread (at seals and every STREAM_CADENCE
+    // step marks), the phase structure re-clusters incrementally, and the
+    // fresh state is published to the job's gauges and status. The
+    // observer only reads records, so the sealed output is unchanged.
     let observer_runtime = Arc::clone(&job_runtime);
-    let observer_status = Arc::clone(&ctl.status);
+    let observer_ctl = ctl.clone();
+    let stop_on_stable = options.stop_on_stable;
     let n_ops = job.catalog().len();
     sink.set_seal_observer(
         Box::new(move |records| {
             let runtime = &observer_runtime;
+            let registry = &runtime.registry;
             let mut analyzer = runtime
                 .streaming
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             analyzer.observe_seal(records, n_ops);
-            runtime
-                .registry
+            let stable_windows = analyzer.stable_windows();
+            registry
                 .gauge("analyzer.phase_stability")
                 .set(analyzer.stability());
-            runtime
-                .registry
+            registry
                 .gauge("analyzer.phase_count")
                 .set(analyzer.phase_count() as f64);
-            runtime
-                .registry
+            registry
                 .gauge("analyzer.stable_windows")
-                .set(analyzer.stable_windows() as f64);
+                .set(stable_windows as f64);
             let report = analyzer.report();
             if let Some(step) = report.last_transition_step {
-                runtime
-                    .registry
+                registry
                     .gauge("analyzer.last_transition_step")
                     .set(step as f64);
             }
             for phase in &report.phases {
-                runtime
-                    .registry
+                registry
                     .gauge(&format!("analyzer.phase_occupancy.{}", phase.id))
                     .set(phase.occupancy as f64);
             }
-            observer_status
-                .set_stream_state(analyzer.phase_count() as u64, analyzer.stable_windows());
+            observer_ctl
+                .status
+                .set_stream_state(analyzer.phase_count() as u64, stable_windows);
+            // SeqPoint-style early stop: once the phase assignments hold
+            // stable for k updates, the paced tail adds no phase
+            // information, so pacing ends and the remaining steps rush at
+            // batch speed — the records stay complete.
+            if stop_on_stable.is_some_and(|k| stable_windows >= k) {
+                observer_ctl.quit.store(true, Ordering::SeqCst);
+            }
             // Publish while the analyzer lock is still held so phase
             // reports from successive seals can never swap out of order.
             runtime.publish_phases(report.to_json());
@@ -432,7 +469,7 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
     );
     let report = job.run(&mut live);
     let profile = live.into_inner().finish();
-    ctl.status.set_done();
+    options.publish_run_gauges(&job_runtime.registry, &report, &profile, baseline_wall);
 
     std::fs::create_dir_all(&dir).map_err(|err| format!("output dir: {err}"))?;
     let file =
@@ -462,62 +499,13 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
     Ok(report.steps_completed)
 }
 
-/// Builds one job's sharded store chain: its own record directory in the
-/// fleet-wide format (JSONL lines or binary segments — the binary
-/// retention budget applies per job, bounding each tenant's footprint),
-/// its own fault stream when requested, and the retry/spill decorator
-/// with the fleet-wide policy.
-fn build_job_store(
-    options: &TpuPointBuilder,
-    job: &JobRuntime,
-    dir: &Path,
-) -> io::Result<Box<dyn tpupoint_profiler::RecordStore + Send>> {
-    use tpupoint_profiler::{
-        BinaryStore, BinaryStoreConfig, FaultConfig, FaultStore, JsonlStore, RetryPolicy,
-        RetryStore, StoreFormat,
-    };
-    let mut store: Box<dyn tpupoint_profiler::RecordStore + Send> = match options.store_format {
-        StoreFormat::Jsonl => Box::new(JsonlStore::create(dir)?),
-        StoreFormat::Binary => Box::new(BinaryStore::with_config(
-            dir,
-            BinaryStoreConfig {
-                segment_bytes: options.store_segment_bytes,
-                retention_bytes: options.store_retention_bytes,
-                ..BinaryStoreConfig::default()
-            },
-        )?),
-    };
-    if job.store_fault_prob > 0.0 {
-        store = Box::new(FaultStore::new(
-            store,
-            FaultConfig {
-                error_probability: job.store_fault_prob,
-                seed: job.store_fault_seed,
-                ..FaultConfig::default()
-            },
-        ));
-    }
-    if options.store_retries > 0 {
-        store = Box::new(RetryStore::with_policy(
-            store,
-            RetryPolicy {
-                max_retries: options.store_retries,
-                sleep_backoff: options.serve_real_backoff,
-                max_spill: job.max_spill,
-                ..RetryPolicy::default()
-            },
-        ));
-    }
-    Ok(store)
-}
-
 /// Sizes one job's seal-queue high-water and spill cap from its share of
-/// the fleet memory budget. With no budget (0), the single-job defaults
-/// apply. With one, each admitted job gets `budget / jobs` bytes; half of
-/// the share bounds the seal queue and half the spill queue, at ~4 KiB
-/// per in-flight record (a sealed JSONL step row with its op vector),
-/// clamped so a tiny share still makes progress and a huge one never
-/// exceeds the single-job defaults.
+/// the fleet memory budget. With no budget (0), the seal pipeline's and
+/// retry layer's defaults apply. With one, each admitted job gets
+/// `budget / jobs` bytes; half of the share bounds the seal queue and half
+/// the spill queue, at ~4 KiB per in-flight record (a sealed JSONL step
+/// row with its op vector), clamped so a tiny share still makes progress
+/// and a huge one never exceeds the defaults.
 fn derive_job_caps(budget_bytes: u64, admitted_jobs: usize) -> (usize, usize) {
     const APPROX_RECORD_BYTES: u64 = 4096;
     let default_high_water = PipelineConfig::default().high_water;
@@ -623,8 +611,21 @@ impl FleetSession {
     /// # Errors
     ///
     /// Returns an error if the final scrape cannot be written.
-    pub fn wait(mut self) -> io::Result<Vec<JobStatus>> {
-        while !self.quit.load(Ordering::SeqCst) {
+    pub fn wait(self) -> io::Result<Vec<JobStatus>> {
+        self.wait_for(None).map(|outcome| outcome.jobs)
+    }
+
+    /// [`FleetSession::wait`], but with `Some(id)` shutdown also starts
+    /// once that job settles — the fleet of one behind `tpupoint serve
+    /// --workload`. Returns the final job statuses together with every
+    /// job's final metrics folded into one snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the final scrape cannot be written.
+    pub fn wait_for(mut self, job: Option<&str>) -> io::Result<FleetOutcome> {
+        let settled = |id: &str| self.fleet.status(id).is_none_or(|s| s.phase.is_terminal());
+        while !self.quit.load(Ordering::SeqCst) && !job.is_some_and(settled) {
             if self.sigint && sigint::hit() {
                 self.quit.store(true, Ordering::SeqCst);
             }
@@ -635,13 +636,34 @@ impl FleetSession {
         // already published its settled end state from its own thread.
         self.publisher_stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.publisher.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         let scrape = self.shared.render_metrics();
         std::fs::create_dir_all(&self.shared.root)?;
         std::fs::write(self.shared.root.join("metrics.prom"), scrape)?;
-        Ok(self.fleet.list())
+        // The scrape just cached this merge; nothing republishes after a
+        // drain, so this is a cache hit.
+        let job_metrics = self
+            .shared
+            .fleet_aggregate(&self.shared.published())
+            .map(|merged| (*merged).clone())
+            .unwrap_or_default();
+        Ok(FleetOutcome {
+            jobs: self.fleet.list(),
+            job_metrics,
+        })
     }
+}
+
+/// What a drained fleet leaves behind; see [`FleetSession::wait_for`].
+#[derive(Debug)]
+pub struct FleetOutcome {
+    /// Every job's final status, in id order.
+    pub jobs: Vec<JobStatus>,
+    /// Every job's final registry snapshot folded into one: the same
+    /// merge as the `job="fleet"` aggregate on `/metrics`.
+    pub job_metrics: MetricsSnapshot,
 }
 
 /// Creates the per-job registry + runtime entry, then admits the spec.
@@ -686,8 +708,7 @@ fn submit_job(
         streaming: Arc::new(Mutex::new(StreamingAnalyzer::new(
             StreamingConfig::default(),
         ))),
-        store_fault_prob: request.store_fault_prob,
-        store_fault_seed: request.store_fault_seed,
+        store_fault: (request.store_fault_prob, request.store_fault_seed),
         high_water,
         max_spill,
     });
@@ -740,12 +761,18 @@ fn job_status_json(status: &JobStatus) -> String {
     format!(
         concat!(
             "{{\"id\": {:?}, \"tenant\": {:?}, \"phase\": {:?}, ",
-            "\"step\": {}, \"steps_completed\": {}, \"error\": {}}}"
+            "\"step\": {}, \"ols_phase\": {}, \"checkpoints\": {}, ",
+            "\"stream_phases\": {}, \"stream_stable_for\": {}, ",
+            "\"steps_completed\": {}, \"error\": {}}}"
         ),
         status.id,
         status.tenant,
         status.phase.as_str(),
         status.step,
+        status.ols_phase,
+        status.checkpoints,
+        status.stream_phases,
+        status.stream_stable_for,
         status.steps_completed,
         status
             .error
@@ -946,7 +973,8 @@ impl TpuPoint {
                 .name("tpupoint-fleet-publish".to_owned())
                 .spawn(move || {
                     while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(200));
+                        // Parked, not slept: shutdown unparks it at once.
+                        std::thread::park_timeout(Duration::from_millis(200));
                         for (_, job) in shared.job_list() {
                             job.publish_metrics();
                         }
@@ -1016,20 +1044,38 @@ impl TpuPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn temp_root(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("tpupoint-fleet-{tag}-{}", std::process::id()))
     }
 
-    fn fleet_at(root: &Path) -> FleetSession {
+    fn builder_at(root: &Path) -> TpuPointBuilder {
         TpuPoint::builder()
             .analyzer(true)
             .output_dir(root)
             .serve("127.0.0.1:0")
             .serve_pace_us(0)
+    }
+
+    fn fleet_at(root: &Path) -> FleetSession {
+        builder_at(root)
             .build()
             .serve_fleet()
             .expect("fleet starts")
+    }
+
+    fn bert_mrpc() -> JobConfig {
+        // Scale 0.3 gives enough streaming updates (~15) for the phase
+        // assignments to latch stability.
+        build(
+            WorkloadId::BertMrpc,
+            tpupoint_hw::TpuGeneration::V2,
+            &BuildOptions {
+                scale: 0.3,
+                ..BuildOptions::default()
+            },
+        )
     }
 
     fn http(addr: SocketAddr, request: &str) -> String {
@@ -1168,7 +1214,7 @@ mod tests {
 
     #[test]
     fn derive_job_caps_scales_with_budget_and_clamps() {
-        // No budget: single-job defaults.
+        // No budget: the pipeline and retry defaults.
         assert_eq!(derive_job_caps(0, 10), (256, 100_000));
         // 64 MiB across 8 jobs → 8 MiB share → 4 MiB per queue →
         // 1024 records, clamped to the 256 high-water default.
@@ -1237,6 +1283,94 @@ mod tests {
         wedge.join().unwrap();
         session.request_quit();
         session.wait().expect("drains");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_poisoned_streaming_lock_still_serves_phases() {
+        let root = temp_root("poisoned");
+        let _ = std::fs::remove_dir_all(&root);
+        // One running slot: "victim" waits in the queue behind "blocker",
+        // so its streaming lock is poisoned before its first update.
+        let session = builder_at(&root)
+            .fleet_limits(tpupoint_runtime::FleetLimits {
+                max_running: 1,
+                ..tpupoint_runtime::FleetLimits::default()
+            })
+            .build()
+            .serve_fleet()
+            .expect("fleet starts");
+        session
+            .submit(
+                FleetJobRequest::new(JobConfig::demo())
+                    .id("blocker")
+                    .pace_us(100_000),
+            )
+            .expect("admits blocker");
+        session
+            .submit(FleetJobRequest::new(bert_mrpc()).id("victim"))
+            .expect("admits victim");
+        assert_eq!(session.status("victim").unwrap().phase, JobPhase::Queued);
+        let victim = Arc::clone(session.shared.jobs.lock().unwrap().get("victim").unwrap());
+        let holder = Arc::clone(&victim.streaming);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.lock().unwrap();
+            panic!("update panicked mid-way");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(victim.streaming.is_poisoned());
+        session.cancel("blocker");
+        session.wait_jobs_idle();
+
+        let status = session.status("victim").unwrap();
+        assert_eq!(status.phase, JobPhase::Completed, "{:?}", status.error);
+        assert!(status.stream_phases > 0, "updates ran past the poison");
+        for path in ["/phases", "/jobs/victim/phases"] {
+            let response = get(session.addr(), path);
+            assert!(response.starts_with("HTTP/1.1 200"), "{path}: {response}");
+            assert!(response.contains("\"id\": 0"), "{path}: {response}");
+        }
+        session.request_quit();
+        session.wait().expect("drains");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn stop_on_stable_ends_a_paced_job_completed_with_identical_records() {
+        let root = temp_root("stop-on-stable");
+        let _ = std::fs::remove_dir_all(&root);
+        // 4 ms per step paces ~0.46 s of sleep into the full run; the
+        // early stop skips the paced tail after the phases latch.
+        let run = |dir: &Path, stop: Option<u64>| {
+            let mut builder = builder_at(dir).serve_pace_us(4_000);
+            if let Some(k) = stop {
+                builder = builder.stop_on_stable(k);
+            }
+            let started = std::time::Instant::now();
+            let session = builder.build().serve_fleet().expect("fleet starts");
+            session
+                .submit(FleetJobRequest::new(bert_mrpc()).id("bert-mrpc"))
+                .expect("admits");
+            let outcome = session.wait_for(Some("bert-mrpc")).expect("drains");
+            let job = outcome.jobs.into_iter().next().expect("one job");
+            (job, started.elapsed())
+        };
+        let (full, full_wall) = run(&root.join("full"), None);
+        let (early, early_wall) = run(&root.join("early"), Some(3));
+        for status in [&full, &early] {
+            assert_eq!(status.phase, JobPhase::Completed, "{:?}", status.error);
+        }
+        assert!(early_wall < full_wall, "{early_wall:?} vs {full_wall:?}");
+        assert_eq!(early.steps_completed, full.steps_completed);
+        for file in ["steps.jsonl", "windows.jsonl"] {
+            let records = |run: &str| {
+                std::fs::read(root.join(run).join("jobs/bert-mrpc/records").join(file)).expect(file)
+            };
+            let full_bytes = records("full");
+            assert!(!full_bytes.is_empty(), "{file} empty");
+            assert!(full_bytes == records("early"), "{file} diverged");
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

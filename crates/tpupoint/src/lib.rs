@@ -40,11 +40,10 @@
 
 pub mod facade;
 pub mod fleet;
-pub mod serve;
+mod serve;
 
 pub use facade::{AnalysisArtifacts, ProfiledRun, ProfilerHandle, TpuPoint, TpuPointBuilder};
-pub use fleet::{FleetJobRequest, FleetSession};
-pub use serve::ServeSession;
+pub use fleet::{FleetJobRequest, FleetOutcome, FleetSession};
 
 /// The discrete-event simulation engine.
 pub mod sim {

@@ -1,12 +1,16 @@
-//! Serve-mode loopback integration: scrape a live `tpupoint serve` run
-//! over real TCP, shut it down gracefully, and prove the recorded JSONL
-//! is byte-identical to a batch run of the same seed.
+//! Serve-mode loopback integration: scrape a live served job — a fleet
+//! of one, as `tpupoint serve --workload` runs it — over real TCP, shut
+//! it down gracefully, and prove the recorded JSONL is byte-identical to
+//! a batch run of the same seed.
 
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use tpupoint::prelude::*;
 use tpupoint::workloads::{build, BuildOptions, WorkloadId};
+use tpupoint::FleetJobRequest;
+
+const JOB: &str = "bert-mrpc";
 
 fn request(addr: SocketAddr, line: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to serve endpoint");
@@ -52,7 +56,10 @@ fn serve_scrapes_live_and_shutdown_matches_batch_byte_for_byte() {
         .serve("127.0.0.1:0")
         .serve_pace_us(300)
         .build();
-    let session = tp.serve(config()).expect("serve starts");
+    let session = tp.serve_fleet().expect("serve starts");
+    session
+        .submit(FleetJobRequest::new(config()).id(JOB))
+        .expect("admits the job");
     let addr = session.addr();
 
     // Live scrape while the paced job is still running.
@@ -80,12 +87,19 @@ fn serve_scrapes_live_and_shutdown_matches_batch_byte_for_byte() {
         metrics.contains("workload=\"BERT\""),
         "scrape carries the workload label"
     );
+    assert!(
+        metrics.contains(&format!("job=\"{JOB}\"")),
+        "scrape carries the job label"
+    );
 
     let (status, health) = request(addr, "GET /healthz");
     assert_eq!(status, "HTTP/1.1 200 OK", "no faults injected: {health}");
     assert!(health.starts_with("ok"), "{health}");
 
-    let (status, live) = request(addr, "GET /status");
+    let (status, summary) = request(addr, "GET /status");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(summary.contains("\"jobs\": 1"), "{summary}");
+    let (status, live) = request(addr, &format!("GET /jobs/{JOB}"));
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(live.contains("\"step\""), "{live}");
     assert!(live.contains("\"ols_phase\""), "{live}");
@@ -117,6 +131,20 @@ fn serve_scrapes_live_and_shutdown_matches_batch_byte_for_byte() {
         json_u64(&phases, "steps_assigned").is_some_and(|n| n > 0),
         "{phases}"
     );
+    // The job's own status shows the latched stream and the online OLS
+    // phase the live sink tracks alongside it.
+    let (_, live) = request(addr, &format!("GET /jobs/{JOB}"));
+    assert!(
+        json_u64(&live, "stream_stable_for").is_some_and(|n| n >= 3),
+        "{live}"
+    );
+    assert!(
+        json_u64(&live, "stream_phases").is_some_and(|n| n > 0),
+        "{live}"
+    );
+    assert!(json_u64(&live, "ols_phase").is_some(), "{live}");
+    let (_, job_phases) = request(addr, &format!("GET /jobs/{JOB}/phases"));
+    assert!(job_phases.contains("\"id\": 0"), "{job_phases}");
 
     // The per-phase series reached the Prometheus exposition too.
     let (_, metrics) = request(addr, "GET /metrics");
@@ -133,11 +161,13 @@ fn serve_scrapes_live_and_shutdown_matches_batch_byte_for_byte() {
     let (status, body) = request(addr, "POST /quit");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert_eq!(body, "quitting\n");
-    let run = session.wait().expect("run completes after quit");
-    assert!(run.report.steps_completed > 0);
+    let jobs = session.wait().expect("run completes after quit");
+    assert_eq!(jobs.len(), 1);
+    assert!(jobs[0].steps_completed > 0);
 
     // Zero `.part` files: everything the run produced is sealed.
-    let records = serve_dir.join("records");
+    let job_dir = serve_dir.join("jobs").join(JOB);
+    let records = job_dir.join("records");
     let leftovers: Vec<String> = std::fs::read_dir(&records)
         .expect("records directory exists")
         .filter_map(Result::ok)
@@ -149,8 +179,12 @@ fn serve_scrapes_live_and_shutdown_matches_batch_byte_for_byte() {
         "unsealed files after quit: {leftovers:?}"
     );
     assert!(
+        job_dir.join("metrics.prom").exists(),
+        "final job scrape flushed"
+    );
+    assert!(
         serve_dir.join("metrics.prom").exists(),
-        "final scrape flushed"
+        "final fleet scrape flushed"
     );
 
     // The wall-clock lane only adds pacing and (optionally) backoff
@@ -161,7 +195,12 @@ fn serve_scrapes_live_and_shutdown_matches_batch_byte_for_byte() {
         .analyzer(true)
         .output_dir(&batch_dir)
         .build();
-    batch.profile(config()).expect("batch run");
+    let batch_run = batch.profile(config()).expect("batch run");
+    assert_eq!(
+        jobs[0].checkpoints,
+        batch_run.profile.checkpoints.len() as u64,
+        "live checkpoint count"
+    );
     for file in ["steps.jsonl", "windows.jsonl"] {
         let served = std::fs::read(records.join(file)).expect(file);
         let batched = std::fs::read(batch_dir.join("records").join(file)).expect(file);
