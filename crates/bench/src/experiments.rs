@@ -886,6 +886,24 @@ fn bench_analyzer(suite: &Suite, out_dir: &Path) -> io::Result<String> {
     Ok(summary)
 }
 
+/// Asserts that `other` holds exactly the record files of `reference`,
+/// byte for byte, and that `reference` recorded steps and windows: the
+/// byte-identity check of the determinism benches, whatever the format.
+fn assert_same_records(reference: &Path, other: &Path, what: &str) -> io::Result<()> {
+    use tpupoint::profiler::{record_files, recover_records};
+    let recovered = recover_records(reference)?;
+    assert!(
+        !recovered.steps.is_empty() && !recovered.windows.is_empty(),
+        "{what}: no records under {}",
+        reference.display()
+    );
+    assert!(
+        record_files(reference)? == record_files(other)?,
+        "{what}: records diverged"
+    );
+    Ok(())
+}
+
 /// Pipelined-profiler benchmark: the same throttled record store (a fixed
 /// real sleep per store call, standing in for slow cloud storage) driven
 /// once by the serial sink — every window seal blocks the simulation
@@ -1066,12 +1084,11 @@ fn bench_streaming(out_dir: &Path) -> io::Result<String> {
     // Early stop skips pacing, never recording.
     assert_eq!(steps, early_steps, "early stop lost recorded steps");
     let records = |dir: &Path| dir.join("jobs").join(job_id).join("records");
-    for file in ["steps.jsonl", "windows.jsonl"] {
-        let a = std::fs::read(records(&full_dir).join(file))?;
-        let b = std::fs::read(records(&early_dir).join(file))?;
-        assert!(a == b, "{file} diverged under --stop-on-stable");
-        assert!(!a.is_empty(), "{file} empty");
-    }
+    assert_same_records(
+        &records(&full_dir),
+        &records(&early_dir),
+        "--stop-on-stable",
+    )?;
 
     let speedup = full_us / early_us.max(1.0);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1186,15 +1203,11 @@ fn bench_simcore(out_dir: &Path) -> io::Result<String> {
             .map_err(|e| io::Error::other(e.to_string()))?;
         assert_eq!(serial_report, grid_report, "grid report diverged");
         assert_eq!(serial_profile, grid_profile, "grid profile diverged");
-        for file in ["steps.jsonl", "windows.jsonl"] {
-            let reference = std::fs::read(cell_dir("serial", cell).join(file))?;
-            assert!(!reference.is_empty(), "{file} empty for {cell:?}");
-            let grid = std::fs::read(cell_dir("grid", cell).join(file))?;
-            assert!(
-                reference == grid,
-                "{file} diverged between serial and grid for {cell:?}"
-            );
-        }
+        assert_same_records(
+            &cell_dir("serial", cell),
+            &cell_dir("grid", cell),
+            &format!("serial vs grid for {cell:?}"),
+        )?;
     }
     let windows_sealed: usize = serial_runs.iter().map(|(_, p)| p.windows.len()).sum();
     let steps_recorded: usize = serial_runs.iter().map(|(_, p)| p.steps.len()).sum();
@@ -1453,26 +1466,12 @@ fn bench_fleet(out_dir: &Path) -> io::Result<String> {
 
     // Sharded stores match the solo references byte for byte.
     for seed in 0..STEADY_JOBS {
-        for file in ["steps.jsonl", "windows.jsonl"] {
-            let solo = std::fs::read(
-                tmp.join("solo")
-                    .join(format!("cell-{seed}"))
-                    .join("records")
-                    .join(file),
-            )?;
-            let fleet = std::fs::read(
-                fleet_dir
-                    .join("jobs")
-                    .join(format!("cell-{seed}"))
-                    .join("records")
-                    .join(file),
-            )?;
-            assert!(!solo.is_empty(), "cell-{seed} {file} empty");
-            assert!(
-                solo == fleet,
-                "cell-{seed} {file} diverged between solo and fleet"
-            );
-        }
+        let cell = format!("cell-{seed}");
+        assert_same_records(
+            &tmp.join("solo").join(&cell).join("records"),
+            &fleet_dir.join("jobs").join(&cell).join("records"),
+            &format!("{cell} solo vs fleet"),
+        )?;
     }
     session.request_quit();
     session
@@ -1671,8 +1670,10 @@ fn bench_store(out_dir: &Path) -> io::Result<String> {
     let speedup = binary_rps / jsonl_rps.max(1e-9);
     let jsonl_bytes = disk_bytes(&jsonl_dir)?;
     let binary_bytes = disk_bytes(&binary_dir)?;
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let doc = serde_json::json!({
+        "host_cores": host_cores,
         "steps": STEPS,
         "windows": WINDOWS,
         "ops_per_step": OPS_PER_STEP,

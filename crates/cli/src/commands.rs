@@ -29,13 +29,14 @@ USAGE:
       memory (default 3; 0 disables resilience). --store-fault-prob
       injects store failures with the given per-call probability
       (deterministic under --store-fault-seed) to exercise that path.
-      --store-format picks the record encoding (default jsonl): binary
+      --store-format picks the record encoding (default binary): binary
       writes length-prefixed checksummed segments, rotated every
       --store-segment-kib KiB (default 256) and merged by a background
       compaction task; --store-retain-mib budgets the sealed bytes kept,
       retiring the oldest segments with manifest accounting (0 = keep
-      everything). Both formats share the crash-recovery contract;
-      `analyze --recover` auto-detects whichever was written.
+      everything). jsonl writes human-readable JSON lines instead. Both
+      formats share the crash-recovery contract; `analyze --recover`
+      auto-detects whichever was written.
       --pipeline-profiler seals windows off the simulation thread on the
       shared worker pool (TPUPOINT_THREADS); the recorded output is
       byte-identical to the default serial path. --paired-baseline also
@@ -90,8 +91,8 @@ USAGE:
       --pace-us sleeps N real microseconds per step (default 500; 0 is
       batch speed); retry backoff is slept too unless --recorded-backoff.
       Draining seals every .part record file and flushes a final scrape
-      to <DIR>/metrics.prom; each job's sealed JSONL is byte-identical to
-      a solo profile run of the same workload, scale, and seed.
+      to <DIR>/metrics.prom; each job's sealed records are byte-identical
+      to a solo profile run of the same workload, scale, and seed.
       --stop-on-stable K ends a job's pacing once its live phases hold
       stable for K analyzer updates (the rest rushes at batch speed, so
       records stay complete). --paired-baseline exports each job's
@@ -216,18 +217,19 @@ const STORE_OPTIONS: [&str; 3] = ["store-format", "store-segment-kib", "store-re
 /// `out`, `--store-retries`, `--paired-baseline`, `--store-format`,
 /// `--store-segment-kib`, and `--store-retain-mib`.
 fn recording_builder(args: &Args, out: &Path) -> Result<tpupoint::TpuPointBuilder, String> {
-    let format: tpupoint::profiler::StoreFormat =
-        args.get("store-format").unwrap_or("jsonl").parse()?;
     let segment_kib: u64 = args.get_or("store-segment-kib", 256)?;
     let retain_mib: u64 = args.get_or("store-retain-mib", 0)?;
-    Ok(TpuPoint::builder()
+    let mut builder = TpuPoint::builder()
         .analyzer(true)
         .output_dir(out)
         .store_retries(args.get_or("store-retries", 3)?)
         .paired_baseline(args.flag("paired-baseline"))
-        .store_format(format)
         .store_segment_bytes(segment_kib.max(1) * 1024)
-        .store_retention_bytes(retain_mib * 1024 * 1024))
+        .store_retention_bytes(retain_mib * 1024 * 1024);
+    if let Some(format) = args.get("store-format") {
+        builder = builder.store_format(format.parse()?);
+    }
+    Ok(builder)
 }
 
 fn profile(argv: &[String]) -> Result<(), String> {
@@ -713,6 +715,7 @@ fn audit(argv: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpupoint::profiler::recover_records;
 
     fn run(parts: &[&str]) -> Result<(), String> {
         let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
@@ -837,7 +840,7 @@ mod tests {
         .unwrap();
         let records = dir.join("records");
         assert!(
-            records.join("steps.jsonl").exists(),
+            recover_records(&records).expect("records").sealed_files,
             "sealed despite faults"
         );
         run(&["analyze", records.to_str().unwrap(), "--recover"]).unwrap();
@@ -907,7 +910,8 @@ mod tests {
         .unwrap();
         let job = dir.join("jobs/bert-mrpc");
         assert!(job.join("profile.json").exists());
-        assert!(job.join("records/steps.jsonl").exists());
+        let records = recover_records(&job.join("records")).expect("records");
+        assert!(records.sealed_files && !records.steps.is_empty());
         assert!(dir.join("metrics.prom").exists(), "fleet scrape flushed");
         // --paired-baseline measured this job's overhead, in its own
         // labeled series.
@@ -1012,7 +1016,8 @@ mod tests {
         .unwrap();
         driver.join().unwrap();
         assert!(dir.join("metrics.prom").exists());
-        assert!(dir.join("jobs/cli-a/records/steps.jsonl").exists());
+        let records = recover_records(&dir.join("jobs/cli-a/records")).expect("records");
+        assert!(records.sealed_files && !records.steps.is_empty());
         // Every serve flag takes effect: --metrics-out carries the jobs'
         // own series, not only the process registry's.
         let text = std::fs::read_to_string(&metrics).expect("--metrics-out written");

@@ -46,7 +46,7 @@ pub use resilience::{FaultConfig, FaultStore, RetryPolicy, RetryStore, Throttled
 pub use segstore::{BinaryStore, BinaryStoreConfig, CompactCrashPoint};
 pub use sink::{ProfilerOptions, ProfilerSink};
 pub use store::{
-    recover_records, InMemoryStore, JsonlStore, RecordStore, RecoveredLoad, RecoverySummary,
-    SegmentMeta, StoreFormat, StoreManifest,
+    record_files, recover_records, InMemoryStore, JsonlStore, RecordStore, RecoveredLoad,
+    RecoverySummary, SegmentMeta, StoreFormat, StoreManifest,
 };
 pub use window::WindowRecord;

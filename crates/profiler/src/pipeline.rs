@@ -377,8 +377,9 @@ impl SealPipeline {
     /// recording side. Every queued operation is dropped on the floor and
     /// the store is leaked, so nothing is flushed, sealed, or dropped —
     /// exactly the state a dead process leaves behind. An operation
-    /// already in flight on a worker may or may not complete its write,
-    /// like a real crash landing mid-I/O.
+    /// already in flight on a worker completes its write, like a crash
+    /// landing just after that I/O; the call returns once no worker can
+    /// touch the store again, so the directory it leaves is settled.
     pub fn simulate_crash(&self) {
         let mut state = self.shared.state.lock().expect("pipeline");
         state.killed = true;
@@ -387,8 +388,10 @@ impl SealPipeline {
         if let Some(store) = state.store.take() {
             std::mem::forget(store);
         }
-        drop(state);
         self.shared.space.notify_all();
         self.shared.idle.notify_all();
+        while state.draining {
+            state = self.shared.idle.wait(state).expect("pipeline");
+        }
     }
 }

@@ -2,14 +2,15 @@
 
 use crate::pipeline::{PipelineConfig, SealPipeline};
 use crate::profile::Profile;
-use crate::record::StepRecord;
+use crate::record::{OpStats, StepRecord};
 use crate::store::RecordStore;
 use crate::window::WindowRecord;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 use tpupoint_obs::{Counter, Histogram};
 use tpupoint_simcore::trace::{OpCatalog, TraceEvent, TraceSink};
-use tpupoint_simcore::{SimDuration, SimRng, SimTime, Track};
+use tpupoint_simcore::{OpId, SimDuration, SimRng, SimTime, Track};
 
 /// Observability handles, resolved once per sink so the per-event and
 /// per-window hot paths pay a single atomic add per update.
@@ -93,6 +94,84 @@ enum StoreLane {
 /// the stored bytes against the in-memory profile on a real job.
 const STEP_STREAM_SLACK: u64 = 8;
 
+/// A step that may still take events: the scalar fields of its eventual
+/// [`StepRecord`] (whose `ops` map stays empty while open) plus per-op
+/// stats in a dense array indexed by `OpId`, and the ops it touched, so
+/// building the record and zeroing the array for reuse cost what the step
+/// touched rather than the catalog. Folds exactly as
+/// [`StepRecord::absorb`] does.
+struct OpenStep {
+    record: StepRecord,
+    ops: Vec<OpStats>,
+    touched: Vec<u32>,
+}
+
+impl OpenStep {
+    fn absorb(&mut self, event: &TraceEvent) {
+        let idx = event.op.0 as usize;
+        if idx >= self.ops.len() {
+            self.ops.resize(idx + 1, OpStats::default());
+        }
+        let stats = &mut self.ops[idx];
+        if stats.count == 0 {
+            self.touched.push(event.op.0);
+        }
+        stats.count += 1;
+        stats.total += event.dur;
+        let record = &mut self.record;
+        match event.track {
+            Track::TpuCore(_) => {
+                record.tpu_time += event.dur;
+                record.mxu_time += event.mxu_dur;
+            }
+            Track::Host => record.host_time += event.dur,
+            Track::Storage => {}
+        }
+        record.first_start = record.first_start.min(event.start);
+        record.last_end = record.last_end.max(event.end());
+    }
+
+    /// The step's record as of now.
+    fn snapshot(&self) -> StepRecord {
+        StepRecord {
+            ops: self.op_map(),
+            ..self.record.clone()
+        }
+    }
+
+    fn op_map(&self) -> BTreeMap<OpId, OpStats> {
+        self.touched
+            .iter()
+            .map(|&op| (OpId(op), self.ops[op as usize]))
+            .collect()
+    }
+
+    /// Takes the finished record out, leaving the accumulator zeroed for
+    /// the next step.
+    fn seal(&mut self) -> StepRecord {
+        let ops = self.op_map();
+        for &op in &self.touched {
+            self.ops[op as usize] = OpStats::default();
+        }
+        self.touched.clear();
+        let record = std::mem::replace(&mut self.record, StepRecord::new(0));
+        StepRecord { ops, ..record }
+    }
+
+    /// Loads `record` (empty or sealed earlier) so further events extend it.
+    fn open(&mut self, mut record: StepRecord) {
+        for (op, stats) in std::mem::take(&mut record.ops) {
+            let idx = op.0 as usize;
+            if idx >= self.ops.len() {
+                self.ops.resize(idx + 1, OpStats::default());
+            }
+            self.ops[idx] = stats;
+            self.touched.push(op.0);
+        }
+        self.record = record;
+    }
+}
+
 /// Callback handed batches of newly completed [`StepRecord`]s while the
 /// run is still in flight (the streaming-analyzer feed). Batches arrive
 /// in ascending step order, on the simulation thread, and each step is
@@ -109,7 +188,14 @@ pub struct ProfilerSink {
     options: ProfilerOptions,
     model: String,
     dataset: String,
-    steps: HashMap<u64, StepRecord>,
+    /// Steps that may still take events, in arrival order; almost every
+    /// event hits the last one. Holds the synthetic step 0 until finish.
+    open: Vec<OpenStep>,
+    /// Zeroed accumulators of sealed steps, reused for the next ones.
+    spare: Vec<OpenStep>,
+    /// Records of steps sealed at least [`STEP_STREAM_SLACK`] marks ago.
+    /// A late event moves its step back to `open`.
+    sealed: BTreeMap<u64, StepRecord>,
     windows: Vec<WindowRecord>,
     current: Option<WindowRecord>,
     step_marks: Vec<(u64, SimTime)>,
@@ -147,7 +233,7 @@ impl std::fmt::Debug for ProfilerSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProfilerSink")
             .field("events_seen", &self.events_seen)
-            .field("steps", &self.steps.len())
+            .field("steps", &(self.open.len() + self.sealed.len()))
             .field("windows_sealed", &self.windows.len())
             .finish()
     }
@@ -170,7 +256,9 @@ impl ProfilerSink {
             options,
             model: String::new(),
             dataset: String::new(),
-            steps: HashMap::new(),
+            open: Vec::new(),
+            spare: Vec::new(),
+            sealed: BTreeMap::new(),
             windows: Vec::new(),
             current: None,
             step_marks: Vec::new(),
@@ -221,22 +309,61 @@ impl ProfilerSink {
     /// Delivers every not-yet-delivered step record below `hi_exclusive`
     /// to the observer, in ascending step order.
     fn deliver_completed(&mut self, hi_exclusive: u64) {
-        let Some(observer) = self.observer.as_mut() else {
-            return;
-        };
-        if hi_exclusive <= self.delivered_through {
+        if self.observer.is_none() || hi_exclusive <= self.delivered_through {
             return;
         }
+        let batch = self.records_in(self.delivered_through..hi_exclusive);
+        self.delivered_through = hi_exclusive;
+        if let Some(observer) = self.observer.as_mut().filter(|_| !batch.is_empty()) {
+            observer(&batch);
+        }
+    }
+
+    /// Current records of the steps in `range`, sealed or open, in
+    /// ascending step order.
+    fn records_in(&self, range: Range<u64>) -> Vec<StepRecord> {
         let mut batch: Vec<StepRecord> = self
-            .steps
-            .values()
-            .filter(|r| r.step >= self.delivered_through && r.step < hi_exclusive)
-            .cloned()
+            .sealed
+            .range(range.clone())
+            .map(|(_, record)| record.clone())
+            .chain(
+                self.open
+                    .iter()
+                    .filter(|open| range.contains(&open.record.step))
+                    .map(OpenStep::snapshot),
+            )
             .collect();
         batch.sort_by_key(|r| r.step);
-        self.delivered_through = hi_exclusive;
-        if !batch.is_empty() {
-            observer(&batch);
+        batch
+    }
+
+    /// Index into `open` of `step`'s accumulator, opening one (reloading
+    /// the sealed record if a late event reopens the step) when needed.
+    fn open_step(&mut self, step: u64) -> usize {
+        if let Some(at) = self.open.iter().rposition(|open| open.record.step == step) {
+            return at;
+        }
+        let mut acc = self.spare.pop().unwrap_or_else(|| OpenStep {
+            record: StepRecord::new(0),
+            ops: vec![OpStats::default(); self.catalog.len()],
+            touched: Vec::new(),
+        });
+        acc.open(
+            self.sealed
+                .remove(&step)
+                .unwrap_or_else(|| StepRecord::new(step)),
+        );
+        self.open.push(acc);
+        self.open.len() - 1
+    }
+
+    /// Seals every open step below `hi` except the synthetic step 0,
+    /// which pools unstepped events for the whole run.
+    fn seal_open_below(&mut self, hi: u64) {
+        let done = |open: &mut OpenStep| (1..hi).contains(&open.record.step);
+        for mut acc in self.open.extract_if(.., done) {
+            self.sealed.insert(acc.record.step, acc.seal());
+            self.spare.push(acc);
         }
     }
 
@@ -377,26 +504,20 @@ impl ProfilerSink {
         if hi <= self.stored_through {
             return;
         }
-        let mut batch: Vec<StepRecord> = self
-            .steps
-            .values()
-            .filter(|r| r.step >= self.stored_through && r.step < hi)
-            .cloned()
-            .collect();
-        batch.sort_by_key(|r| r.step);
-        self.stored_through = hi;
-        for record in &batch {
-            let serial_result = match self.store.as_mut() {
-                Some(StoreLane::Serial(store)) => Some(store.put_step(record)),
-                Some(StoreLane::Pipelined(pipeline)) => {
-                    pipeline.put_step(record);
-                    None
-                }
-                None => unreachable!("checked above"),
-            };
-            if let Some(result) = serial_result {
-                self.note_store_result("put_step", result);
+        // `on_step` sealed these already, unless a late event reopened one.
+        self.seal_open_below(hi);
+        let records = self.sealed.range(self.stored_through..hi).map(|(_, r)| r);
+        let mut failures = Vec::new();
+        match self.store.as_mut() {
+            Some(StoreLane::Serial(store)) => {
+                failures.extend(records.filter_map(|record| store.put_step(record).err()));
             }
+            Some(StoreLane::Pipelined(pipeline)) => records.for_each(|r| pipeline.put_step(r)),
+            None => unreachable!("checked above"),
+        }
+        self.stored_through = hi;
+        for err in failures {
+            self.note_store_result("put_step", Err(err));
         }
     }
 
@@ -438,8 +559,10 @@ impl ProfilerSink {
     /// identical to the serial lane's.
     pub fn finish(mut self) -> Profile {
         self.seal_window();
-        let mut steps: Vec<StepRecord> = std::mem::take(&mut self.steps).into_values().collect();
-        steps.sort_by_key(|r| r.step);
+        for mut open in std::mem::take(&mut self.open) {
+            self.sealed.insert(open.record.step, open.seal());
+        }
+        let steps: Vec<StepRecord> = std::mem::take(&mut self.sealed).into_values().collect();
         // Flush the undelivered tail to the observer so it has seen
         // every step exactly once by the time the profile exists.
         if let Some(observer) = self.observer.as_mut() {
@@ -546,10 +669,8 @@ impl TraceSink for ProfilerSink {
              (stored_through {}); STEP_STREAM_SLACK is too small",
             self.stored_through
         );
-        self.steps
-            .entry(step)
-            .or_insert_with(|| StepRecord::new(step))
-            .absorb(event.op, event.track, event.start, event.dur, event.mxu_dur);
+        let at = self.open_step(step);
+        self.open[at].absorb(event);
     }
 
     fn on_step(&mut self, step: u64, at: SimTime) {
@@ -558,6 +679,7 @@ impl TraceSink for ProfilerSink {
         }
         self.step_marks.push((step, at));
         self.newest_step_mark = self.newest_step_mark.max(step);
+        self.seal_open_below(self.newest_step_mark.saturating_sub(STEP_STREAM_SLACK));
         // The cadence tick keeps a live observer fed even when the
         // window caps never trigger. One step of slack: step `step` just
         // completed, but pipelined events for it may still be in flight,
@@ -947,6 +1069,183 @@ mod tests {
         );
         assert_eq!(recovered.windows, profile.windows);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The sink's record path as a plain model: the same window caps and
+    /// fault draws, folding every kept event through
+    /// [`StepRecord::absorb`] into a `BTreeMap`.
+    struct ReferenceFold {
+        options: ProfilerOptions,
+        fault_rng: SimRng,
+        /// Start and event count of the open window.
+        window: Option<(SimTime, u64)>,
+        dropped: bool,
+        stopped: bool,
+        steps: BTreeMap<u64, StepRecord>,
+    }
+
+    impl ReferenceFold {
+        fn new(options: ProfilerOptions) -> Self {
+            ReferenceFold {
+                options,
+                fault_rng: SimRng::seed_from(options.fault_seed),
+                window: None,
+                dropped: false,
+                stopped: false,
+                steps: BTreeMap::new(),
+            }
+        }
+
+        /// Folds `event`; returns whether it reached the records.
+        fn record(&mut self, event: &TraceEvent) -> bool {
+            if self.stopped {
+                return false;
+            }
+            let full = self.window.is_some_and(|(start, events)| {
+                events >= self.options.window_max_events
+                    || event.end().saturating_since(start) > self.options.window_max_span
+            });
+            if full || self.window.is_none() {
+                self.dropped = self.fault_rng.chance(self.options.drop_probability);
+                self.window = Some((event.start, 0));
+            }
+            if let Some((_, events)) = &mut self.window {
+                *events += 1;
+            }
+            if self.dropped {
+                return false;
+            }
+            let step = event.step.unwrap_or(0);
+            self.steps
+                .entry(step)
+                .or_insert_with(|| StepRecord::new(step))
+                .absorb(event.op, event.track, event.start, event.dur, event.mxu_dur);
+            true
+        }
+
+        fn on_step(&mut self, step: u64) {
+            if !self.stopped && self.options.breakpoint_step == Some(step) {
+                self.window = None;
+                self.stopped = true;
+            }
+        }
+    }
+
+    /// Checks the observer batches delivered since the last call against
+    /// the reference state at delivery time.
+    fn check_new_batches(
+        batches: &std::sync::Mutex<Vec<Vec<StepRecord>>>,
+        checked: &mut usize,
+        reference: &BTreeMap<u64, StepRecord>,
+    ) {
+        let batches = batches.lock().unwrap();
+        for record in batches[*checked..].iter().flatten() {
+            assert_eq!(Some(record), reference.get(&record.step), "delivered");
+        }
+        *checked = batches.len();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Random event streams — op ids past the catalog, unstepped
+        /// events, steps trailing the newest mark by up to
+        /// `STEP_STREAM_SLACK`, late events that reopen a sealed step,
+        /// small window caps, lost responses, a breakpoint and a cadence
+        /// observer — profile exactly as the reference fold does, and the
+        /// observer sees each step's record as it stood when delivered.
+        #[test]
+        fn dense_accumulators_match_the_reference_fold(
+            caps in (1u64..48, 20u64..3_000),
+            faults in (
+                proptest::prop_oneof![proptest::prelude::Just(0.0), 0.0f64..0.5],
+                0u64..1_000,
+            ),
+            control in (0u64..40, 0u64..6, proptest::prelude::any::<bool>()),
+            script in proptest::collection::vec(
+                (0u32..12, 0u32..6, 0u64..=STEP_STREAM_SLACK + 1, 1u64..60, 0u32..4),
+                1..400,
+            ),
+        ) {
+            use std::sync::{Arc, Mutex};
+            let (breakpoint, cadence, tidy) = control;
+            let options = ProfilerOptions {
+                window_max_events: caps.0,
+                window_max_span: SimDuration::from_micros(caps.1),
+                drop_probability: faults.0,
+                fault_seed: faults.1,
+                breakpoint_step: (breakpoint > 0).then_some(breakpoint),
+            };
+            let mut sink = ProfilerSink::new(small_catalog(), options);
+            let batches: Arc<Mutex<Vec<Vec<StepRecord>>>> = Arc::default();
+            let sink_batches = Arc::clone(&batches);
+            sink.set_seal_observer(
+                Box::new(move |batch| sink_batches.lock().unwrap().push(batch.to_vec())),
+                cadence,
+            );
+            let mut reference = ReferenceFold::new(options);
+            let (mut mark, mut clock, mut checked) = (0u64, 0u64, 0usize);
+            // Whether a kept event extended a step the observer already had.
+            let mut disturbed = false;
+            for &(kind, op, lag, dur, track) in &script {
+                if kind < 2 {
+                    mark += 1;
+                    sink.on_step(mark, SimTime::from_micros(clock));
+                    check_new_batches(&batches, &mut checked, &reference.steps);
+                    reference.on_step(mark);
+                    continue;
+                }
+                // Tidy streams only ever feed the in-flight step, so the
+                // observer's batches must add up to the profile.
+                let sealed_below = mark.saturating_sub(STEP_STREAM_SLACK);
+                let step = match kind {
+                    _ if tidy => Some(mark + 1),
+                    2 => None,
+                    3 => {
+                        let sealed: Vec<u64> =
+                            reference.steps.range(1..sealed_below.max(1)).map(|(s, _)| *s).collect();
+                        Some(if sealed.is_empty() {
+                            mark + 1
+                        } else {
+                            sealed[dur as usize % sealed.len()]
+                        })
+                    }
+                    _ => Some((mark + 1).saturating_sub(lag)),
+                };
+                let event = TraceEvent {
+                    op: OpId(op),
+                    track: match track {
+                        0 => Track::Host,
+                        1 => Track::Storage,
+                        core => Track::TpuCore(core as u8 - 2),
+                    },
+                    start: SimTime::from_micros(clock),
+                    dur: SimDuration::from_micros(dur),
+                    mxu_dur: SimDuration::from_micros(dur / 2),
+                    step,
+                };
+                clock += dur / 2;
+                sink.record(&event);
+                // Deliveries inside `record` precede the event's fold.
+                check_new_batches(&batches, &mut checked, &reference.steps);
+                let kept = reference.record(&event);
+                disturbed |= kept && step.unwrap_or(0) < sink.delivered_through;
+            }
+            let profile = sink.finish();
+            check_new_batches(&batches, &mut checked, &reference.steps);
+            let expected: Vec<StepRecord> = reference.steps.into_values().collect();
+            proptest::prop_assert_eq!(&profile.steps, &expected);
+
+            let delivered: Vec<StepRecord> = batches.lock().unwrap().concat();
+            proptest::prop_assert!(
+                delivered.windows(2).all(|pair| pair[0].step < pair[1].step),
+                "batches ascend, each step once"
+            );
+            proptest::prop_assert!(!(tidy && disturbed));
+            if !disturbed {
+                proptest::prop_assert_eq!(&delivered, &profile.steps);
+            }
+        }
     }
 
     #[test]

@@ -169,11 +169,13 @@ impl RecordStore for InMemoryStore {
 /// right loader from what is on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreFormat {
-    /// One JSON object per line (`steps.jsonl` / `windows.jsonl`).
-    #[default]
+    /// One JSON object per line (`steps.jsonl` / `windows.jsonl`): the
+    /// human-readable opt-in.
     Jsonl,
     /// Length-prefixed checksummed binary segments (`seg-*.bin`); see
-    /// [`crate::binfmt`] and [`crate::segstore::BinaryStore`].
+    /// [`crate::binfmt`] and [`crate::segstore::BinaryStore`]. The
+    /// default: smaller and cheaper to write than JSON lines.
+    #[default]
     Binary,
 }
 
@@ -586,6 +588,25 @@ pub fn recover_records(dir: &Path) -> io::Result<RecoverySummary> {
     } else {
         JsonlStore::recover(dir)
     }
+}
+
+/// Every file of a record directory, keyed by name: the byte-level view
+/// of what a run left on disk, whatever format wrote it. Two runs that
+/// must be byte-identical compare these maps.
+///
+/// # Errors
+///
+/// Returns an error when `dir` or one of its files cannot be read.
+pub fn record_files(dir: &Path) -> io::Result<std::collections::BTreeMap<String, Vec<u8>>> {
+    let mut files = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        if entry.file_type()?.is_file() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            files.insert(name, std::fs::read(entry.path())?);
+        }
+    }
+    Ok(files)
 }
 
 /// Loads a JSONL file tolerantly: parses records until the first malformed

@@ -73,7 +73,7 @@ impl Default for TpuPointBuilder {
             store_retries: RetryPolicy::default().max_retries,
             store_fault_prob: 0.0,
             store_fault_seed: FaultConfig::default().seed,
-            store_format: StoreFormat::Jsonl,
+            store_format: StoreFormat::default(),
             store_segment_bytes: BinaryStoreConfig::default().segment_bytes,
             store_retention_bytes: 0,
             pipeline_profiler: false,
@@ -136,11 +136,12 @@ impl TpuPointBuilder {
         self
     }
 
-    /// Selects the analyzer-mode record encoding: JSON lines (the
-    /// default) or checksummed binary segments with background compaction
-    /// ([`tpupoint_profiler::BinaryStore`]). Both formats share the
-    /// manifest and crash-recovery contract; `analyze --recover`
-    /// auto-detects whichever was written.
+    /// Selects the analyzer-mode record encoding: checksummed binary
+    /// segments with background compaction
+    /// ([`tpupoint_profiler::BinaryStore`], the default) or JSON lines,
+    /// the human-readable opt-in. Both formats share the manifest and
+    /// crash-recovery contract; `analyze --recover` auto-detects
+    /// whichever was written.
     pub fn store_format(mut self, format: StoreFormat) -> Self {
         self.store_format = format;
         self
@@ -614,7 +615,8 @@ mod tests {
             .expect("trace written")
             .exists());
         assert!(analysis.csv_path.as_ref().expect("csv written").exists());
-        assert!(dir.join("records/steps.jsonl").exists());
+        let records = tpupoint_profiler::recover_records(&dir.join("records")).expect("records");
+        assert!(records.sealed_files && !records.steps.is_empty());
         assert!(!analysis.ols_phases.is_empty());
         assert_eq!(analysis.phase_checkpoints.len(), analysis.ols_phases.len());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -633,8 +635,8 @@ mod tests {
         let run = tp.profile(demo()).expect("profiling survives faults");
         // Every record the profiler produced must be on disk, despite the
         // 50% per-call failure rate: the retry/spill layer absorbed it all.
-        let summary = tpupoint_profiler::JsonlStore::recover(&dir.join("records"))
-            .expect("records recoverable");
+        let summary =
+            tpupoint_profiler::recover_records(&dir.join("records")).expect("records recoverable");
         assert_eq!(summary.steps.len(), run.profile.steps.len());
         assert_eq!(summary.windows.len(), run.profile.windows.len());
         assert!(!summary.is_torn());

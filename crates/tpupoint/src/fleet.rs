@@ -1045,6 +1045,7 @@ impl TpuPoint {
 mod tests {
     use super::*;
     use std::path::Path;
+    use tpupoint_profiler::{record_files, recover_records};
 
     fn temp_root(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("tpupoint-fleet-{tag}-{}", std::process::id()))
@@ -1121,7 +1122,8 @@ mod tests {
             .matches("# TYPE tpupoint_profiler_windows_sealed")
             .count();
         assert_eq!(headers, 1, "{scrape}");
-        assert!(root.join("jobs/demo-a/records/steps.jsonl").exists());
+        let records = recover_records(&root.join("jobs/demo-a/records")).expect("records");
+        assert!(records.sealed_files && !records.steps.is_empty());
         assert!(root.join("jobs/demo-a/profile.json").exists());
 
         session.request_quit();
@@ -1363,14 +1365,18 @@ mod tests {
         }
         assert!(early_wall < full_wall, "{early_wall:?} vs {full_wall:?}");
         assert_eq!(early.steps_completed, full.steps_completed);
-        for file in ["steps.jsonl", "windows.jsonl"] {
-            let records = |run: &str| {
-                std::fs::read(root.join(run).join("jobs/bert-mrpc/records").join(file)).expect(file)
-            };
-            let full_bytes = records("full");
-            assert!(!full_bytes.is_empty(), "{file} empty");
-            assert!(full_bytes == records("early"), "{file} diverged");
-        }
+        let records = |run: &str| root.join(run).join("jobs/bert-mrpc/records");
+        let full_files = record_files(&records("full")).expect("full records");
+        assert!(
+            full_files.values().all(|bytes| !bytes.is_empty()),
+            "empty record file"
+        );
+        let recovered = recover_records(&records("full")).expect("full records");
+        assert!(!recovered.steps.is_empty() && !recovered.windows.is_empty());
+        assert!(
+            full_files == record_files(&records("early")).expect("early records"),
+            "records diverged"
+        );
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -137,10 +137,10 @@ mod tests {
         let job_dir = dir.join("jobs/demo");
         assert!(job_dir.join("metrics.prom").exists(), "job scrape flushed");
         assert!(dir.join("metrics.prom").exists(), "fleet scrape flushed");
-        assert!(
-            job_dir.join("records/steps.jsonl").exists(),
-            "records sealed"
-        );
+        let records =
+            tpupoint_profiler::recover_records(&job_dir.join("records")).expect("records");
+        assert!(records.sealed_files, "records sealed");
+        assert!(!records.steps.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

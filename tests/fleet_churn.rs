@@ -11,11 +11,13 @@
 //! * the never-cancelled jobs' sealed records stay byte-identical to a
 //!   solo batch profile of the same workload, scale, and seed.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tpupoint::prelude::*;
+use tpupoint::profiler::record_files;
 use tpupoint::workloads::{build, BuildOptions, WorkloadId};
 use tpupoint::FleetJobRequest;
 
@@ -43,8 +45,14 @@ fn get(addr: std::net::SocketAddr, path: &str) -> String {
     http(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
 }
 
-fn read_records(dir: &Path, file: &str) -> Vec<u8> {
-    std::fs::read(dir.join(file)).unwrap_or_else(|e| panic!("{}/{file}: {e}", dir.display()))
+fn read_records(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let files = record_files(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    assert!(
+        files.contains_key("manifest.json") && files.len() > 1,
+        "{}: no records beside the manifest",
+        dir.display()
+    );
+    files
 }
 
 /// The value of `series` on the scrape line carrying `label`, if any.
@@ -208,13 +216,11 @@ fn churn_storm_keeps_the_scrape_plane_honest() {
     // storm never perturbed them.
     for (tag, solo) in ["keep-a", "keep-b"].iter().zip(&solo_records) {
         let fleet_records = fleet_dir.join("jobs").join(tag).join("records");
-        for file in ["steps.jsonl", "windows.jsonl"] {
-            assert_eq!(
-                read_records(solo, file),
-                read_records(&fleet_records, file),
-                "{tag}/{file} must be byte-identical to the solo run"
-            );
-        }
+        assert_eq!(
+            read_records(solo),
+            read_records(&fleet_records),
+            "{tag} records must be byte-identical to the solo run"
+        );
     }
 
     session.request_quit();

@@ -10,9 +10,11 @@
 //! * record `steady`'s JSONL byte-identical to a solo batch
 //!   [`TpuPoint::profile`] of the same workload, scale, and seed.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::Path;
 use tpupoint::prelude::*;
+use tpupoint::profiler::record_files;
 use tpupoint::workloads::{build, BuildOptions, WorkloadId};
 use tpupoint::FleetJobRequest;
 
@@ -36,8 +38,14 @@ fn get(addr: std::net::SocketAddr, path: &str) -> String {
     response
 }
 
-fn read_records(dir: &Path, file: &str) -> Vec<u8> {
-    std::fs::read(dir.join(file)).unwrap_or_else(|e| panic!("{}/{file}: {e}", dir.display()))
+fn read_records(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let files = record_files(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    assert!(
+        files.contains_key("manifest.json") && files.len() > 1,
+        "{}: no records beside the manifest",
+        dir.display()
+    );
+    files
 }
 
 /// The value of `series` on the scrape line carrying `label`, if any.
@@ -140,13 +148,11 @@ fn faulty_tenant_never_degrades_its_neighbour() {
     // batch run: concurrency and the neighbour's faults are invisible.
     let steady_records = fleet_dir.join("jobs/steady/records");
     let solo_records = solo_dir.join("records");
-    for file in ["steps.jsonl", "windows.jsonl"] {
-        assert_eq!(
-            read_records(&solo_records, file),
-            read_records(&steady_records, file),
-            "{file} must be byte-identical to the solo run"
-        );
-    }
+    assert_eq!(
+        read_records(&solo_records),
+        read_records(&steady_records),
+        "records must be byte-identical to the solo run"
+    );
 
     session.request_quit();
     session.wait().expect("drains");

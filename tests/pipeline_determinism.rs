@@ -1,14 +1,15 @@
 //! Integration: the pipelined profiler (off-critical-path window sealing
 //! on the shared worker pool) is a byte-for-byte drop-in for the serial
-//! sink. For every pool size, the sealed JSONL streams, the manifest, and
+//! sink. For every pool size, the sealed record files, the manifest, and
 //! the finished [`Profile`] must be identical to the serial run — and
 //! seeded store-fault scenarios must replay the exact same error
 //! sequence, because determinism that breaks under faults is no
 //! determinism at all.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use tpupoint::prelude::*;
-use tpupoint::profiler::ProfilerOptions;
+use tpupoint::profiler::{record_files, ProfilerOptions};
 use tpupoint::TpuPoint;
 
 fn config() -> JobConfig {
@@ -52,15 +53,15 @@ fn run_lane(dir: &Path, pipelined: bool, fault: Option<(f64, u64, u32)>) -> Prof
     builder.build().profile(config()).expect("profiling run")
 }
 
-fn record_bytes(dir: &Path) -> Vec<(&'static str, Vec<u8>)> {
-    ["steps.jsonl", "windows.jsonl", "manifest.json"]
-        .into_iter()
-        .map(|file| {
-            let bytes = std::fs::read(dir.join("records").join(file))
-                .unwrap_or_else(|e| panic!("{file} missing under {}: {e}", dir.display()));
-            (file, bytes)
-        })
-        .collect()
+fn record_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let files = record_files(&dir.join("records"))
+        .unwrap_or_else(|e| panic!("records missing under {}: {e}", dir.display()));
+    assert!(
+        files.contains_key("manifest.json") && files.len() > 1,
+        "no records beside the manifest under {}",
+        dir.display()
+    );
+    files
 }
 
 #[test]
@@ -85,12 +86,10 @@ fn pipelined_sealing_is_byte_identical_for_every_pool_size() {
             pipelined.profile, serial.profile,
             "profile diverged at {threads} threads"
         );
-        for ((file, a), (_, b)) in serial_bytes.iter().zip(record_bytes(&dir)) {
-            assert!(
-                *a == b,
-                "{file} not byte-identical to serial at {threads} threads"
-            );
-        }
+        assert!(
+            serial_bytes == record_bytes(&dir),
+            "records not byte-identical to serial at {threads} threads"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
     tpupoint_par::set_threads(0);
@@ -110,9 +109,10 @@ fn seeded_faults_replay_identically_through_the_pipeline() {
     let pipe_dir = tmp_dir("fault-pipe");
     let pipelined = run_lane(&pipe_dir, true, Some((0.3, 21, 10)));
     assert_eq!(pipelined.profile, serial.profile);
-    for ((file, a), (_, b)) in serial_bytes.iter().zip(record_bytes(&pipe_dir)) {
-        assert!(*a == b, "{file} diverged under seeded faults");
-    }
+    assert!(
+        serial_bytes == record_bytes(&pipe_dir),
+        "records diverged under seeded faults"
+    );
 
     // Retries off: both lanes must surface the *same* error accounting.
     let raw_serial_dir = tmp_dir("rawfault-serial");

@@ -7,6 +7,7 @@ use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use tpupoint::prelude::*;
+use tpupoint::profiler::record_files;
 use tpupoint::workloads::{build, BuildOptions, WorkloadId};
 use tpupoint::FleetJobRequest;
 
@@ -201,11 +202,13 @@ fn serve_scrapes_live_and_shutdown_matches_batch_byte_for_byte() {
         batch_run.profile.checkpoints.len() as u64,
         "live checkpoint count"
     );
-    for file in ["steps.jsonl", "windows.jsonl"] {
-        let served = std::fs::read(records.join(file)).expect(file);
-        let batched = std::fs::read(batch_dir.join("records").join(file)).expect(file);
-        assert_eq!(served, batched, "{file} diverged between serve and batch");
-    }
+    let served = record_files(&records).expect("served records");
+    let batched = record_files(&batch_dir.join("records")).expect("batch records");
+    assert!(
+        served.contains_key("manifest.json") && served.len() > 1,
+        "no records beside the manifest"
+    );
+    assert_eq!(served, batched, "records diverged between serve and batch");
 
     std::fs::remove_dir_all(&base).unwrap();
 }
