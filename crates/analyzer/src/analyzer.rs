@@ -54,7 +54,7 @@ impl<'a> Analyzer<'a> {
 
     /// Builds the analyzer with explicit tuning knobs. A non-zero
     /// `options.threads` re-sizes the process-wide pool here, so the
-    /// feature extraction on first use runs at the requested width.
+    /// sweeps run at the requested width.
     pub fn with_options(profile: &'a Profile, options: AnalyzerOptions) -> Self {
         if options.threads != 0 {
             tpupoint_par::set_threads(options.threads);

@@ -15,9 +15,6 @@ use tpupoint_profiler::Profile;
 /// Maximum feature dimensionality after PCA, per the paper.
 pub const MAX_DIMS: usize = 100;
 
-/// Step count below which feature construction and scaling stay serial.
-const PAR_MIN_ROWS: usize = 256;
-
 /// A dense steps × features matrix with its row labels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMatrix {
@@ -46,10 +43,6 @@ impl FeatureMatrix {
     /// Builds raw (count, duration) features for every record in the
     /// profile, including the synthetic init/shutdown records, min-max
     /// scaled per dimension.
-    ///
-    /// Each step's row depends only on that step's record, so construction
-    /// fans out over the pool for large profiles with identical results
-    /// at any thread count.
     pub fn from_profile(profile: &Profile) -> FeatureMatrix {
         let n_ops = profile.op_names.len();
         let build = |record: &tpupoint_profiler::StepRecord| -> Vec<f64> {
@@ -61,12 +54,7 @@ impl FeatureMatrix {
             }
             row
         };
-        let pool = tpupoint_par::pool();
-        let rows: Vec<Vec<f64>> = if profile.steps.len() >= PAR_MIN_ROWS && pool.size() > 1 {
-            pool.par_map(&profile.steps, |_, record| build(record))
-        } else {
-            profile.steps.iter().map(build).collect()
-        };
+        let rows = profile.steps.iter().map(build).collect();
         let steps = profile.steps.iter().map(|record| record.step).collect();
         let mut matrix = FeatureMatrix { steps, rows };
         matrix.minmax_scale();
@@ -75,52 +63,26 @@ impl FeatureMatrix {
 
     /// Min-max scales each dimension into `[0, 1]`; constant dimensions
     /// become 0.
-    ///
-    /// Per-dimension bounds and the per-row rescale are both independent,
-    /// so each fans out over the pool for large matrices; every cell gets
-    /// the same arithmetic as the serial loop.
     pub fn minmax_scale(&mut self) {
         let dims = self.dims();
         if dims == 0 {
             return;
         }
-        let pool = tpupoint_par::pool();
-        let parallel = self.len() >= PAR_MIN_ROWS && pool.size() > 1;
-        let bounds: Vec<(f64, f64)> = {
-            let rows = &self.rows;
-            let bounds_of = |d: usize| -> (f64, f64) {
+        let bounds: Vec<(f64, f64)> = (0..dims)
+            .map(|d| {
                 let mut lo = f64::INFINITY;
                 let mut hi = f64::NEG_INFINITY;
-                for row in rows {
+                for row in &self.rows {
                     lo = lo.min(row[d]);
                     hi = hi.max(row[d]);
                 }
                 (lo, hi)
-            };
-            if parallel {
-                pool.par_map_index(dims, bounds_of)
-            } else {
-                (0..dims).map(bounds_of).collect()
-            }
-        };
-        let scale = |row: &[f64]| -> Vec<f64> {
-            row.iter()
-                .zip(&bounds)
-                .map(|(&x, &(lo, hi))| {
-                    let range = hi - lo;
-                    if range > 0.0 {
-                        (x - lo) / range
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        };
-        if parallel {
-            self.rows = pool.par_map(&self.rows, |_, row| scale(row));
-        } else {
-            for row in &mut self.rows {
-                *row = scale(row);
+            })
+            .collect();
+        for row in &mut self.rows {
+            for (x, &(lo, hi)) in row.iter_mut().zip(&bounds) {
+                let range = hi - lo;
+                *x = if range > 0.0 { (*x - lo) / range } else { 0.0 };
             }
         }
     }

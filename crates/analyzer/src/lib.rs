@@ -25,7 +25,7 @@
 //! * [`viz`] — the Chrome-tracing JSON and CSV visualization files
 //!   (Section IV-B, Figure 3).
 //!
-//! The sweeps and feature extraction fan out over the `tpupoint-par`
+//! The k-means and DBSCAN sweeps fan out over the `tpupoint-par`
 //! scoped pool (sized by [`AnalyzerOptions::threads`], `--threads`, or
 //! `TPUPOINT_THREADS`); every parallel path is bit-identical to the
 //! serial one, so phase boundaries never depend on the thread count.

@@ -7,35 +7,23 @@
 // Dense matrix math reads clearest with explicit indices.
 #![allow(clippy::needless_range_loop)]
 
-/// Row count below which mean/covariance accumulation stays serial.
-const PAR_COV_MIN_ROWS: usize = 512;
-
 /// Fixed number of accumulation chunks for mean and covariance. The chunk
-/// structure depends only on the row count — never on the thread count —
-/// and partials are merged serially in chunk order, so the floating-point
-/// result is bit-identical for any pool size. Both the serial and the
-/// parallel path run the same chunked accumulation.
+/// structure depends only on the row count, and partials are merged in
+/// chunk order, so the floating-point result is a function of the input
+/// alone.
 const COV_CHUNKS: usize = 64;
 
 /// Splits `0..n` into the fixed [`COV_CHUNKS`] structure and folds `f`'s
 /// per-chunk partials with `merge`, in chunk order.
-fn chunked_accumulate<R: Send>(
+fn chunked_accumulate<R>(
     n: usize,
-    f: impl Fn(std::ops::Range<usize>) -> R + Sync,
+    f: impl Fn(std::ops::Range<usize>) -> R,
     mut acc: R,
     mut merge: impl FnMut(&mut R, R),
 ) -> R {
     let chunk_len = n.div_ceil(COV_CHUNKS).max(1);
-    let n_chunks = n.div_ceil(chunk_len);
-    let chunk = |c: usize| c * chunk_len..((c + 1) * chunk_len).min(n);
-    let pool = tpupoint_par::pool();
-    let partials: Vec<R> = if n >= PAR_COV_MIN_ROWS && pool.size() > 1 {
-        pool.par_map_index(n_chunks, |c| f(chunk(c)))
-    } else {
-        (0..n_chunks).map(|c| f(chunk(c))).collect()
-    };
-    for partial in partials {
-        merge(&mut acc, partial);
+    for c in 0..n.div_ceil(chunk_len) {
+        merge(&mut acc, f(c * chunk_len..((c + 1) * chunk_len).min(n)));
     }
     acc
 }
@@ -275,23 +263,6 @@ mod tests {
         let projected = project(&constant, 2);
         // All components have zero variance: rows become empty.
         assert!(projected.iter().all(|r| r.is_empty()));
-    }
-
-    #[test]
-    fn projection_is_bit_identical_across_thread_counts() {
-        // Big enough to cross PAR_COV_MIN_ROWS so the pooled covariance
-        // accumulation actually runs.
-        let rows: Vec<Vec<f64>> = (0..700)
-            .map(|i| {
-                let t = i as f64;
-                vec![t.sin() * 3.0, (t * 0.7).cos(), t % 5.0, (t * 1.3).sin()]
-            })
-            .collect();
-        tpupoint_par::set_threads(1);
-        let serial = project(&rows, 3);
-        tpupoint_par::set_threads(4);
-        assert_eq!(project(&rows, 3), serial);
-        tpupoint_par::set_threads(0);
     }
 
     #[test]

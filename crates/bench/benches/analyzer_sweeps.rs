@@ -1,7 +1,7 @@
-//! Criterion benches for the analyzer's parallel sweep engine: each of
-//! the three hot paths (k-means k-sweep, DBSCAN min-samples sweep, PCA
-//! projection) measured at one worker and at four, plus the cold-start
-//! k-means sweep as the pre-warm-start baseline.
+//! Criterion benches for the analyzer's parallel sweep engine: the
+//! k-means k-sweep and the DBSCAN min-samples sweep measured at one
+//! worker and at four, the cold-start k-means sweep as the
+//! pre-warm-start baseline, and the (serial) PCA projection.
 //!
 //! Run with `cargo bench -p tpupoint-bench --bench analyzer_sweeps`.
 //! Set `TPUPOINT_BENCH_QUICK=1` to shrink the sample count to a CI-sized
@@ -88,13 +88,9 @@ fn bench_dbscan_sweep(c: &mut Criterion) {
 
 fn bench_pca_project(c: &mut Criterion) {
     let (raw, _) = features_of(WorkloadId::DcganCifar10);
-    for threads in THREAD_COUNTS {
-        tpupoint_par::set_threads(threads);
-        c.bench_function(&format!("pca_project/threads{threads}"), |b| {
-            b.iter(|| black_box(pca::project(&raw.rows, 100)))
-        });
-    }
-    tpupoint_par::set_threads(0);
+    c.bench_function("pca_project", |b| {
+        b.iter(|| black_box(pca::project(&raw.rows, 100)))
+    });
 }
 
 criterion_group! {

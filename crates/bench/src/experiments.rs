@@ -7,10 +7,12 @@
 use crate::csvout::write_csv;
 use crate::suite::Suite;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 use tpupoint::analyzer::{dbscan, kmeans};
 use tpupoint::optimizer::TpuPointOptimizer;
 use tpupoint::prelude::*;
+use tpupoint::profiler::PipelineConfig;
 
 /// All experiment ids: the paper's artifacts in paper order, then the
 /// beyond-the-paper ablations.
@@ -748,40 +750,177 @@ fn ablation_seeds(suite: &Suite, out_dir: &Path) -> io::Result<String> {
     Ok(summary)
 }
 
-/// Analyzer parallel-engine benchmark: the three sweep hot paths timed in
-/// the baseline configuration (one worker, cold-start k-means, one full
+/// Wall time since `start`, in microseconds.
+fn elapsed_us(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e6
+}
+
+/// How many times faster the change lane ran, its wall floored at 1 µs.
+fn speedup(baseline_us: f64, change_us: f64) -> f64 {
+    baseline_us / change_us.max(1.0)
+}
+
+/// Workload `id` on TPUv2 at `scale`, jittered by `seed`.
+fn scaled_config(id: WorkloadId, scale: f64, seed: u64) -> JobConfig {
+    let options = BuildOptions {
+        scale,
+        seed,
+        ..BuildOptions::default()
+    };
+    build(id, TpuGeneration::V2, &options)
+}
+
+/// A bench's scratch directory under the system temp dir. It starts
+/// empty and is removed on drop, so a failed assert or `?` leaves
+/// nothing behind either.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(bench: &str) -> ScratchDir {
+        let path =
+            std::env::temp_dir().join(format!("tpupoint-bench-{bench}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        ScratchDir(path)
+    }
+
+    fn join(&self, path: impl AsRef<Path>) -> PathBuf {
+        self.0.join(path)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The result of one `bench_*` experiment: the same work timed end to end
+/// in a baseline lane and a change lane, the layers that wall splits
+/// into, and the configuration and checked invariants behind the
+/// comparison. [`BenchReport::write`] is the one writer of the bench
+/// JSON files; the console summary renders from the same values, end to
+/// end first, then the layer rows, then the host.
+struct BenchReport {
+    /// The experiment is `bench_<name>`.
+    name: &'static str,
+    workload: &'static str,
+    /// Threads the change lane runs its work on: pool workers, or job
+    /// slots for the fleet.
+    threads: usize,
+    /// Label and end-to-end wall (µs) of the reference lane.
+    baseline: (&'static str, f64),
+    /// Label and end-to-end wall (µs) of the lane under test.
+    change: (&'static str, f64),
+    target_speedup: Option<f64>,
+    /// Layer name, baseline µs, change µs.
+    layers: Vec<(&'static str, f64, f64)>,
+    /// Configuration and checked invariants, one JSON object.
+    facts: serde_json::Value,
+}
+
+impl BenchReport {
+    /// Writes `BENCH_<name>.json` under `out_dir` and returns the console
+    /// summary.
+    fn write(self, out_dir: &Path) -> io::Result<String> {
+        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (baseline, baseline_us) = self.baseline;
+        let (change, change_us) = self.change;
+        let layers: Vec<serde_json::Value> = self
+            .layers
+            .iter()
+            .map(|&(name, base, with)| {
+                serde_json::json!({
+                    "name": name,
+                    "baseline_us": base,
+                    "change_us": with,
+                    "speedup": speedup(base, with),
+                })
+            })
+            .collect();
+        let doc = serde_json::json!({
+            "bench": self.name,
+            "workload": self.workload,
+            "threads": self.threads,
+            "host_cores": host_cores,
+            "end_to_end": {
+                "baseline": baseline,
+                "baseline_us": baseline_us,
+                "change": change,
+                "change_us": change_us,
+                "speedup": speedup(baseline_us, change_us),
+                "target_speedup": self.target_speedup,
+            },
+            "layers": layers,
+            "facts": self.facts,
+        });
+        std::fs::create_dir_all(out_dir)?;
+        let json = serde_json::to_string_pretty(&doc).map_err(io::Error::other)?;
+        std::fs::write(out_dir.join(format!("BENCH_{}.json", self.name)), json)?;
+
+        let row = |name: &str, base: f64, with: f64, note: &str| {
+            format!(
+                "  {name:16} {:>9.1} ms -> {:>9.1} ms  ({:.2}x{note})\n",
+                base / 1e3,
+                with / 1e3,
+                speedup(base, with)
+            )
+        };
+        let target = self
+            .target_speedup
+            .map_or(String::new(), |t| format!(", target >= {t}x"));
+        let mut summary = format!(
+            "bench_{} ({}): {baseline} -> {change}\n",
+            self.name, self.workload
+        );
+        summary.push_str(&row("end to end", baseline_us, change_us, &target));
+        for &(name, base, with) in &self.layers {
+            summary.push_str(&row(name, base, with, ""));
+        }
+        summary.push_str(&format!(
+            "  host: {host_cores} core(s), {} thread(s)\n",
+            self.threads
+        ));
+        for (key, value) in self.facts.as_object().into_iter().flatten() {
+            summary.push_str(&format!("  {key}: {value}\n"));
+        }
+        Ok(summary)
+    }
+}
+
+/// Analyzer engine benchmark: the three sweep hot paths timed in the
+/// baseline configuration (one worker, cold-start k-means, one full
 /// neighbor scan per DBSCAN grid point — what the analyzer did before the
-/// parallel engine) and on the current engine (shared neighbor cache,
-/// warm-started k-means, 4 workers). Writes `BENCH_analyzer.json` with
-/// the serial-vs-parallel wall times alongside the CSV summary.
+/// engine) and on the engine (shared neighbor cache, warm-started
+/// k-means, 4 workers). Feature construction is serial in both lanes.
 fn bench_analyzer(suite: &Suite, out_dir: &Path) -> io::Result<String> {
-    use std::time::Instant;
     use tpupoint::analyzer::{AnalyzerOptions, DbscanConfig, KmeansConfig};
 
     const THREADS: usize = 4;
     let id = WorkloadId::DcganCifar10;
     let profile = &suite.tuned(id, TpuGeneration::V2).profile;
-    let us = |t: Instant| t.elapsed().as_secs_f64() * 1e6;
+    let analyzer = |threads| {
+        Analyzer::with_options(
+            profile,
+            AnalyzerOptions {
+                threads,
+                ..AnalyzerOptions::default()
+            },
+        )
+    };
 
-    // Baseline: one worker, pre-parallel-engine algorithms.
+    // Baseline: one worker, pre-engine algorithms.
     tpupoint_par::set_threads(1);
     let t = Instant::now();
-    let serial_analyzer = Analyzer::with_options(
-        profile,
-        AnalyzerOptions {
-            threads: 1,
-            ..AnalyzerOptions::default()
-        },
-    );
-    let features = serial_analyzer.features();
-    let serial_pca_us = us(t);
+    let serial = analyzer(1);
+    let features = serial.features();
+    let serial_features_us = elapsed_us(t);
     let cold = KmeansConfig {
         warm_start: false,
         ..KmeansConfig::default()
     };
     let t = Instant::now();
     let serial_kmeans = kmeans::sweep(features, 1..=15, &cold);
-    let serial_kmeans_us = us(t);
+    let serial_kmeans_us = elapsed_us(t);
     let t = Instant::now();
     let eps = dbscan::auto_eps(features);
     let mut serial_dbscan = Vec::new();
@@ -797,93 +936,59 @@ fn bench_analyzer(suite: &Suite, out_dir: &Path) -> io::Result<String> {
         .map_err(|e| io::Error::other(e.to_string()))?;
         serial_dbscan.push((m, result.noise_ratio(), result.clusters));
     }
-    let serial_dbscan_us = us(t);
+    let serial_dbscan_us = elapsed_us(t);
 
-    // Parallel engine: shared cache, warm start, THREADS workers.
+    // Engine: shared cache, warm start, THREADS workers.
     let t = Instant::now();
-    let analyzer = Analyzer::with_options(
-        profile,
-        AnalyzerOptions {
-            threads: THREADS,
-            ..AnalyzerOptions::default()
-        },
-    );
-    analyzer.features();
-    let parallel_pca_us = us(t);
+    let engine = analyzer(THREADS);
+    engine.features();
+    let engine_features_us = elapsed_us(t);
     let t = Instant::now();
-    let parallel_kmeans = analyzer.kmeans_sweep(1..=15);
-    let parallel_kmeans_us = us(t);
+    let engine_kmeans = engine.kmeans_sweep(1..=15);
+    let engine_kmeans_us = elapsed_us(t);
     let t = Instant::now();
-    let parallel_dbscan = analyzer
+    let engine_dbscan = engine
         .dbscan_sweep()
         .map_err(|e| io::Error::other(e.to_string()))?;
-    let parallel_dbscan_us = us(t);
+    let engine_dbscan_us = elapsed_us(t);
     tpupoint_par::set_threads(0);
 
     // The shared cache must reproduce the per-run baseline bit for bit,
     // and the warm-started SSD curve must stay monotone non-increasing.
     assert_eq!(
-        parallel_dbscan, serial_dbscan,
+        engine_dbscan, serial_dbscan,
         "shared neighbor cache changed DBSCAN results"
     );
-    for pair in parallel_kmeans.windows(2) {
+    for pair in engine_kmeans.windows(2) {
         assert!(pair[1].1 <= pair[0].1 + 1e-12, "warm sweep rose: {pair:?}");
     }
 
-    let serial_total_us = serial_pca_us + serial_kmeans_us + serial_dbscan_us;
-    let parallel_total_us = parallel_pca_us + parallel_kmeans_us + parallel_dbscan_us;
-    let speedup = |serial: f64, parallel: f64| serial / parallel.max(1.0);
-    let doc = serde_json::json!({
-        "workload": id.label(),
-        "threads": THREADS,
-        "sweeps": {
-            "kmeans": {
-                "serial_us": serial_kmeans_us,
-                "parallel_us": parallel_kmeans_us,
-                "speedup": speedup(serial_kmeans_us, parallel_kmeans_us),
-                "serial_elbow_k": kmeans::elbow_k(&serial_kmeans),
-                "parallel_elbow_k": kmeans::elbow_k(&parallel_kmeans),
-            },
-            "dbscan": {
-                "serial_us": serial_dbscan_us,
-                "parallel_us": parallel_dbscan_us,
-                "speedup": speedup(serial_dbscan_us, parallel_dbscan_us),
-                "results_identical": true,
-            },
-            "pca": {
-                "serial_us": serial_pca_us,
-                "parallel_us": parallel_pca_us,
-                "speedup": speedup(serial_pca_us, parallel_pca_us),
-            },
-        },
-        "end_to_end": {
-            "serial_us": serial_total_us,
-            "parallel_us": parallel_total_us,
-            "speedup": speedup(serial_total_us, parallel_total_us),
-        },
-    });
-    std::fs::create_dir_all(out_dir)?;
-    let json = serde_json::to_string_pretty(&doc).map_err(|e| io::Error::other(e.to_string()))?;
-    std::fs::write(out_dir.join("BENCH_analyzer.json"), json)?;
-
-    let mut summary = format!(
-        "Analyzer parallel-engine benchmark ({}, {THREADS} threads vs serial baseline):\n",
-        id.label()
-    );
-    for (name, serial, parallel) in [
-        ("k-means sweep", serial_kmeans_us, parallel_kmeans_us),
-        ("DBSCAN sweep", serial_dbscan_us, parallel_dbscan_us),
-        ("PCA + features", serial_pca_us, parallel_pca_us),
-        ("end to end", serial_total_us, parallel_total_us),
-    ] {
-        summary.push_str(&format!(
-            "  {name:16} {:>9.1} ms -> {:>9.1} ms  ({:.2}x)\n",
-            serial / 1e3,
-            parallel / 1e3,
-            speedup(serial, parallel)
-        ));
+    BenchReport {
+        name: "analyzer",
+        workload: id.label(),
+        threads: THREADS,
+        baseline: (
+            "serial",
+            serial_kmeans_us + serial_dbscan_us + serial_features_us,
+        ),
+        change: (
+            "engine",
+            engine_kmeans_us + engine_dbscan_us + engine_features_us,
+        ),
+        target_speedup: None,
+        layers: vec![
+            ("k-means sweep", serial_kmeans_us, engine_kmeans_us),
+            ("DBSCAN sweep", serial_dbscan_us, engine_dbscan_us),
+            ("features", serial_features_us, engine_features_us),
+        ],
+        facts: serde_json::json!({
+            "serial_elbow_k": kmeans::elbow_k(&serial_kmeans),
+            "engine_elbow_k": kmeans::elbow_k(&engine_kmeans),
+            "dbscan_results_identical": true,
+            "kmeans_ssd_monotone": true,
+        }),
     }
-    Ok(summary)
+    .write(out_dir)
 }
 
 /// Asserts that `other` holds exactly the record files of `reference`,
@@ -904,154 +1009,112 @@ fn assert_same_records(reference: &Path, other: &Path, what: &str) -> io::Result
     Ok(())
 }
 
-/// Pipelined-profiler benchmark: the same throttled record store (a fixed
-/// real sleep per store call, standing in for slow cloud storage) driven
-/// once by the serial sink — every window seal blocks the simulation
-/// thread — and once by the seal pipeline, which hands full windows to the
-/// shared worker pool. The reproduction target is the simulation thread's
-/// wall time: sealing off the critical path must recover (nearly) all of
-/// the store latency while producing byte-identical records. Writes
-/// `BENCH_pipeline.json`.
-fn bench_pipeline(out_dir: &Path) -> io::Result<String> {
-    use std::time::{Duration, Instant};
-    use tpupoint::profiler::{
-        JsonlStore, PipelineConfig, ProfilerSink, RecordStore, ThrottledStore,
-    };
+/// Window size of the throttled-store benches.
+const WINDOW_MAX_EVENTS: u64 = 256;
 
-    const THREADS: usize = 4;
-    const THROTTLE_US: u64 = 500;
-    const WINDOW_MAX_EVENTS: u64 = 256;
-    let id = WorkloadId::DcganMnist;
-    let config = build(id, TpuGeneration::V2, &BuildOptions::default());
+/// Runs `config` into a JSONL store under `dir` that sleeps `throttle_us`
+/// per call, standing in for slow cloud storage. Windows seal on the
+/// simulation thread, or through the seal pipeline when `queue` is given.
+/// Returns the report, the profile, and the run and finish walls in µs.
+fn run_throttled(
+    config: &JobConfig,
+    dir: &Path,
+    throttle_us: u64,
+    queue: Option<PipelineConfig>,
+) -> io::Result<(RunReport, Profile, f64, f64)> {
+    use tpupoint::profiler::{JsonlStore, RecordStore, ThrottledStore};
+    let job = TrainingJob::new(config.clone());
+    let store: Box<dyn RecordStore + Send> = Box::new(ThrottledStore::new(
+        JsonlStore::create(dir)?,
+        Duration::from_micros(throttle_us),
+    ));
     let options = ProfilerOptions {
         window_max_events: WINDOW_MAX_EVENTS,
         ..ProfilerOptions::default()
     };
-    let us = |t: Instant| t.elapsed().as_secs_f64() * 1e6;
-    let tmp = std::env::temp_dir().join(format!("tpupoint-bench-pipeline-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let throttled = |dir: &Path| -> io::Result<Box<dyn RecordStore + Send>> {
-        Ok(Box::new(ThrottledStore::new(
-            JsonlStore::create(dir)?,
-            Duration::from_micros(THROTTLE_US),
-        )))
+    let catalog = job.catalog().clone();
+    let mut sink = match queue {
+        Some(queue) => ProfilerSink::with_pipelined_store(catalog, options, store, queue),
+        None => ProfilerSink::with_store(catalog, options, store),
     };
+    sink.set_source(&config.model, &config.dataset.name);
+    let t = Instant::now();
+    let report = job.run(&mut sink);
+    let run_us = elapsed_us(t);
+    let t = Instant::now();
+    let profile = sink.finish();
+    Ok((report, profile, run_us, elapsed_us(t)))
+}
+
+/// Pipelined-profiler benchmark: one job into a throttled store, once
+/// with the serial sink — every window seal blocks the simulation thread
+/// — and once with the seal pipeline, which drains full windows on the
+/// shared pool. End to end is run plus finish: the pipeline moves the
+/// store latency off the simulation thread and into the drain barrier,
+/// so it hides latency from the simulation rather than raising
+/// throughput. Records must stay byte-identical across the lanes.
+fn bench_pipeline(out_dir: &Path) -> io::Result<String> {
+    const THREADS: usize = 4;
+    const THROTTLE_US: u64 = 500;
+    let id = WorkloadId::DcganMnist;
+    let config = build(id, TpuGeneration::V2, &BuildOptions::default());
+    let tmp = ScratchDir::new("pipeline");
     tpupoint_par::set_threads(THREADS);
-
-    // Serial lane: every store call runs on the simulation thread.
-    let serial_dir = tmp.join("serial");
-    let job = TrainingJob::new(config.clone());
-    let mut sink =
-        ProfilerSink::with_store(job.catalog().clone(), options, throttled(&serial_dir)?);
-    sink.set_source(&config.model, &config.dataset.name);
-    let t = Instant::now();
-    let serial_report = job.run(&mut sink);
-    let serial_run_us = us(t);
-    let t = Instant::now();
-    let serial_profile = sink.finish();
-    let serial_finish_us = us(t);
-
-    // Pipelined lane: windows seal on pool workers; the high-water mark is
-    // raised past the full op count (windows plus the steps the sink
-    // streams at window seals) so the simulation thread never waits.
-    let pipelined_dir = tmp.join("pipelined");
-    let job = TrainingJob::new(config.clone());
-    let mut sink = ProfilerSink::with_pipelined_store(
-        job.catalog().clone(),
-        options,
-        throttled(&pipelined_dir)?,
-        PipelineConfig { high_water: 16384 },
-    );
-    sink.set_source(&config.model, &config.dataset.name);
-    let t = Instant::now();
-    let pipelined_report = job.run(&mut sink);
-    let pipelined_run_us = us(t);
-    let t = Instant::now();
-    let pipelined_profile = sink.finish();
-    let pipelined_finish_us = us(t);
+    let serial = run_throttled(&config, &tmp.join("serial"), THROTTLE_US, None);
+    // The high-water mark is past the full op count (windows plus the
+    // steps streamed at window seals), so the simulation thread never
+    // waits on the queue.
+    let queue = PipelineConfig { high_water: 16384 };
+    let pipelined = run_throttled(&config, &tmp.join("pipelined"), THROTTLE_US, Some(queue));
     tpupoint_par::set_threads(0);
+    let (serial_report, serial_profile, serial_run_us, serial_finish_us) = serial?;
+    let (pipelined_report, pipelined_profile, pipelined_run_us, pipelined_finish_us) = pipelined?;
 
     // Off-critical-path sealing must not change a single byte of output.
     assert_eq!(serial_report, pipelined_report, "run reports diverged");
     assert_eq!(serial_profile, pipelined_profile, "profiles diverged");
-    for file in ["steps.jsonl", "windows.jsonl"] {
-        let a = std::fs::read(serial_dir.join(file))?;
-        let b = std::fs::read(pipelined_dir.join(file))?;
-        assert!(a == b, "{file} diverged between serial and pipelined lanes");
-        assert!(!a.is_empty(), "{file} empty — throttle saw no traffic");
+    assert_same_records(
+        &tmp.join("serial"),
+        &tmp.join("pipelined"),
+        "serial vs pipelined sealing",
+    )?;
+
+    BenchReport {
+        name: "pipeline",
+        workload: id.label(),
+        threads: THREADS,
+        baseline: ("serial", serial_run_us + serial_finish_us),
+        change: ("pipelined", pipelined_run_us + pipelined_finish_us),
+        target_speedup: None,
+        layers: vec![
+            ("simulation wall", serial_run_us, pipelined_run_us),
+            ("drain barrier", serial_finish_us, pipelined_finish_us),
+        ],
+        facts: serde_json::json!({
+            "store_throttle_us_per_op": THROTTLE_US,
+            "window_max_events": WINDOW_MAX_EVENTS,
+            "windows_sealed": serial_profile.windows.len(),
+            "steps_recorded": serial_profile.steps.len(),
+            "byte_identical": true,
+        }),
     }
-
-    let speedup = serial_run_us / pipelined_run_us.max(1.0);
-    let doc = serde_json::json!({
-        "workload": id.label(),
-        "threads": THREADS,
-        "store_throttle_us_per_op": THROTTLE_US,
-        "window_max_events": WINDOW_MAX_EVENTS,
-        "windows_sealed": serial_profile.windows.len(),
-        "steps_recorded": serial_profile.steps.len(),
-        "simulation_wall": {
-            "serial_us": serial_run_us,
-            "pipelined_us": pipelined_run_us,
-            "speedup": speedup,
-            "target_speedup": 1.2,
-        },
-        "drain_barrier": {
-            "serial_finish_us": serial_finish_us,
-            "pipelined_finish_us": pipelined_finish_us,
-        },
-        "end_to_end": {
-            "serial_us": serial_run_us + serial_finish_us,
-            "pipelined_us": pipelined_run_us + pipelined_finish_us,
-        },
-        "byte_identical": true,
-    });
-    std::fs::create_dir_all(out_dir)?;
-    let json = serde_json::to_string_pretty(&doc).map_err(|e| io::Error::other(e.to_string()))?;
-    std::fs::write(out_dir.join("BENCH_pipeline.json"), json)?;
-    std::fs::remove_dir_all(&tmp)?;
-
-    Ok(format!(
-        "Pipelined-profiler benchmark ({}, {THREADS} threads, {}us/store-op throttle):\n  \
-         simulation wall {:>9.1} ms -> {:>9.1} ms  ({speedup:.2}x, target >= 1.2x)\n  \
-         drain barrier   {:>9.1} ms -> {:>9.1} ms  (finish: steps + remaining queue)\n  \
-         {} windows sealed, records byte-identical across lanes\n",
-        id.label(),
-        THROTTLE_US,
-        serial_run_us / 1e3,
-        pipelined_run_us / 1e3,
-        serial_finish_us / 1e3,
-        pipelined_finish_us / 1e3,
-        serial_profile.windows.len(),
-    ))
+    .write(out_dir)
 }
 
 /// Streaming early-stop benchmark: the same paced served job (a fleet of
 /// one) twice — once to completion and once with `--stop-on-stable` —
-/// measuring the real
-/// wall-clock win from skipping the paced tail after the live phase
-/// structure latches. Early stop cancels only the pacing: the remaining
-/// steps rush at batch speed, so both runs' recorded JSONL must stay
-/// byte-identical. Writes `BENCH_streaming.json`.
+/// measuring the real wall-clock win from skipping the paced tail after
+/// the live phase structure latches. Early stop cancels only the pacing:
+/// the remaining steps rush at batch speed, so both runs' records must
+/// stay byte-identical.
 fn bench_streaming(out_dir: &Path) -> io::Result<String> {
-    use std::time::Instant;
     use tpupoint::{runtime::JobPhase, FleetJobRequest};
 
     const PACE_US: u64 = 2_000;
     const STABLE_K: u64 = 3;
+    const SCALE: f64 = 0.3;
     let id = WorkloadId::BertMrpc;
-    let config = || {
-        build(
-            id,
-            TpuGeneration::V2,
-            &BuildOptions {
-                scale: 0.3,
-                seed: 7,
-                ..BuildOptions::default()
-            },
-        )
-    };
-    let tmp = std::env::temp_dir().join(format!("tpupoint-bench-streaming-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
+    let tmp = ScratchDir::new("streaming");
 
     // One served run: a fleet of one, waited on until its job settles.
     let job_id = "bert-mrpc";
@@ -1067,189 +1130,110 @@ fn bench_streaming(out_dir: &Path) -> io::Result<String> {
         let t = Instant::now();
         let session = builder.build().serve_fleet()?;
         session
-            .submit(FleetJobRequest::new(config()).id(job_id))
+            .submit(FleetJobRequest::new(scaled_config(id, SCALE, 7)).id(job_id))
             .map_err(|e| io::Error::other(e.to_string()))?;
         let outcome = session.wait_for(Some(job_id))?;
-        let elapsed_us = t.elapsed().as_secs_f64() * 1e6;
+        let wall_us = elapsed_us(t);
         let job = &outcome.jobs[0];
         assert_eq!(job.phase, JobPhase::Completed, "{:?}", job.error);
-        Ok((elapsed_us, job.steps_completed))
+        Ok((wall_us, job.steps_completed))
     };
 
-    let full_dir = tmp.join("full");
-    let (full_us, steps) = serve_once(&full_dir, None)?;
-    let early_dir = tmp.join("early");
-    let (early_us, early_steps) = serve_once(&early_dir, Some(STABLE_K))?;
+    let (full_us, steps) = serve_once(&tmp.join("full"), None)?;
+    let (early_us, early_steps) = serve_once(&tmp.join("early"), Some(STABLE_K))?;
 
     // Early stop skips pacing, never recording.
     assert_eq!(steps, early_steps, "early stop lost recorded steps");
-    let records = |dir: &Path| dir.join("jobs").join(job_id).join("records");
-    assert_same_records(
-        &records(&full_dir),
-        &records(&early_dir),
-        "--stop-on-stable",
-    )?;
+    let records = |lane: &str| tmp.join(lane).join("jobs").join(job_id).join("records");
+    assert_same_records(&records("full"), &records("early"), "--stop-on-stable")?;
 
-    let speedup = full_us / early_us.max(1.0);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let doc = serde_json::json!({
-        "workload": id.label(),
-        "scale": 0.3,
-        "host_cores": host_cores,
-        "pace_us_per_step": PACE_US,
-        "stop_on_stable_k": STABLE_K,
-        "steps_recorded": steps,
-        "serve_wall": {
-            "full_us": full_us,
-            "early_stop_us": early_us,
-            "speedup": speedup,
-        },
-        "byte_identical_records": true,
-    });
-    std::fs::create_dir_all(out_dir)?;
-    let json = serde_json::to_string_pretty(&doc).map_err(|e| io::Error::other(e.to_string()))?;
-    std::fs::write(out_dir.join("BENCH_streaming.json"), json)?;
-    std::fs::remove_dir_all(&tmp)?;
-
-    Ok(format!(
-        "Streaming early-stop benchmark ({}, {PACE_US}us/step pace, K = {STABLE_K}):\n  \
-         serve wall {:>9.1} ms -> {:>9.1} ms  ({speedup:.2}x via --stop-on-stable)\n  \
-         {steps} steps recorded either way, records byte-identical ({host_cores} core(s))\n",
-        id.label(),
-        full_us / 1e3,
-        early_us / 1e3,
-    ))
+    BenchReport {
+        name: "streaming",
+        workload: id.label(),
+        threads: 1,
+        baseline: ("full", full_us),
+        change: ("early stop", early_us),
+        target_speedup: None,
+        layers: Vec::new(),
+        facts: serde_json::json!({
+            "scale": SCALE,
+            "pace_us_per_step": PACE_US,
+            "stop_on_stable_k": STABLE_K,
+            "steps_recorded": steps,
+            "byte_identical_records": true,
+        }),
+    }
+    .write(out_dir)
 }
 
-/// Parallel-simulation benchmark: the same throttled record store as
-/// `bench_pipeline` (a fixed real sleep per store call, standing in for
-/// slow cloud storage) driven over a (workload, seed) grid two ways —
-/// the serial engine one cell at a time, and the same engine per cell
-/// with the cells grid-parallel on the shared pool. End-to-end wall, run
-/// plus drain, is the reproduction target: the grid overlaps whole cells,
-/// so cells hide each other's store latency, while every record stays
-/// byte-identical to the sequential run. Writes `BENCH_simcore.json`.
+/// Parallel-simulation benchmark: a (workload, seed) grid of throttled
+/// jobs, as in `bench_pipeline`, run two ways — the serial engine one
+/// cell at a time, and the same engine per cell with the cells
+/// grid-parallel on the shared pool. End to end is run plus drain of
+/// every cell: the grid overlaps whole cells, so cells hide each other's
+/// store latency, while every record stays byte-identical to the
+/// sequential run.
 fn bench_simcore(out_dir: &Path) -> io::Result<String> {
-    use std::time::{Duration, Instant};
-    use tpupoint::profiler::{JsonlStore, RecordStore, ThrottledStore};
-
     const THREADS: usize = 4;
     const THROTTLE_US: u64 = 75;
-    const WINDOW_MAX_EVENTS: u64 = 256;
     const SCALE: f64 = 0.35;
-    let cells: &[(WorkloadId, u64)] = &[
-        (WorkloadId::DcganMnist, 7),
-        (WorkloadId::DcganMnist, 11),
-        (WorkloadId::DcganMnist, 13),
-        (WorkloadId::DcganMnist, 17),
-    ];
-    let tmp = std::env::temp_dir().join(format!("tpupoint-bench-simcore-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-
-    let cell_dir = |phase: &str, (id, seed): (WorkloadId, u64)| {
-        tmp.join(phase).join(format!("{}-{seed}", id.label()))
+    let id = WorkloadId::DcganMnist;
+    let seeds: &[u64] = &[7, 11, 13, 17];
+    let tmp = ScratchDir::new("simcore");
+    let cell_dir = |lane: &str, seed: u64| tmp.join(lane).join(format!("{}-{seed}", id.label()));
+    let run_cell = |lane: &str, seed: u64| {
+        let config = scaled_config(id, SCALE, seed);
+        run_throttled(&config, &cell_dir(lane, seed), THROTTLE_US, None)
     };
-    // One cell, end to end: build the job, run it into a throttled JSONL
-    // store, finish the profile.
-    let run_cell =
-        |dir: &Path, (id, seed): (WorkloadId, u64)| -> io::Result<(RunReport, Profile)> {
-            let config = build(
-                id,
-                TpuGeneration::V2,
-                &BuildOptions {
-                    scale: SCALE,
-                    seed,
-                    ..BuildOptions::default()
-                },
-            );
-            let job = TrainingJob::new(config.clone());
-            let store: Box<dyn RecordStore + Send> = Box::new(ThrottledStore::new(
-                JsonlStore::create(dir)?,
-                Duration::from_micros(THROTTLE_US),
-            ));
-            let options = ProfilerOptions {
-                window_max_events: WINDOW_MAX_EVENTS,
-                ..ProfilerOptions::default()
-            };
-            let mut sink = ProfilerSink::with_store(job.catalog().clone(), options, store);
-            sink.set_source(&config.model, &config.dataset.name);
-            let report = job.run(&mut sink);
-            Ok((report, sink.finish()))
-        };
-    let us = |t: Instant| t.elapsed().as_secs_f64() * 1e6;
     tpupoint_par::set_threads(THREADS);
 
-    // Phase 1: cells one after another — every store sleep lands on the
-    // one simulation thread.
+    // Cells one after another: every store sleep lands on the one
+    // simulation thread.
     let t = Instant::now();
-    let mut serial_runs = Vec::new();
-    for &cell in cells {
-        serial_runs.push(run_cell(&cell_dir("serial", cell), cell)?);
-    }
-    let serial_us = us(t);
+    let serial_runs: Vec<_> = seeds.iter().map(|&seed| run_cell("serial", seed)).collect();
+    let serial_us = elapsed_us(t);
 
-    // Phase 2: the same cells grid-parallel across the pool.
+    // The same cells grid-parallel across the pool.
     let t = Instant::now();
-    let grid_runs: Vec<io::Result<(RunReport, Profile)>> =
-        tpupoint_par::pool().par_map(cells, |_, &cell| run_cell(&cell_dir("grid", cell), cell));
-    let grid_us = us(t);
+    let grid_runs = tpupoint_par::pool().par_map(seeds, |_, &seed| run_cell("grid", seed));
+    let grid_us = elapsed_us(t);
     tpupoint_par::set_threads(0);
 
     // The grid may not change a single byte of output.
-    for (i, &cell) in cells.iter().enumerate() {
-        let (serial_report, serial_profile) = &serial_runs[i];
-        let (grid_report, grid_profile) = grid_runs[i]
-            .as_ref()
-            .map_err(|e| io::Error::other(e.to_string()))?;
+    let (mut windows_sealed, mut steps_recorded) = (0, 0);
+    for ((&seed, serial), grid) in seeds.iter().zip(serial_runs).zip(grid_runs) {
+        let (serial_report, serial_profile, ..) = serial?;
+        let (grid_report, grid_profile, ..) = grid?;
         assert_eq!(serial_report, grid_report, "grid report diverged");
         assert_eq!(serial_profile, grid_profile, "grid profile diverged");
         assert_same_records(
-            &cell_dir("serial", cell),
-            &cell_dir("grid", cell),
-            &format!("serial vs grid for {cell:?}"),
+            &cell_dir("serial", seed),
+            &cell_dir("grid", seed),
+            &format!("serial vs grid for seed {seed}"),
         )?;
+        windows_sealed += serial_profile.windows.len();
+        steps_recorded += serial_profile.steps.len();
     }
-    let windows_sealed: usize = serial_runs.iter().map(|(_, p)| p.windows.len()).sum();
-    let steps_recorded: usize = serial_runs.iter().map(|(_, p)| p.steps.len()).sum();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let grid_speedup = serial_us / grid_us.max(1.0);
-    let doc = serde_json::json!({
-        "cells": cells
-            .iter()
-            .map(|(id, seed)| format!("{}-{seed}", id.label()))
-            .collect::<Vec<_>>(),
-        "scale": SCALE,
-        "threads": THREADS,
-        "host_cores": host_cores,
-        "store_throttle_us_per_op": THROTTLE_US,
-        "window_max_events": WINDOW_MAX_EVENTS,
-        "windows_sealed": windows_sealed,
-        "steps_recorded": steps_recorded,
-        "end_to_end": {
-            "serial_us": serial_us,
-            "grid_us": grid_us,
-            "grid_speedup": grid_speedup,
-            "target_speedup": 2.0,
-        },
-        "byte_identical": true,
-    });
-    std::fs::create_dir_all(out_dir)?;
-    let json = serde_json::to_string_pretty(&doc).map_err(|e| io::Error::other(e.to_string()))?;
-    std::fs::write(out_dir.join("BENCH_simcore.json"), json)?;
-    std::fs::remove_dir_all(&tmp)?;
-
-    Ok(format!(
-        "Parallel-simulation benchmark ({} cells, {THREADS} threads on {host_cores} core(s), \
-         {THROTTLE_US}us/store-op throttle):\n  \
-         serial engine    {:>9.1} ms  (sequential cells)\n  \
-         grid-parallel    {:>9.1} ms  ({grid_speedup:.2}x, target >= 2.0x)\n  \
-         {windows_sealed} windows / {steps_recorded} steps stored, \
-         records byte-identical across both\n",
-        cells.len(),
-        serial_us / 1e3,
-        grid_us / 1e3,
-    ))
+    BenchReport {
+        name: "simcore",
+        workload: id.label(),
+        threads: THREADS,
+        baseline: ("sequential", serial_us),
+        change: ("grid", grid_us),
+        target_speedup: Some(2.0),
+        layers: Vec::new(),
+        facts: serde_json::json!({
+            "seeds": seeds,
+            "scale": SCALE,
+            "store_throttle_us_per_op": THROTTLE_US,
+            "window_max_events": WINDOW_MAX_EVENTS,
+            "windows_sealed": windows_sealed,
+            "steps_recorded": steps_recorded,
+            "byte_identical": true,
+        }),
+    }
+    .write(out_dir)
 }
 
 /// Multi-job fleet benchmark: the same (workload, seed) grid as a
@@ -1261,20 +1245,18 @@ fn bench_simcore(out_dir: &Path) -> io::Result<String> {
 /// threads hammer `GET /metrics` and `GET /healthz` on a 2 ms cadence
 /// for the whole run, collecting every scrape latency; resident memory
 /// is sampled throughout against an explicit `--fleet-memory-mib`-style
-/// budget. The reproduction targets: every job's series stays separately
-/// labeled on the one scrape plane, the plane keeps serving under churn
-/// (p99 scrape latency within bound — scrapes read published snapshots,
-/// never a live job registry), memory stays under the configured budget,
-/// and each steady job's sealed JSONL is **byte-identical** to its solo
-/// run. The end-to-end wall is reported against the sequential chain
-/// alongside the host's core count — on a single-core host the sim
-/// threads only interleave, so the honest ceiling there is parity minus
-/// contention, not a speedup. Writes `BENCH_fleet.json`.
+/// budget. The checks: every job's series stays separately labeled on
+/// the one scrape plane, the plane keeps serving under churn (p99 scrape
+/// latency within bound — scrapes read published snapshots, never a live
+/// job registry), memory stays under the budget, and each steady job's
+/// sealed records are byte-identical to its solo run. End to end, the
+/// fleet lane does more than the solo chain: every job also runs a
+/// streaming analyzer, and the scrapers and churn share the same cores.
 fn bench_fleet(out_dir: &Path) -> io::Result<String> {
     use std::io::{Read, Write};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
-    use std::time::Instant;
+    use tpupoint::runtime::FleetLimits;
 
     const STEADY_JOBS: u64 = 16;
     const CHURN_WAVES: u64 = 3;
@@ -1284,20 +1266,13 @@ fn bench_fleet(out_dir: &Path) -> io::Result<String> {
     const MEMORY_BUDGET_MIB: u64 = 1024;
     const P99_BOUND_US: u64 = 250_000;
     let id = WorkloadId::DcganMnist;
-    let config = |seed: u64| {
-        build(
-            id,
-            TpuGeneration::V2,
-            &BuildOptions {
-                scale: SCALE,
-                seed,
-                ..BuildOptions::default()
-            },
-        )
+    let limits = FleetLimits {
+        max_running: 8,
+        max_queued: 256,
+        per_tenant_active: 4,
+        ..FleetLimits::default()
     };
-    let tmp = std::env::temp_dir().join(format!("tpupoint-bench-fleet-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let us = |t: Instant| t.elapsed().as_secs_f64() * 1e6;
+    let tmp = ScratchDir::new("fleet");
     let rss_bytes = || -> u64 {
         std::fs::read_to_string("/proc/self/statm")
             .ok()
@@ -1314,9 +1289,9 @@ fn bench_fleet(out_dir: &Path) -> io::Result<String> {
             .analyzer(true)
             .output_dir(tmp.join("solo").join(format!("cell-{seed}")))
             .build()
-            .profile(config(seed))?;
+            .profile(scaled_config(id, SCALE, seed))?;
     }
-    let solo_us = us(t);
+    let solo_us = elapsed_us(t);
 
     // The fleet: every steady cell admitted through the control API under
     // its own tenant, running concurrently at batch speed behind one
@@ -1327,12 +1302,7 @@ fn bench_fleet(out_dir: &Path) -> io::Result<String> {
         .output_dir(&fleet_dir)
         .serve("127.0.0.1:0")
         .serve_pace_us(0)
-        .fleet_limits(tpupoint::runtime::FleetLimits {
-            max_running: 8,
-            max_queued: 256,
-            per_tenant_active: 4,
-            ..tpupoint::runtime::FleetLimits::default()
-        })
+        .fleet_limits(limits)
         .fleet_memory_mib(MEMORY_BUDGET_MIB)
         .build()
         .serve_fleet()
@@ -1361,24 +1331,23 @@ fn bench_fleet(out_dir: &Path) -> io::Result<String> {
                 while !done.load(Ordering::SeqCst) {
                     let t = Instant::now();
                     let metrics = http("GET /metrics HTTP/1.1\r\nHost: b\r\n\r\n");
-                    let elapsed = us(t) as u64;
+                    let elapsed = elapsed_us(t) as u64;
                     let _ = http("GET /healthz HTTP/1.1\r\nHost: b\r\n\r\n");
                     if metrics.is_ok() {
                         latencies.lock().unwrap().push(elapsed);
                     }
                     peak_rss.fetch_max(rss_bytes(), Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    std::thread::sleep(Duration::from_millis(2));
                 }
             })
         })
         .collect();
 
-    let rss_before = rss_bytes();
-    let t = Instant::now();
-    for seed in 0..STEADY_JOBS {
+    // Admits one job through the control API under its own tenant.
+    let post_job = |job: &str, tenant: &str, scale: f64, seed: u64| -> io::Result<()> {
         let body = format!(
-            "{{\"workload\": \"{}\", \"id\": \"cell-{seed}\", \"tenant\": \"tenant-{seed}\", \
-             \"scale\": {SCALE}, \"seed\": {seed}}}",
+            "{{\"workload\": \"{}\", \"id\": \"{job}\", \"tenant\": \"{tenant}\", \
+             \"scale\": {scale}, \"seed\": {seed}}}",
             id.label()
         );
         let response = http(&format!(
@@ -1386,26 +1355,27 @@ fn bench_fleet(out_dir: &Path) -> io::Result<String> {
             body.len()
         ))?;
         assert!(response.starts_with("HTTP/1.1 201"), "{response}");
+        Ok(())
+    };
+    let rss_before = rss_bytes();
+    let t = Instant::now();
+    for seed in 0..STEADY_JOBS {
+        post_job(
+            &format!("cell-{seed}"),
+            &format!("tenant-{seed}"),
+            SCALE,
+            seed,
+        )?;
     }
     // Churn storm: waves of short-lived tenants admitted and cancelled
     // while the steady cells execute — the admission queue, the cancel
     // path, and the scrape plane all take the hit at once.
     for wave in 0..CHURN_WAVES {
         for i in 0..CHURN_PER_WAVE {
-            let body = format!(
-                "{{\"workload\": \"{}\", \"id\": \"churn-{wave}-{i}\", \
-                 \"tenant\": \"churn-{wave}-{i}\", \"scale\": {CHURN_SCALE}, \
-                 \"seed\": {}}}",
-                id.label(),
-                100 + wave * CHURN_PER_WAVE + i
-            );
-            let response = http(&format!(
-                "POST /jobs HTTP/1.1\r\nHost: b\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            ))?;
-            assert!(response.starts_with("HTTP/1.1 201"), "{response}");
+            let job = format!("churn-{wave}-{i}");
+            post_job(&job, &job, CHURN_SCALE, 100 + wave * CHURN_PER_WAVE + i)?;
         }
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(30));
         for i in 0..CHURN_PER_WAVE {
             let response = http(&format!(
                 "DELETE /jobs/churn-{wave}-{i} HTTP/1.1\r\nHost: b\r\n\r\n"
@@ -1414,7 +1384,7 @@ fn bench_fleet(out_dir: &Path) -> io::Result<String> {
         }
     }
     session.wait_jobs_idle();
-    let fleet_us = us(t);
+    let fleet_us = elapsed_us(t);
     done.store(true, Ordering::SeqCst);
     for scraper in scrapers {
         let _ = scraper.join();
@@ -1488,78 +1458,49 @@ fn bench_fleet(out_dir: &Path) -> io::Result<String> {
     sorted.sort_unstable();
     assert!(!sorted.is_empty(), "no scrape ever succeeded mid-run");
     let percentile = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
-    let (p50, p99, max) = (percentile(0.5), percentile(0.99), sorted[sorted.len() - 1]);
+    let p99 = percentile(0.99);
     assert!(
         p99 < P99_BOUND_US,
         "p99 scrape latency {p99} us blew the {P99_BOUND_US} us bound"
     );
 
-    let speedup = solo_us / fleet_us.max(1.0);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let doc = serde_json::json!({
-        "workload": id.label(),
-        "scale": SCALE,
-        "jobs": total_jobs,
-        "steady_jobs": STEADY_JOBS,
-        "churn_jobs": CHURN_WAVES * CHURN_PER_WAVE,
-        "steps_recorded": steps_recorded,
-        "end_to_end": {
-            "solo_sequential_us": solo_us,
-            "fleet_concurrent_us": fleet_us,
-            "speedup": speedup,
-            "host_cores": cores,
-        },
-        "scrape_plane": {
+    BenchReport {
+        name: "fleet",
+        workload: id.label(),
+        threads: limits.max_running,
+        baseline: ("solo chain", solo_us),
+        change: ("fleet", fleet_us),
+        target_speedup: None,
+        layers: Vec::new(),
+        facts: serde_json::json!({
+            "scale": SCALE,
+            "jobs": total_jobs,
+            "steady_jobs": STEADY_JOBS,
+            "churn_jobs": CHURN_WAVES * CHURN_PER_WAVE,
+            "steps_recorded": steps_recorded,
+            "byte_identical_to_solo": true,
             "scrapes_served_mid_run": sorted.len(),
-            "scrape_p50_us": p50,
+            "scrape_p50_us": percentile(0.5),
             "scrape_p99_us": p99,
-            "max_scrape_us": max,
+            "max_scrape_us": sorted[sorted.len() - 1],
             "scrape_p99_bound_us": P99_BOUND_US,
             "scrape_p99_within_bound": true,
             "one_header_per_family": true,
-        },
-        "memory": {
             "rss_growth_bytes": rss_growth,
             "budget_bytes": budget_bytes,
             "within_budget": true,
-        },
-        "byte_identical_to_solo": true,
-    });
-    std::fs::create_dir_all(out_dir)?;
-    let json = serde_json::to_string_pretty(&doc).map_err(|e| io::Error::other(e.to_string()))?;
-    std::fs::write(out_dir.join("BENCH_fleet.json"), json)?;
-    std::fs::remove_dir_all(&tmp)?;
-
-    Ok(format!(
-        "Fleet benchmark ({total_jobs} {} jobs: {STEADY_JOBS} steady + {} churned, \
-         one scrape plane, {cores} core(s)):\n  \
-         solo chain  {:>9.1} ms -> fleet {:>9.1} ms  ({speedup:.2}x)\n  \
-         {} mid-run scrapes served (p50 {:.1} ms, p99 {:.1} ms, max {:.1} ms), \
-         RSS growth {:.1} MiB of {MEMORY_BUDGET_MIB} MiB budget\n  \
-         {steps_recorded} steps recorded, every steady job byte-identical to its solo run\n",
-        id.label(),
-        CHURN_WAVES * CHURN_PER_WAVE,
-        solo_us / 1e3,
-        fleet_us / 1e3,
-        sorted.len(),
-        p50 as f64 / 1e3,
-        p99 as f64 / 1e3,
-        max as f64 / 1e3,
-        rss_growth as f64 / (1024.0 * 1024.0),
-    ))
+        }),
+    }
+    .write(out_dir)
 }
 
 /// Record-store format benchmark: the same synthetic record stream
 /// ingested once through the JSONL store and once through the binary
-/// segment store, measuring records/sec on the write path and the
-/// recovery wall on the read-back path. Compaction is disabled so both
-/// lanes do identical work per record; the reproduction target is the
-/// binary format's framing win — >= 2x JSONL ingest throughput with a
-/// smaller on-disk footprint and equal recovered records. Writes
-/// `BENCH_store.json`.
+/// segment store, then recovered from each. Compaction is disabled so
+/// both lanes do identical work per record. End to end is ingest plus
+/// recovery; the recovered records must be equal.
 fn bench_store(out_dir: &Path) -> io::Result<String> {
     use std::collections::BTreeMap;
-    use std::time::Instant;
     use tpupoint::profiler::{
         recover_records, BinaryStore, BinaryStoreConfig, JsonlStore, OpStats, RecordStore,
         StepRecord, WindowRecord,
@@ -1605,7 +1546,7 @@ fn bench_store(out_dir: &Path) -> io::Result<String> {
         last_step: i * 10 + 9,
     };
 
-    let ingest = |store: &mut dyn RecordStore| -> io::Result<f64> {
+    let ingest = |mut store: Box<dyn RecordStore>| -> io::Result<f64> {
         let t = Instant::now();
         let mut windows = 0u64;
         for i in 0..STEPS {
@@ -1620,7 +1561,7 @@ fn bench_store(out_dir: &Path) -> io::Result<String> {
             }
         }
         store.seal()?;
-        Ok(t.elapsed().as_secs_f64() * 1e6)
+        Ok(elapsed_us(t))
     };
     let disk_bytes = |dir: &Path| -> io::Result<u64> {
         let mut total = 0;
@@ -1630,31 +1571,24 @@ fn bench_store(out_dir: &Path) -> io::Result<String> {
         Ok(total)
     };
 
-    let tmp = std::env::temp_dir().join(format!("tpupoint-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let jsonl_dir = tmp.join("jsonl");
-    let binary_dir = tmp.join("binary");
-
-    let mut store = JsonlStore::create(&jsonl_dir)?;
-    let jsonl_ingest_us = ingest(&mut store)?;
-    drop(store);
-    let mut store = BinaryStore::with_config(
+    let tmp = ScratchDir::new("store");
+    let (jsonl_dir, binary_dir) = (tmp.join("jsonl"), tmp.join("binary"));
+    let jsonl_ingest_us = ingest(Box::new(JsonlStore::create(&jsonl_dir)?))?;
+    let binary_ingest_us = ingest(Box::new(BinaryStore::with_config(
         &binary_dir,
         BinaryStoreConfig {
             compact_segments: usize::MAX,
             background: false,
             ..BinaryStoreConfig::default()
         },
-    )?;
-    let binary_ingest_us = ingest(&mut store)?;
-    drop(store);
+    )?))?;
 
     let t = Instant::now();
     let jsonl_recovered = recover_records(&jsonl_dir)?;
-    let jsonl_recover_us = t.elapsed().as_secs_f64() * 1e6;
+    let jsonl_recover_us = elapsed_us(t);
     let t = Instant::now();
     let binary_recovered = recover_records(&binary_dir)?;
-    let binary_recover_us = t.elapsed().as_secs_f64() * 1e6;
+    let binary_recover_us = elapsed_us(t);
 
     // Both formats must hand back the identical record stream.
     assert_eq!(jsonl_recovered.steps.len() as u64, STEPS);
@@ -1664,53 +1598,34 @@ fn bench_store(out_dir: &Path) -> io::Result<String> {
     assert_eq!(jsonl_recovered.missing_acknowledged(), (0, 0));
     assert_eq!(binary_recovered.missing_acknowledged(), (0, 0));
 
-    let records = STEPS + WINDOWS;
-    let jsonl_rps = records as f64 / (jsonl_ingest_us / 1e6).max(1e-9);
-    let binary_rps = records as f64 / (binary_ingest_us / 1e6).max(1e-9);
-    let speedup = binary_rps / jsonl_rps.max(1e-9);
+    let records_per_sec = |ingest_us: f64| (STEPS + WINDOWS) as f64 / (ingest_us / 1e6).max(1e-9);
     let jsonl_bytes = disk_bytes(&jsonl_dir)?;
     let binary_bytes = disk_bytes(&binary_dir)?;
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let doc = serde_json::json!({
-        "host_cores": host_cores,
-        "steps": STEPS,
-        "windows": WINDOWS,
-        "ops_per_step": OPS_PER_STEP,
-        "flush_every": FLUSH_EVERY,
-        "ingest": {
-            "jsonl": { "wall_us": jsonl_ingest_us, "records_per_sec": jsonl_rps, "disk_bytes": jsonl_bytes },
-            "binary": { "wall_us": binary_ingest_us, "records_per_sec": binary_rps, "disk_bytes": binary_bytes },
-            "speedup": speedup,
-            "target_speedup": 2.0,
-        },
-        "recovery": {
-            "jsonl_wall_us": jsonl_recover_us,
-            "binary_wall_us": binary_recover_us,
-        },
-        "compression_ratio": jsonl_bytes as f64 / binary_bytes.max(1) as f64,
-        "recovered_equal": true,
-    });
-    std::fs::create_dir_all(out_dir)?;
-    let json = serde_json::to_string_pretty(&doc).map_err(|e| io::Error::other(e.to_string()))?;
-    std::fs::write(out_dir.join("BENCH_store.json"), json)?;
-    std::fs::remove_dir_all(&tmp)?;
-
-    Ok(format!(
-        "Record-store format benchmark ({records} records, flush every {FLUSH_EVERY}):\n  \
-         ingest   jsonl {:>9.1} ms ({:>9.0} rec/s) -> binary {:>9.1} ms ({:>9.0} rec/s)  ({speedup:.2}x, target >= 2x)\n  \
-         recovery jsonl {:>9.1} ms -> binary {:>9.1} ms\n  \
-         on disk  jsonl {:.2} MiB -> binary {:.2} MiB ({:.2}x smaller), recovered records identical\n",
-        jsonl_ingest_us / 1e3,
-        jsonl_rps,
-        binary_ingest_us / 1e3,
-        binary_rps,
-        jsonl_recover_us / 1e3,
-        binary_recover_us / 1e3,
-        jsonl_bytes as f64 / (1024.0 * 1024.0),
-        binary_bytes as f64 / (1024.0 * 1024.0),
-        jsonl_bytes as f64 / binary_bytes.max(1) as f64,
-    ))
+    BenchReport {
+        name: "store",
+        workload: "synthetic records",
+        threads: 1,
+        baseline: ("JSONL", jsonl_ingest_us + jsonl_recover_us),
+        change: ("binary", binary_ingest_us + binary_recover_us),
+        target_speedup: Some(2.0),
+        layers: vec![
+            ("ingest", jsonl_ingest_us, binary_ingest_us),
+            ("recovery", jsonl_recover_us, binary_recover_us),
+        ],
+        facts: serde_json::json!({
+            "steps": STEPS,
+            "windows": WINDOWS,
+            "ops_per_step": OPS_PER_STEP,
+            "flush_every": FLUSH_EVERY,
+            "jsonl_records_per_sec": records_per_sec(jsonl_ingest_us),
+            "binary_records_per_sec": records_per_sec(binary_ingest_us),
+            "jsonl_disk_bytes": jsonl_bytes,
+            "binary_disk_bytes": binary_bytes,
+            "compression_ratio": jsonl_bytes as f64 / binary_bytes.max(1) as f64,
+            "recovered_equal": true,
+        }),
+    }
+    .write(out_dir)
 }
 
 #[cfg(test)]
@@ -1741,5 +1656,79 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), ALL.len());
+    }
+
+    #[test]
+    fn bench_report_summary_leads_with_end_to_end_then_layers_then_host() {
+        let dir = ScratchDir::new("report-unit");
+        let summary = BenchReport {
+            name: "unit",
+            workload: "toy",
+            threads: 3,
+            baseline: ("before", 4_000.0),
+            change: ("after", 1_000.0),
+            target_speedup: Some(2.0),
+            layers: vec![("layer", 3_000.0, 500.0)],
+            facts: serde_json::json!({ "checked": true }),
+        }
+        .write(&dir.0)
+        .unwrap();
+        let lines: Vec<&str> = summary.lines().collect();
+        assert_eq!(lines[0], "bench_unit (toy): before -> after", "{summary}");
+        assert!(lines[1].starts_with("  end to end"), "{summary}");
+        assert!(lines[1].ends_with("(4.00x, target >= 2x)"), "{summary}");
+        assert!(lines[2].starts_with("  layer") && lines[2].ends_with("(6.00x)"));
+        assert!(lines[3].starts_with("  host: ") && lines[3].ends_with(", 3 thread(s)"));
+        assert_eq!(lines[4], "  checked: true", "{summary}");
+
+        let json = std::fs::read_to_string(dir.join("BENCH_unit.json")).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(doc["end_to_end"]["speedup"], 4.0);
+        assert_eq!(doc["end_to_end"]["baseline"], "before");
+        assert_eq!(doc["layers"][0]["speedup"], 6.0);
+        assert_eq!(doc["facts"]["checked"], true);
+        assert!(doc["host_cores"].as_u64().is_some_and(|n| n >= 1));
+    }
+
+    #[test]
+    fn every_committed_bench_report_records_end_to_end_and_host() {
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut found = Vec::new();
+        for entry in std::fs::read_dir(&results).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let json = std::fs::read_to_string(&path).unwrap();
+            let doc: serde_json::Value =
+                serde_json::from_str(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
+            for key in ["host_cores", "threads"] {
+                assert!(doc[key].as_u64().is_some_and(|n| n >= 1), "{name}: {key}");
+            }
+            let end_to_end = &doc["end_to_end"];
+            let lane = |key: &str| {
+                end_to_end[key]
+                    .as_f64()
+                    .filter(|us| *us > 0.0)
+                    .unwrap_or_else(|| panic!("{name}: end_to_end.{key}"))
+            };
+            let (baseline_us, change_us) = (lane("baseline_us"), lane("change_us"));
+            let speedup = lane("speedup");
+            let expected = baseline_us / change_us.max(1.0);
+            assert!(
+                (speedup - expected).abs() <= 1e-9 * expected,
+                "{name}: speedup {speedup} is not baseline / change = {expected}"
+            );
+            found.push(name);
+        }
+        found.sort();
+        let mut expected: Vec<String> = ALL
+            .iter()
+            .filter_map(|id| id.strip_prefix("bench_"))
+            .map(|bench| format!("BENCH_{bench}.json"))
+            .collect();
+        expected.sort();
+        assert_eq!(found, expected, "one committed report per bench experiment");
     }
 }

@@ -87,86 +87,14 @@ pub fn to_prometheus(snapshot: &MetricsSnapshot) -> String {
 /// series — serve mode uses this to stamp each scrape with the workload
 /// it observes. Label values are escaped per the exposition format.
 pub fn to_prometheus_labeled(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -> String {
-    let plain = label_block(labels, None);
-    let mut out = String::new();
-    for (name, value) in &snapshot.counters {
-        let prom = prom_name(name);
-        push_headers(&mut out, &prom, name, "counter");
-        out.push_str(&format!("{prom}{plain} {value}\n"));
-    }
-    // `analyzer.phase_occupancy.<N>` gauges are one *family*: they share
-    // a single HELP/TYPE header and export as a `phase="N"` label on one
-    // series name. The registry itself has no labeled series, so the
-    // phase id rides in the dotted name until this point. BTreeMap
-    // ordering keeps the family contiguous, so the header is emitted
-    // once, before the first member.
-    let mut phase_header_done = false;
-    for (name, value) in &snapshot.gauges {
-        if let Some(phase) = name.strip_prefix(PHASE_OCCUPANCY_PREFIX) {
-            if phase.chars().all(|c| c.is_ascii_digit()) && !phase.is_empty() {
-                let family = PHASE_OCCUPANCY_PREFIX.trim_end_matches('.');
-                let prom = prom_name(family);
-                if !phase_header_done {
-                    push_headers(&mut out, &prom, family, "gauge");
-                    phase_header_done = true;
-                }
-                let mut with_phase = labels.to_vec();
-                with_phase.push(("phase", phase));
-                let block = label_block(&with_phase, None);
-                out.push_str(&format!("{prom}{block} {}\n", float_json(*value)));
-                continue;
-            }
-        }
-        let prom = prom_name(name);
-        push_headers(&mut out, &prom, name, "gauge");
-        out.push_str(&format!("{prom}{plain} {}\n", float_json(*value)));
-    }
-    for (name, hist) in &snapshot.histograms {
-        let prom = prom_name(name);
-        push_headers(&mut out, &prom, name, "histogram");
-        let mut cumulative = 0u64;
-        for (le, count) in &hist.buckets {
-            cumulative += count;
-            let with_le = label_block(labels, Some(&le.to_string()));
-            out.push_str(&format!("{prom}_bucket{with_le} {cumulative}\n"));
-        }
-        let inf = label_block(labels, Some("+Inf"));
-        out.push_str(&format!("{prom}_bucket{inf} {}\n", hist.count));
-        out.push_str(&format!("{prom}_sum{plain} {}\n", hist.sum));
-        out.push_str(&format!("{prom}_count{plain} {}\n", hist.count));
-    }
-    out
+    to_prometheus_multi_ref(&[LabeledSnapshotRef::new(labels, snapshot)])
 }
 
 /// One labeled registry view inside a multi-registry exposition; see
-/// [`to_prometheus_multi`].
-#[derive(Debug, Clone, Default)]
-pub struct LabeledSnapshot {
-    /// Constant labels stamped on every series from this snapshot
-    /// (e.g. `[("job", "bert-a"), ("tenant", "alice")]`).
-    pub labels: Vec<(String, String)>,
-    /// The registry view itself.
-    pub snapshot: MetricsSnapshot,
-}
-
-impl LabeledSnapshot {
-    /// Convenience constructor from borrowed label pairs.
-    pub fn new(labels: &[(&str, &str)], snapshot: MetricsSnapshot) -> LabeledSnapshot {
-        LabeledSnapshot {
-            labels: labels
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
-            snapshot,
-        }
-    }
-}
-
-/// Borrowed-snapshot variant of [`LabeledSnapshot`]: the labels are
-/// owned, the registry view is not. The fleet's scrape plane renders its
-/// *published* snapshots (shared `Arc`s swapped by the jobs themselves)
-/// through this type, so a scrape never clones a snapshot just to
-/// exposition it.
+/// [`to_prometheus_multi_ref`]. The labels are owned, the registry view
+/// is not: the fleet's scrape plane renders its *published* snapshots
+/// (shared `Arc`s swapped by the jobs themselves) through this type, so
+/// a scrape never clones a snapshot just to exposition it.
 #[derive(Debug, Clone)]
 pub struct LabeledSnapshotRef<'a> {
     /// Constant labels stamped on every series from this snapshot.
@@ -191,25 +119,12 @@ impl<'a> LabeledSnapshotRef<'a> {
 /// Renders several labeled registries (the fleet's per-job registries
 /// plus the process-wide one) as a single Prometheus exposition.
 ///
-/// Naive concatenation of [`to_prometheus_labeled`] outputs would repeat
-/// each family's `# HELP`/`# TYPE` headers once per registry — invalid
+/// Naive concatenation of per-registry expositions would repeat each
+/// family's `# HELP`/`# TYPE` headers once per registry — invalid
 /// exposition text. This exporter groups series by family first: one
 /// header per family, then every registry's series for it, each stamped
 /// with that registry's constant labels. The `analyzer.phase_occupancy.*`
-/// dotted-name family keeps its `phase=` label treatment.
-pub fn to_prometheus_multi(groups: &[LabeledSnapshot]) -> String {
-    let borrowed: Vec<LabeledSnapshotRef<'_>> = groups
-        .iter()
-        .map(|group| LabeledSnapshotRef {
-            labels: group.labels.clone(),
-            snapshot: &group.snapshot,
-        })
-        .collect();
-    to_prometheus_multi_ref(&borrowed)
-}
-
-/// [`to_prometheus_multi`] over borrowed snapshots; see
-/// [`LabeledSnapshotRef`].
+/// dotted-name family exports as one series name with a `phase=` label.
 pub fn to_prometheus_multi_ref(groups: &[LabeledSnapshotRef<'_>]) -> String {
     type Labels = Vec<(String, String)>;
     type Series = Vec<(Labels, String)>;
@@ -538,9 +453,10 @@ mod tests {
         job_b.counter("profiler.windows_sealed").add(9);
         job_b.gauge("analyzer.phase_occupancy.1").set(7.0);
         job_b.histogram("profiler.store_backoff_us").record(900);
-        let text = to_prometheus_multi(&[
-            LabeledSnapshot::new(&[("job", "a")], job_a.snapshot()),
-            LabeledSnapshot::new(&[("job", "b")], job_b.snapshot()),
+        let (snapshot_a, snapshot_b) = (job_a.snapshot(), job_b.snapshot());
+        let text = to_prometheus_multi_ref(&[
+            LabeledSnapshotRef::new(&[("job", "a")], &snapshot_a),
+            LabeledSnapshotRef::new(&[("job", "b")], &snapshot_b),
         ]);
         // Both jobs' series share one HELP/TYPE header per family.
         assert_eq!(
@@ -572,7 +488,7 @@ mod tests {
         // An unlabeled group (the process-wide registry) keeps bare series.
         let plain = Metrics::new();
         plain.counter("obs.http_requests").add(2);
-        let text = to_prometheus_multi(&[LabeledSnapshot::new(&[], plain.snapshot())]);
+        let text = to_prometheus_multi_ref(&[LabeledSnapshotRef::new(&[], &plain.snapshot())]);
         assert!(text.contains("tpupoint_obs_http_requests 2\n"), "{text}");
     }
 
@@ -580,8 +496,10 @@ mod tests {
     fn multi_registry_export_matches_single_for_one_group() {
         let snapshot = sample();
         let single = to_prometheus_labeled(&snapshot, &[("workload", "bert-mrpc")]);
-        let multi =
-            to_prometheus_multi(&[LabeledSnapshot::new(&[("workload", "bert-mrpc")], snapshot)]);
+        let multi = to_prometheus_multi_ref(&[LabeledSnapshotRef::new(
+            &[("workload", "bert-mrpc")],
+            &snapshot,
+        )]);
         assert_eq!(single, multi);
     }
 

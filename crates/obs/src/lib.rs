@@ -30,7 +30,7 @@ mod trace;
 
 pub use export::{
     prom_escape_help, prom_escape_label, to_json, to_prometheus, to_prometheus_labeled,
-    to_prometheus_multi, to_prometheus_multi_ref, LabeledSnapshot, LabeledSnapshotRef,
+    to_prometheus_multi_ref, LabeledSnapshotRef,
 };
 pub use http::{Health, MetricsServer, Request, Response, ServeHooks};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
