@@ -1496,14 +1496,12 @@ fn bench_fleet(out_dir: &Path) -> io::Result<String> {
 
 /// Record-store format benchmark: the same synthetic record stream
 /// ingested once through the JSONL store and once through the binary
-/// segment store, then recovered from each. Compaction is disabled so
-/// both lanes do identical work per record. End to end is ingest plus
+/// segment store, then recovered from each. End to end is ingest plus
 /// recovery; the recovered records must be equal.
 fn bench_store(out_dir: &Path) -> io::Result<String> {
     use std::collections::BTreeMap;
     use tpupoint::profiler::{
-        recover_records, BinaryStore, BinaryStoreConfig, JsonlStore, OpStats, RecordStore,
-        StepRecord, WindowRecord,
+        recover_records, BinaryStore, JsonlStore, OpStats, RecordStore, StepRecord, WindowRecord,
     };
     use tpupoint::sim::{OpId, SimDuration, SimTime};
 
@@ -1574,14 +1572,7 @@ fn bench_store(out_dir: &Path) -> io::Result<String> {
     let tmp = ScratchDir::new("store");
     let (jsonl_dir, binary_dir) = (tmp.join("jsonl"), tmp.join("binary"));
     let jsonl_ingest_us = ingest(Box::new(JsonlStore::create(&jsonl_dir)?))?;
-    let binary_ingest_us = ingest(Box::new(BinaryStore::with_config(
-        &binary_dir,
-        BinaryStoreConfig {
-            compact_segments: usize::MAX,
-            background: false,
-            ..BinaryStoreConfig::default()
-        },
-    )?))?;
+    let binary_ingest_us = ingest(Box::new(BinaryStore::create(&binary_dir)?))?;
 
     let t = Instant::now();
     let jsonl_recovered = recover_records(&jsonl_dir)?;

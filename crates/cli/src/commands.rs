@@ -30,11 +30,11 @@ USAGE:
       injects store failures with the given per-call probability
       (deterministic under --store-fault-seed) to exercise that path.
       --store-format picks the record encoding (default binary): binary
-      writes length-prefixed checksummed segments, rotated every
-      --store-segment-kib KiB (default 256) and merged by a background
-      compaction task; --store-retain-mib budgets the sealed bytes kept,
-      retiring the oldest segments with manifest accounting (0 = keep
-      everything). jsonl writes human-readable JSON lines instead. Both
+      writes length-prefixed checksummed segments, one file per
+      --store-segment-kib KiB of records (default 256; raise it for
+      fewer files); --store-retain-mib budgets the sealed bytes kept,
+      retiring the oldest segments inline at each rotation with manifest
+      accounting (0 = keep everything). jsonl writes human-readable JSON lines instead. Both
       formats share the crash-recovery contract; `analyze --recover`
       auto-detects whichever was written.
       --pipeline-profiler seals windows off the simulation thread on the

@@ -272,8 +272,7 @@ fn help_text(name: &str) -> String {
         "analyzer.stable_windows" => "Consecutive streaming updates at or above the stability threshold",
         "analyzer.last_transition_step" => "Step of the most recent phase-label change in the streaming timeline",
         "store.segments" => "Sealed binary segments currently listed in the store manifest",
-        "store.compactions" => "Binary segment compaction merges completed",
-        "store.bytes_reclaimed" => "Bytes of disk freed by segment maintenance: compaction merges (net) plus retention-retired segments",
+        "store.bytes_reclaimed" => "Bytes of disk freed by segments retired by retention",
         "store.bytes_written" => "Bytes of encoded frames written to binary segment files",
         "store.records_retired" => "Acknowledged records retired (accounted, not lost) by the retention budget",
         "fleet.jobs_running" => "Fleet jobs currently executing on their job threads",

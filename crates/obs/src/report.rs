@@ -94,7 +94,7 @@ pub struct PhaseHealth {
 /// Health of the binary segment store, when one ran. Kept as an `Option`
 /// on [`ObsReport`] following the [`PhaseHealth`] convention: the
 /// `store.segments` gauge is the sentinel — the binary store publishes it
-/// on every rotation/compaction/retention pass and on a registry rebind
+/// on every rotation, every retention retirement, and on a registry rebind
 /// (any binary run that stored records has published it by seal time), so
 /// its absence means the JSONL store (which has no segment tier) ran
 /// instead. Publication is deferred past construction so a fleet job's
@@ -104,10 +104,8 @@ pub struct PhaseHealth {
 pub struct StoreFormatHealth {
     /// Sealed segments currently listed in the manifest.
     pub segments: u64,
-    /// Background/seal-time compaction merges completed.
-    pub compactions: u64,
-    /// Bytes of disk freed by maintenance: compaction merges (net) plus
-    /// retention-retired segments.
+    /// Bytes of disk freed by segments retired by the retention budget,
+    /// which runs inline at each rotation and at seal.
     pub bytes_reclaimed: u64,
     /// Bytes of encoded frames written to segment files.
     pub bytes_written: u64,
@@ -266,13 +264,12 @@ impl ObsReport {
         });
 
         // `store.segments` is published by the binary segment store on
-        // every rotation/compaction/retention pass and on a registry
+        // every rotation and retention retirement and on a registry
         // rebind — by seal time for any binary run that stored records —
         // so its absence means the JSONL store ran: the same sentinel
         // convention as the phase gauges.
         let store_format = gauge("store.segments").map(|segments| StoreFormatHealth {
             segments: segments as u64,
-            compactions: counter("store.compactions"),
             bytes_reclaimed: counter("store.bytes_reclaimed"),
             bytes_written: counter("store.bytes_written"),
             records_retired: counter("store.records_retired"),
@@ -429,10 +426,9 @@ impl ObsReport {
         if let Some(format) = &self.store_format {
             let _ = writeln!(
                 out,
-                "segment store:   {} segments ({} written), {} compactions, {} reclaimed, {} records retired",
+                "segment store:   {} segments ({} written), {} reclaimed, {} records retired",
                 format.segments,
                 format_bytes(format.bytes_written),
-                format.compactions,
                 format_bytes(format.bytes_reclaimed),
                 format.records_retired
             );
@@ -696,7 +692,6 @@ mod tests {
     fn store_format_health_reflects_segment_metrics() {
         let metrics = Metrics::new();
         metrics.gauge("store.segments").set(5.0);
-        metrics.counter("store.compactions").add(3);
         metrics
             .counter("store.bytes_reclaimed")
             .add(2 * 1024 * 1024);
@@ -708,7 +703,6 @@ mod tests {
             .as_ref()
             .expect("segments gauge present");
         assert_eq!(format.segments, 5);
-        assert_eq!(format.compactions, 3);
         assert_eq!(format.bytes_reclaimed, 2 * 1024 * 1024);
         assert_eq!(format.bytes_written, 9 * 1024);
         assert_eq!(format.records_retired, 120);
@@ -718,7 +712,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("3 compactions, 2.00MiB reclaimed, 120 records retired"),
+            text.contains("(9.00KiB written), 2.00MiB reclaimed, 120 records retired"),
             "{text}"
         );
     }

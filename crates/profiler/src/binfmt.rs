@@ -206,9 +206,6 @@ pub struct SegmentRead {
     pub steps: Vec<StepRecord>,
     /// Window records decoded, in stream order.
     pub windows: Vec<WindowRecord>,
-    /// Bytes of the valid prefix (header + intact frames). Compaction
-    /// copies exactly `bytes[SEGMENT_HEADER_LEN..valid_len]`.
-    pub valid_len: usize,
     /// True when the stream ended exactly on a frame boundary; false on a
     /// torn tail, corrupt frame, or bad header.
     pub clean: bool,
@@ -266,11 +263,7 @@ pub fn read_segment(bytes: &[u8]) -> SegmentRead {
             _ => break, // unknown kind: cannot resync past it safely
         }
         pos += frame_len;
-        read.valid_len = pos;
         read.torn_kind = None;
-    }
-    if read.valid_len == 0 {
-        read.valid_len = SEGMENT_HEADER_LEN.min(bytes.len());
     }
     read
 }
@@ -379,7 +372,6 @@ mod tests {
         assert!(read.clean);
         assert_eq!(read.steps, steps);
         assert_eq!(read.windows, windows);
-        assert_eq!(read.valid_len, bytes.len());
     }
 
     #[test]

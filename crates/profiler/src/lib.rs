@@ -43,7 +43,7 @@ pub use pipeline::{PipelineConfig, SealPipeline};
 pub use profile::Profile;
 pub use record::{OpStats, StepRecord};
 pub use resilience::{FaultConfig, FaultStore, RetryPolicy, RetryStore, ThrottledStore};
-pub use segstore::{BinaryStore, BinaryStoreConfig, CompactCrashPoint};
+pub use segstore::{BinaryStore, BinaryStoreConfig};
 pub use sink::{ProfilerOptions, ProfilerSink};
 pub use store::{
     record_files, recover_records, InMemoryStore, JsonlStore, RecordStore, RecoveredLoad,

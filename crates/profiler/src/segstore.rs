@@ -1,5 +1,5 @@
 //! [`BinaryStore`]: the binary segment backend behind [`RecordStore`],
-//! with background compaction and retention.
+//! with inline retention.
 //!
 //! # Layout and crash tolerance
 //!
@@ -8,35 +8,39 @@
 //! [`BinaryStoreConfig::segment_bytes`] it is flushed, committed to the
 //! manifest's segment list — the *authoritative* set and order of sealed
 //! segments — and then renamed to `seg-NNNNNN.bin`, the same
-//! `.part`-then-rename discipline as the JSONL store. The manifest itself
-//! is always replaced atomically, so every on-disk state a `kill -9` can
-//! leave is one of:
+//! `.part`-then-rename discipline as the JSONL store. Each segment is
+//! written once and never rewritten. The manifest itself is always
+//! replaced atomically, so every on-disk state a `kill -9` can leave is
+//! one of:
 //!
 //! * a torn active `.part` tail — recovery salvages the valid frame
 //!   prefix, exactly like the JSONL torn-line recovery;
 //! * a manifest-listed segment still under its `.part` name (the commit
 //!   precedes the sealing rename) — recovery reads the part file in its
 //!   place, so the acknowledged records it holds are never orphaned;
-//! * a renamed segment the manifest does not name — an uncommitted
-//!   compaction output, ignored (its records live on in the still-listed
-//!   input segments);
-//! * a manifest naming only old or only new segments around a compaction
-//!   — recovery reads whichever set the manifest committed, never a mix.
+//! * a sealed segment the manifest no longer names — one retention
+//!   retired but had not yet unlinked, ignored because its records are
+//!   already in the retired counts.
 //!
-//! # Compaction and retention
+//! Because rotation commits before it renames, no sealed file the
+//! manifest does not name ever holds unaccounted records, so recovery
+//! ignores every unlisted `seg-*.bin`. That rule also covers directories
+//! written by older versions, which merged segments in a background
+//! compaction pass: an unlisted merge output or a leftover
+//! `seg-*.bin.tmp` merge scratch file holds only copies of records the
+//! listed segments still carry. [`BinaryStore::with_config`] removes
+//! both when it resets a directory.
 //!
-//! A single-flighted maintenance task — spawned onto the shared
-//! `tpupoint-par` pool when it has workers, run inline otherwise — merges
-//! the oldest [`BinaryStoreConfig::compact_segments`] sealed segments into
-//! one (scratch `.tmp` file, rename, then one atomic manifest rewrite
-//! replacing the inputs) and then enforces the retention budget by
-//! *retiring* the oldest segments: their record counts move into the
-//! manifest's `steps_retired`/`windows_retired` **before** the file is
-//! deleted, so [`RecoverySummary::missing_acknowledged`] stays zero — a
-//! budgeted drop is accounted, never a loss. Retention refuses to touch a
-//! segment holding records beyond the acknowledgement watermark.
+//! # Retention
 //!
-//! Observability: gauge `store.segments`, counters `store.compactions`,
+//! After each rotation and at seal, on whatever thread drives the store,
+//! the retention budget is enforced by *retiring* the oldest sealed
+//! segments: their record counts move into the manifest's
+//! `steps_retired`/`windows_retired` **before** the file is deleted, so
+//! [`RecoverySummary::missing_acknowledged`] stays zero — a budgeted drop
+//! is accounted, never a loss.
+//!
+//! Observability: gauge `store.segments`, counters
 //! `store.bytes_reclaimed`, `store.bytes_written`, `store.records_retired`.
 
 use crate::binfmt::{self, KIND_STEP, KIND_WINDOW, SEGMENT_HEADER_LEN};
@@ -49,12 +53,13 @@ use crate::window::WindowRecord;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
 use tpupoint_obs::{Counter, Gauge};
 
 const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_EXT: &str = ".bin";
 const PART_EXT: &str = ".bin.part";
+/// Merge scratch suffix of older versions' compaction; never written,
+/// only removed when a directory is reset.
 const TMP_EXT: &str = ".bin.tmp";
 
 /// Tuning of the binary segment store.
@@ -63,52 +68,26 @@ pub struct BinaryStoreConfig {
     /// Rotation threshold: the active segment is sealed once it holds at
     /// least this many bytes.
     pub segment_bytes: u64,
-    /// Merge the oldest sealed segments whenever at least this many exist
-    /// (minimum 2). `usize::MAX` disables compaction.
-    pub compact_segments: usize,
     /// Retention budget over sealed segment bytes; oldest segments are
     /// retired (with accounting) while the total exceeds it. `0` means
     /// unlimited.
     pub retention_bytes: u64,
-    /// Run maintenance on the shared `tpupoint-par` pool when it has more
-    /// than one participant; `false` forces inline maintenance (useful
-    /// for deterministic tests).
-    pub background: bool,
-    /// Test hook: abort maintenance at the given point, simulating a
-    /// `kill -9` mid-compaction. See the kill-point tests.
-    pub crash_point: Option<CompactCrashPoint>,
 }
 
 impl Default for BinaryStoreConfig {
     fn default() -> Self {
         BinaryStoreConfig {
             segment_bytes: 256 * 1024,
-            compact_segments: 4,
             retention_bytes: 0,
-            background: true,
-            crash_point: None,
         }
     }
-}
-
-/// Instants inside a compaction where a crash leaves an intermediate
-/// on-disk state; the kill-point tests drive one merge to each and prove
-/// recovery still reads a consistent (pre- or post-) segment set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactCrashPoint {
-    /// Merged scratch `.tmp` written, not yet renamed.
-    BeforeRename,
-    /// Merged segment renamed into place, manifest not yet rewritten.
-    BeforeManifest,
-    /// Manifest rewritten, input segments not yet deleted.
-    AfterManifest,
 }
 
 /// Self-observability handles, rebindable per job registry.
 struct StoreObs {
     segments: Gauge,
-    compactions: Counter,
     bytes_reclaimed: Counter,
+    bytes_written: Counter,
     records_retired: Counter,
 }
 
@@ -116,280 +95,24 @@ impl StoreObs {
     fn in_registry(metrics: &tpupoint_obs::Metrics) -> Self {
         StoreObs {
             segments: metrics.gauge("store.segments"),
-            compactions: metrics.counter("store.compactions"),
             bytes_reclaimed: metrics.counter("store.bytes_reclaimed"),
+            bytes_written: metrics.counter("store.bytes_written"),
             records_retired: metrics.counter("store.records_retired"),
         }
     }
 }
 
-/// Lifecycle of the single-flighted maintenance pass. `Queued` is kept
-/// distinct from `Running` so a sealing writer can *steal* a pass that
-/// sits in the pool FIFO but has not started: under `--pipeline-profiler`
-/// `seal()` itself runs on a pool worker (inside the drain task), and
-/// condvar-waiting there for a job queued behind it on the same worker
-/// would deadlock the pool permanently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MaintenanceState {
-    /// No pass scheduled or running.
-    Idle,
-    /// A background pass sits in the pool queue but has not started yet;
-    /// whoever claims the slot first (the pool job or a stealing `seal`)
-    /// runs the pass, and the other becomes a no-op.
-    Queued,
-    /// A pass is actively executing on some thread. Waiting for it is
-    /// safe from anywhere: `maintain` makes no pool calls, so it always
-    /// finishes without needing another pool slot.
-    Running,
-}
-
-/// State shared between the writer and the maintenance task.
-struct SharedState {
-    manifest: StoreManifest,
-    /// Next segment id to allocate; compaction and rotation both draw
-    /// from it, so merged segments never collide with live ones.
-    next_segment: u64,
-    /// At most one maintenance pass is scheduled or running at a time,
-    /// which is what lets compaction read and delete input segments
-    /// without racing retention.
-    maintenance: MaintenanceState,
-    /// Self-observability handles, bound lazily on first use (to the
-    /// process-wide registry) or by [`RecordStore::use_registry`] (to a
-    /// fleet job's registry). Deferred past construction so a store the
-    /// fleet rebinds right after creation never registers its series —
-    /// in particular the `store.segments` sentinel the obs report keys
-    /// on — with the global registry.
-    obs: Option<StoreObs>,
-}
-
-impl SharedState {
-    /// The obs handles, created against the process-wide registry on
-    /// first use when no `use_registry` rebind happened earlier.
-    fn obs(&mut self) -> &StoreObs {
-        self.obs
-            .get_or_insert_with(|| StoreObs::in_registry(tpupoint_obs::metrics()))
-    }
-}
-
-struct StoreShared {
+/// Streams records into checksummed binary segments (see [`crate::binfmt`])
+/// with budgeted retention. A drop-in [`RecordStore`]: the retry/fault
+/// decorators, the seal pipeline, and the fleet's per-job sharding
+/// compose with it unchanged.
+pub struct BinaryStore {
     dir: PathBuf,
     config: BinaryStoreConfig,
-    state: Mutex<SharedState>,
-    idle: Condvar,
-}
-
-impl StoreShared {
-    /// Atomically replaces `manifest.json` (write `.part`, then rename).
-    fn write_manifest(&self, manifest: &StoreManifest) -> io::Result<()> {
-        let part = part_path(&self.dir, MANIFEST_FILE);
-        let text = serde_json::to_string(manifest).map_err(io::Error::other)?;
-        std::fs::write(&part, text)?;
-        std::fs::rename(&part, self.dir.join(MANIFEST_FILE))
-    }
-
-    fn needs_maintenance(&self, state: &SharedState) -> bool {
-        let segments = &state.manifest.segments;
-        if segments.len() >= self.config.compact_segments.max(2) {
-            return true;
-        }
-        self.config.retention_bytes > 0
-            && segments.iter().map(|m| m.bytes).sum::<u64>() > self.config.retention_bytes
-    }
-
-    /// Claims the maintenance slot and runs compaction + retention, on the
-    /// pool when configured and workers exist, inline otherwise.
-    fn schedule_maintenance(self: &Arc<Self>) {
-        let pool = tpupoint_par::pool();
-        let background = self.config.background && pool.size() > 1;
-        {
-            let mut state = self.state.lock().expect("store state");
-            if state.maintenance != MaintenanceState::Idle || !self.needs_maintenance(&state) {
-                return;
-            }
-            state.maintenance = if background {
-                MaintenanceState::Queued
-            } else {
-                MaintenanceState::Running
-            };
-        }
-        if background {
-            let shared = Arc::clone(self);
-            pool.spawn_detached(move || shared.run_queued());
-        } else {
-            self.maintain_and_release();
-        }
-    }
-
-    /// Entry point of a queued background pass: claim the slot, unless a
-    /// sealing writer already stole the pass and ran it inline — then
-    /// this job is a no-op.
-    fn run_queued(&self) {
-        {
-            let mut state = self.state.lock().expect("store state");
-            if state.maintenance != MaintenanceState::Queued {
-                return;
-            }
-            state.maintenance = MaintenanceState::Running;
-        }
-        self.maintain_and_release();
-    }
-
-    /// Claims the maintenance slot for `seal`'s final synchronous pass. A
-    /// `Queued` pass (scheduled onto the pool but not started) is stolen
-    /// and will run here instead: never condvar-wait for a job that may
-    /// sit *behind the caller* in the same pool's FIFO — with one worker
-    /// and a pipelined seal, that wait could only ever deadlock. Only an
-    /// actively `Running` pass is waited for, which is safe because its
-    /// thread finishes without needing a pool slot.
-    fn claim_maintenance(&self) {
-        let mut state = self.state.lock().expect("store state");
-        while state.maintenance == MaintenanceState::Running {
-            state = self.idle.wait(state).expect("store state");
-        }
-        // Idle, or Queued-but-not-started: in the latter case the pool
-        // job finds the slot taken (`run_queued`) and no-ops.
-        state.maintenance = MaintenanceState::Running;
-    }
-
-    fn maintain_and_release(&self) {
-        // Best-effort: an I/O failure (or a simulated crash point) leaves
-        // the current consistent state in place; the next rotation
-        // re-schedules.
-        let _ = self.maintain();
-        let mut state = self.state.lock().expect("store state");
-        state.maintenance = MaintenanceState::Idle;
-        drop(state);
-        self.idle.notify_all();
-    }
-
-    fn maintain(&self) -> io::Result<()> {
-        while self.compact_once()? {}
-        while self.retire_once()? {}
-        Ok(())
-    }
-
-    fn crash_at(&self, point: CompactCrashPoint) -> io::Result<()> {
-        if self.config.crash_point == Some(point) {
-            return Err(io::Error::other("simulated compaction crash"));
-        }
-        Ok(())
-    }
-
-    /// Merges the oldest `compact_segments` sealed segments into one new
-    /// segment. The merge commits with a single atomic manifest rewrite;
-    /// every earlier step only creates files recovery ignores.
-    fn compact_once(&self) -> io::Result<bool> {
-        let (inputs, merged_id) = {
-            let mut state = self.state.lock().expect("store state");
-            let k = self.config.compact_segments.max(2);
-            if self.config.compact_segments == usize::MAX || state.manifest.segments.len() < k {
-                return Ok(false);
-            }
-            let inputs = state.manifest.segments[..k].to_vec();
-            let id = state.next_segment;
-            state.next_segment += 1;
-            (inputs, id)
-        };
-        // Read and merge outside the lock: inputs are sealed and
-        // immutable, and single-flighted maintenance means nothing else
-        // may delete them.
-        let mut merged = binfmt::segment_header().to_vec();
-        let mut steps = 0u64;
-        let mut windows = 0u64;
-        let mut input_bytes = 0u64;
-        for meta in &inputs {
-            let bytes = std::fs::read(self.dir.join(&meta.name))?;
-            input_bytes += bytes.len() as u64;
-            let read = binfmt::read_segment(&bytes);
-            steps += read.steps.len() as u64;
-            windows += read.windows.len() as u64;
-            merged
-                .extend_from_slice(&bytes[SEGMENT_HEADER_LEN.min(read.valid_len)..read.valid_len]);
-        }
-        let merged_name = segment_name(merged_id);
-        let tmp = self
-            .dir
-            .join(format!("{SEGMENT_PREFIX}{merged_id:06}{TMP_EXT}"));
-        std::fs::write(&tmp, &merged)?;
-        self.crash_at(CompactCrashPoint::BeforeRename)?;
-        std::fs::rename(&tmp, self.dir.join(&merged_name))?;
-        self.crash_at(CompactCrashPoint::BeforeManifest)?;
-        {
-            let mut state = self.state.lock().expect("store state");
-            let meta = SegmentMeta {
-                name: merged_name,
-                steps,
-                windows,
-                bytes: merged.len() as u64,
-            };
-            state.manifest.segments.splice(0..inputs.len(), [meta]);
-            self.write_manifest(&state.manifest)?;
-            // Net disk freed by the merge: duplicate headers plus any
-            // invalid suffix the per-segment reads dropped.
-            let reclaimed = input_bytes.saturating_sub(merged.len() as u64);
-            let segments = state.manifest.segments.len() as f64;
-            let obs = state.obs();
-            obs.compactions.inc();
-            obs.bytes_reclaimed.add(reclaimed);
-            obs.segments.set(segments);
-        }
-        self.crash_at(CompactCrashPoint::AfterManifest)?;
-        for meta in &inputs {
-            let _ = std::fs::remove_file(self.dir.join(&meta.name));
-        }
-        Ok(true)
-    }
-
-    /// Retires the oldest sealed segment while the retention budget is
-    /// exceeded. The manifest moves the records into the retired counts
-    /// *before* the file is unlinked, so a crash anywhere in between
-    /// still accounts for every acknowledged record.
-    fn retire_once(&self) -> io::Result<bool> {
-        if self.config.retention_bytes == 0 {
-            return Ok(false);
-        }
-        let victim = {
-            let mut state = self.state.lock().expect("store state");
-            let total: u64 = state.manifest.segments.iter().map(|m| m.bytes).sum();
-            if total <= self.config.retention_bytes {
-                return Ok(false);
-            }
-            let Some(oldest) = state.manifest.segments.first().cloned() else {
-                return Ok(false);
-            };
-            // Never retire records beyond the acknowledgement watermark:
-            // dropping an unacknowledged record is allowed, but dropping
-            // it *with retired accounting* would overstate the watermark.
-            let acked = state.manifest.steps_retired + oldest.steps <= state.manifest.steps_flushed
-                && state.manifest.windows_retired + oldest.windows
-                    <= state.manifest.windows_flushed;
-            if !acked {
-                return Ok(false);
-            }
-            state.manifest.segments.remove(0);
-            state.manifest.steps_retired += oldest.steps;
-            state.manifest.windows_retired += oldest.windows;
-            self.write_manifest(&state.manifest)?;
-            let segments = state.manifest.segments.len() as f64;
-            let obs = state.obs();
-            obs.bytes_reclaimed.add(oldest.bytes);
-            obs.records_retired.add(oldest.steps + oldest.windows);
-            obs.segments.set(segments);
-            oldest
-        };
-        let _ = std::fs::remove_file(self.dir.join(&victim.name));
-        Ok(true)
-    }
-}
-
-/// Streams records into checksummed binary segments (see [`crate::binfmt`])
-/// with background compaction and budgeted retention. A drop-in
-/// [`RecordStore`]: the retry/fault decorators, the seal pipeline, and the
-/// fleet's per-job sharding compose with it unchanged.
-pub struct BinaryStore {
-    shared: Arc<StoreShared>,
+    manifest: StoreManifest,
     writer: BufWriter<File>,
     active_path: PathBuf,
+    /// Id of the active segment; the next rotation opens `active_index + 1`.
     active_index: u64,
     active_bytes: u64,
     active_steps: u64,
@@ -399,17 +122,19 @@ pub struct BinaryStore {
     /// Reusable encode scratch, so the hot path allocates nothing.
     payload: Vec<u8>,
     frame: Vec<u8>,
-    /// Frame-bytes counter, bound lazily for the same reason as
-    /// [`SharedState::obs`]: the fleet rebinds via `use_registry` right
-    /// after construction, and the global registry must not gain the
-    /// series in the meantime.
-    bytes_written: Option<Counter>,
+    /// Self-observability handles, bound lazily on first use (to the
+    /// process-wide registry) or by [`RecordStore::use_registry`] (to a
+    /// fleet job's registry). Deferred past construction so a store the
+    /// fleet rebinds right after creation never registers its series —
+    /// in particular the `store.segments` sentinel the obs report keys
+    /// on — with the global registry.
+    obs: Option<StoreObs>,
 }
 
 impl std::fmt::Debug for BinaryStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BinaryStore")
-            .field("dir", &self.shared.dir)
+            .field("dir", &self.dir)
             .field("active_index", &self.active_index)
             .field("steps_written", &self.steps_written)
             .field("windows_written", &self.windows_written)
@@ -443,26 +168,16 @@ impl BinaryStore {
             let _ = std::fs::remove_file(dir.join(name));
             let _ = std::fs::remove_file(part_path(dir, name));
         }
-        let manifest = StoreManifest {
-            format: FORMAT_BINARY.to_owned(),
-            ..StoreManifest::default()
-        };
-        let shared = Arc::new(StoreShared {
-            dir: dir.to_owned(),
-            config,
-            state: Mutex::new(SharedState {
-                manifest,
-                next_segment: 1,
-                maintenance: MaintenanceState::Idle,
-                obs: None,
-            }),
-            idle: Condvar::new(),
-        });
         let active_path = dir.join(format!("{SEGMENT_PREFIX}000000{PART_EXT}"));
         let mut writer = BufWriter::new(File::create(&active_path)?);
         writer.write_all(&binfmt::segment_header())?;
         let store = BinaryStore {
-            shared,
+            dir: dir.to_owned(),
+            config,
+            manifest: StoreManifest {
+                format: FORMAT_BINARY.to_owned(),
+                ..StoreManifest::default()
+            },
             writer,
             active_path,
             active_index: 0,
@@ -473,30 +188,47 @@ impl BinaryStore {
             windows_written: 0,
             payload: Vec::with_capacity(256),
             frame: Vec::with_capacity(256),
-            bytes_written: None,
+            obs: None,
         };
-        {
-            let state = store.shared.state.lock().expect("store state");
-            store.shared.write_manifest(&state.manifest)?;
-        }
+        store.write_manifest()?;
         Ok(store)
     }
 
     /// The directory records are written to.
     pub fn dir(&self) -> &Path {
-        &self.shared.dir
+        &self.dir
+    }
+
+    /// The obs handles, created against the process-wide registry on
+    /// first use when no `use_registry` rebind happened earlier.
+    fn obs(&mut self) -> &StoreObs {
+        self.obs
+            .get_or_insert_with(|| StoreObs::in_registry(tpupoint_obs::metrics()))
+    }
+
+    fn publish_segments(&mut self) {
+        let segments = self.manifest.segments.len() as f64;
+        self.obs().segments.set(segments);
+    }
+
+    /// Atomically replaces `manifest.json` (write `.part`, then rename).
+    fn write_manifest(&self) -> io::Result<()> {
+        let part = part_path(&self.dir, MANIFEST_FILE);
+        let text = serde_json::to_string(&self.manifest).map_err(io::Error::other)?;
+        std::fs::write(&part, text)?;
+        std::fs::rename(&part, self.dir.join(MANIFEST_FILE))
     }
 
     fn put_frame(&mut self, kind: u8) -> io::Result<()> {
         self.frame.clear();
         binfmt::append_frame(kind, &self.payload, &mut self.frame);
         self.writer.write_all(&self.frame)?;
-        self.active_bytes += self.frame.len() as u64;
-        self.bytes_written
-            .get_or_insert_with(|| tpupoint_obs::metrics().counter("store.bytes_written"))
-            .add(self.frame.len() as u64);
-        if self.active_bytes >= self.shared.config.segment_bytes {
+        let len = self.frame.len() as u64;
+        self.active_bytes += len;
+        self.obs().bytes_written.add(len);
+        if self.active_bytes >= self.config.segment_bytes {
             self.rotate(true)?;
+            self.retire();
         }
         Ok(())
     }
@@ -510,64 +242,95 @@ impl BinaryStore {
     /// its part name, which recovery reads in its place. The reverse
     /// order would leave a renamed-but-unnamed segment full of
     /// acknowledged records that the orphan rule (unnamed `.bin` files
-    /// are uncommitted compaction outputs) deliberately ignores.
+    /// hold no unaccounted records) deliberately ignores.
     fn rotate(&mut self, open_next: bool) -> io::Result<()> {
         self.writer.flush()?;
         let sealed_name = segment_name(self.active_index);
-        let meta = SegmentMeta {
+        self.manifest.segments.push(SegmentMeta {
             name: sealed_name.clone(),
             steps: self.active_steps,
             windows: self.active_windows,
             bytes: self.active_bytes,
-        };
-        {
-            let mut state = self.shared.state.lock().expect("store state");
-            state.manifest.segments.push(meta);
-            state.manifest.steps_flushed = self.steps_written;
-            state.manifest.windows_flushed = self.windows_written;
-            self.shared.write_manifest(&state.manifest)?;
-            let segments = state.manifest.segments.len() as f64;
-            state.obs().segments.set(segments);
-        }
-        if let Err(err) = std::fs::rename(&self.active_path, self.shared.dir.join(&sealed_name)) {
+        });
+        self.manifest.steps_flushed = self.steps_written;
+        self.manifest.windows_flushed = self.windows_written;
+        self.write_manifest()?;
+        self.publish_segments();
+        if let Err(err) = std::fs::rename(&self.active_path, self.dir.join(&sealed_name)) {
             // Roll the commit back so a store that keeps running after
             // the error never appends to a segment the manifest already
             // lists; the `.part` stays readable as the active stream.
-            let mut state = self.shared.state.lock().expect("store state");
-            state.manifest.segments.pop();
-            let _ = self.shared.write_manifest(&state.manifest);
-            let segments = state.manifest.segments.len() as f64;
-            state.obs().segments.set(segments);
+            self.manifest.segments.pop();
+            let _ = self.write_manifest();
+            self.publish_segments();
             return Err(err);
         }
         self.active_steps = 0;
         self.active_windows = 0;
         self.active_bytes = 0;
         if open_next {
-            {
-                let mut state = self.shared.state.lock().expect("store state");
-                self.active_index = state.next_segment;
-                state.next_segment += 1;
-            }
-            self.active_path = self.shared.dir.join(format!(
+            self.active_index += 1;
+            self.active_path = self.dir.join(format!(
                 "{SEGMENT_PREFIX}{:06}{PART_EXT}",
                 self.active_index
             ));
             self.writer = BufWriter::new(File::create(&self.active_path)?);
             self.writer.write_all(&binfmt::segment_header())?;
             self.active_bytes = SEGMENT_HEADER_LEN as u64;
-            self.shared.schedule_maintenance();
         }
         Ok(())
+    }
+
+    /// Enforces the retention budget. Best-effort: an I/O failure never
+    /// fails the write that triggered it, and the next rotation (or seal)
+    /// tries again.
+    fn retire(&mut self) {
+        while let Ok(true) = self.retire_once() {}
+    }
+
+    /// Retires the oldest sealed segment while the retention budget is
+    /// exceeded. The manifest moves the records into the retired counts
+    /// *before* the file is unlinked, so a crash anywhere in between
+    /// still accounts for every acknowledged record.
+    fn retire_once(&mut self) -> io::Result<bool> {
+        if self.config.retention_bytes == 0 {
+            return Ok(false);
+        }
+        let manifest = &self.manifest;
+        let total: u64 = manifest.segments.iter().map(|m| m.bytes).sum();
+        if total <= self.config.retention_bytes {
+            return Ok(false);
+        }
+        let Some(oldest) = manifest.segments.first() else {
+            return Ok(false);
+        };
+        // Never retire records beyond the acknowledgement watermark:
+        // dropping an unacknowledged record is allowed, but dropping it
+        // *with retired accounting* would overstate the watermark.
+        let acked = manifest.steps_retired + oldest.steps <= manifest.steps_flushed
+            && manifest.windows_retired + oldest.windows <= manifest.windows_flushed;
+        if !acked {
+            return Ok(false);
+        }
+        let oldest = self.manifest.segments.remove(0);
+        self.manifest.steps_retired += oldest.steps;
+        self.manifest.windows_retired += oldest.windows;
+        self.write_manifest()?;
+        let obs = self.obs();
+        obs.bytes_reclaimed.add(oldest.bytes);
+        obs.records_retired.add(oldest.steps + oldest.windows);
+        self.publish_segments();
+        let _ = std::fs::remove_file(self.dir.join(&oldest.name));
+        Ok(true)
     }
 
     /// Recovers everything salvageable from a binary record directory:
     /// each manifest-listed segment's valid frame prefix (falling back to
     /// its still-present `.part` when a crash interrupted the sealing
     /// rename), plus the torn active `.part` stream of a crashed writer.
-    /// Segment files the manifest does not name are ignored — they are
-    /// uncommitted compaction leftovers whose records the listed inputs
-    /// still hold.
+    /// Segment files the manifest does not name are ignored — they hold
+    /// no record the manifest has not already accounted for (see the
+    /// module docs).
     ///
     /// # Errors
     ///
@@ -702,10 +465,9 @@ impl RecordStore for BinaryStore {
 
     fn flush(&mut self) -> io::Result<()> {
         self.writer.flush()?;
-        let mut state = self.shared.state.lock().expect("store state");
-        state.manifest.steps_flushed = self.steps_written;
-        state.manifest.windows_flushed = self.windows_written;
-        self.shared.write_manifest(&state.manifest)
+        self.manifest.steps_flushed = self.steps_written;
+        self.manifest.windows_flushed = self.windows_written;
+        self.write_manifest()
     }
 
     fn seal(&mut self) -> io::Result<()> {
@@ -715,41 +477,32 @@ impl RecordStore for BinaryStore {
         } else {
             let _ = std::fs::remove_file(&self.active_path);
         }
-        // One final synchronous maintenance pass, after any background
-        // one drains, so a cleanly sealed directory is also compacted and
-        // within budget.
-        self.shared.claim_maintenance();
-        self.shared.maintain_and_release();
-        let mut state = self.shared.state.lock().expect("store state");
-        state.manifest.steps_flushed = self.steps_written;
-        state.manifest.windows_flushed = self.windows_written;
-        state.manifest.sealed = true;
-        self.shared.write_manifest(&state.manifest)
+        // A cleanly sealed directory is also within budget.
+        self.retire();
+        self.manifest.steps_flushed = self.steps_written;
+        self.manifest.windows_flushed = self.windows_written;
+        self.manifest.sealed = true;
+        self.write_manifest()
     }
 
     fn set_meta(&mut self, model: &str, dataset: &str) {
-        let mut state = self.shared.state.lock().expect("store state");
-        state.manifest.model = model.to_owned();
-        state.manifest.dataset = dataset.to_owned();
+        self.manifest.model = model.to_owned();
+        self.manifest.dataset = dataset.to_owned();
         // Best-effort, like the JSONL store: a failure recurs (and is
         // counted) at the next flush.
-        let _ = self.shared.write_manifest(&state.manifest);
+        let _ = self.write_manifest();
     }
 
     fn set_catalog(&mut self, names: &[String], uses_mxu: &[bool], on_host: &[bool]) {
-        let mut state = self.shared.state.lock().expect("store state");
-        state.manifest.op_names = names.to_vec();
-        state.manifest.op_uses_mxu = uses_mxu.to_vec();
-        state.manifest.op_on_host = on_host.to_vec();
-        let _ = self.shared.write_manifest(&state.manifest);
+        self.manifest.op_names = names.to_vec();
+        self.manifest.op_uses_mxu = uses_mxu.to_vec();
+        self.manifest.op_on_host = on_host.to_vec();
+        let _ = self.write_manifest();
     }
 
     fn use_registry(&mut self, metrics: &tpupoint_obs::Metrics) {
-        self.bytes_written = Some(metrics.counter("store.bytes_written"));
-        let mut state = self.shared.state.lock().expect("store state");
-        let segments = state.manifest.segments.len() as f64;
-        let obs = state.obs.insert(StoreObs::in_registry(metrics));
-        obs.segments.set(segments);
+        self.obs = Some(StoreObs::in_registry(metrics));
+        self.publish_segments();
     }
 }
 
@@ -763,11 +516,9 @@ fn list_segment_files(dir: &Path, ext: &str) -> io::Result<Vec<String>> {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
+        // `.bin` never matches `.bin.part`/`.bin.tmp`: those end
+        // differently.
         if name.starts_with(SEGMENT_PREFIX) && name.ends_with(ext) {
-            // `.bin` must not also match `.bin.part`/`.bin.tmp`.
-            if ext == SEGMENT_EXT && (name.ends_with(PART_EXT) || name.ends_with(TMP_EXT)) {
-                continue;
-            }
             names.push(name.to_owned());
         }
     }
@@ -784,8 +535,9 @@ pub(crate) fn has_segment_files(dir: &Path) -> bool {
             .unwrap_or(false)
 }
 
-/// Removes every binary segment artifact (`seg-*.bin`, `.part`, `.tmp`)
-/// under `dir`; used when (re)creating a store in either format.
+/// Removes every binary segment artifact (`seg-*.bin`, `.part`, and older
+/// versions' `.tmp`) under `dir`; used when (re)creating a store in either
+/// format.
 pub(crate) fn remove_segment_files(dir: &Path) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -842,10 +594,7 @@ mod tests {
     fn tiny_config() -> BinaryStoreConfig {
         BinaryStoreConfig {
             segment_bytes: 200,
-            compact_segments: usize::MAX,
             retention_bytes: 0,
-            background: false,
-            crash_point: None,
         }
     }
 
@@ -936,48 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_merges_segments_and_preserves_records() {
-        let dir = tmp_dir("compact");
-        let metrics = tpupoint_obs::Metrics::new();
-        let mut store = BinaryStore::with_config(
-            &dir,
-            BinaryStoreConfig {
-                compact_segments: 3,
-                ..tiny_config()
-            },
-        )
-        .unwrap();
-        store.use_registry(&metrics);
-        write_run(&mut store, 60, 8);
-        store.seal().unwrap();
-        drop(store);
-
-        let summary = BinaryStore::recover(&dir).unwrap();
-        assert_eq!(summary.steps.len(), 60);
-        assert_eq!(summary.windows.len(), 8);
-        assert_eq!(summary.missing_acknowledged(), (0, 0));
-        let manifest = summary.manifest.unwrap();
-        assert!(
-            manifest.segments.len() < 3,
-            "seal-time compaction must leave fewer than threshold segments, got {}",
-            manifest.segments.len()
-        );
-        let snapshot = metrics.snapshot();
-        assert!(
-            snapshot
-                .counters
-                .get("store.compactions")
-                .copied()
-                .unwrap_or(0)
-                >= 1
-        );
-        // No stray files: exactly the manifest's segments remain.
-        let on_disk = list_segment_files(&dir, SEGMENT_EXT).unwrap();
-        assert_eq!(on_disk.len(), manifest.segments.len());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn retention_retires_with_accounting_never_losing_records() {
         let dir = tmp_dir("retention");
         let metrics = tpupoint_obs::Metrics::new();
@@ -1030,100 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_kill_points_leave_pre_or_post_state() {
-        for point in [
-            CompactCrashPoint::BeforeRename,
-            CompactCrashPoint::BeforeManifest,
-            CompactCrashPoint::AfterManifest,
-        ] {
-            let dir = tmp_dir(&format!("killpoint-{point:?}"));
-            let mut store = BinaryStore::with_config(
-                &dir,
-                BinaryStoreConfig {
-                    compact_segments: 3,
-                    crash_point: Some(point),
-                    ..tiny_config()
-                },
-            )
-            .unwrap();
-            // Enough to rotate past the compaction threshold; the crash
-            // fires inside the maintenance pass that rotation schedules.
-            write_run(&mut store, 60, 8);
-            store.flush().unwrap();
-            std::mem::forget(store); // kill -9: no seal, no cleanup
-
-            let summary = BinaryStore::recover(&dir).unwrap();
-            assert_eq!(
-                summary.missing_acknowledged(),
-                (0, 0),
-                "{point:?}: every acknowledged record must survive the crash"
-            );
-            assert!(summary.steps.len() >= 60, "{point:?}");
-            assert_eq!(summary.windows.len(), 8, "{point:?}");
-            let steps: Vec<u64> = summary.steps.iter().map(|r| r.step).collect();
-            assert_eq!(
-                steps,
-                (0..steps.len() as u64).collect::<Vec<_>>(),
-                "{point:?}: no duplicated or reordered records from a mixed state"
-            );
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-
-    #[test]
-    fn seal_steals_a_queued_maintenance_pass_instead_of_waiting() {
-        // Regression for a pipelined-seal deadlock: a background pass
-        // scheduled by rotation could sit in the pool FIFO behind the
-        // drain task that runs seal(); waiting for it on the condvar
-        // blocked the only worker that could ever run it. Seal must
-        // instead steal the queued pass and run it inline.
-        let dir = tmp_dir("steal");
-        let metrics = tpupoint_obs::Metrics::new();
-        let mut store = BinaryStore::with_config(
-            &dir,
-            BinaryStoreConfig {
-                compact_segments: 3,
-                ..tiny_config()
-            },
-        )
-        .unwrap();
-        store.use_registry(&metrics);
-        write_run(&mut store, 60, 0);
-        // Reconstruct the deadlock state: a pass marked Queued whose pool
-        // job has not (and in the deadlock, never could have) started.
-        store.shared.state.lock().unwrap().maintenance = MaintenanceState::Queued;
-        store.seal().unwrap(); // would hang forever without the steal
-        let compactions_after_seal = metrics
-            .snapshot()
-            .counters
-            .get("store.compactions")
-            .copied()
-            .unwrap_or(0);
-        assert!(compactions_after_seal >= 1, "stolen pass ran inline");
-        // The stale pool job eventually fires and must no-op: the slot it
-        // was queued for is gone.
-        store.shared.run_queued();
-        assert_eq!(
-            metrics
-                .snapshot()
-                .counters
-                .get("store.compactions")
-                .copied()
-                .unwrap_or(0),
-            compactions_after_seal,
-            "a stolen pass must not run twice"
-        );
-        assert_eq!(
-            store.shared.state.lock().unwrap().maintenance,
-            MaintenanceState::Idle
-        );
-        let summary = BinaryStore::recover(&dir).unwrap();
-        assert_eq!(summary.steps.len(), 60);
-        assert_eq!(summary.missing_acknowledged(), (0, 0));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn listed_segment_still_under_part_name_recovers_without_loss() {
         // The crash window inside rotate(): manifest committed, sealing
         // rename not yet executed. The listed segment is still a `.part`
@@ -1165,8 +778,7 @@ mod tests {
         // so no handle may exist yet: a fleet job rebinds right after
         // construction, and the global registry must not gain a spurious
         // `store.segments` sentinel (or zeroed counters) in the meantime.
-        assert!(store.shared.state.lock().unwrap().obs.is_none());
-        assert!(store.bytes_written.is_none());
+        assert!(store.obs.is_none());
         let metrics = tpupoint_obs::Metrics::new();
         store.use_registry(&metrics);
         write_run(&mut store, 10, 1);
@@ -1191,16 +803,93 @@ mod tests {
         write_run(&mut store, 20, 0);
         store.seal().unwrap();
         drop(store);
-        // A compaction output that crashed before its manifest commit.
-        let mut orphan = binfmt::segment_header().to_vec();
-        let mut payload = Vec::new();
-        binfmt::encode_step(&sample_step(999), &mut payload);
-        binfmt::append_frame(KIND_STEP, &payload, &mut orphan);
-        std::fs::write(dir.join("seg-000099.bin"), orphan).unwrap();
+        // What older versions' background compaction could leave behind:
+        // a merge output that crashed before its manifest commit, and a
+        // merge scratch file that crashed before its rename.
+        let orphan = |step: u64| {
+            let mut bytes = binfmt::segment_header().to_vec();
+            let mut payload = Vec::new();
+            binfmt::encode_step(&sample_step(step), &mut payload);
+            binfmt::append_frame(KIND_STEP, &payload, &mut bytes);
+            bytes
+        };
+        std::fs::write(dir.join("seg-000099.bin"), orphan(999)).unwrap();
+        std::fs::write(dir.join("seg-000100.bin.tmp"), orphan(998)).unwrap();
 
         let summary = BinaryStore::recover(&dir).unwrap();
-        assert_eq!(summary.steps.len(), 20, "orphan must not leak through");
-        assert!(summary.steps.iter().all(|r| r.step != 999));
+        assert_eq!(summary.steps.len(), 20, "orphans must not leak through");
+        assert!(summary.steps.iter().all(|r| r.step < 20));
+        assert_eq!(summary.missing_acknowledged(), (0, 0));
+
+        // Resetting the directory clears both leftovers.
+        let store = BinaryStore::with_config(&dir, tiny_config()).unwrap();
+        drop(store);
+        assert!(!dir.join("seg-000099.bin").exists());
+        assert!(!dir.join("seg-000100.bin.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn each_rotation_writes_one_segment_exactly_once() {
+        let dir = tmp_dir("write-once");
+        let config = tiny_config();
+        let mut store = BinaryStore::with_config(&dir, config).unwrap();
+        write_run(&mut store, 300, 20);
+        store.seal().unwrap();
+        drop(store);
+
+        // Replay the rotation rule over the same frames: a segment seals
+        // once it reaches `segment_bytes`, and seal closes the last one.
+        let frames: Vec<u64> = (0..300)
+            .map(|step| {
+                let mut payload = Vec::new();
+                binfmt::encode_step(&sample_step(step), &mut payload);
+                (KIND_STEP, payload)
+            })
+            .chain((0..20).map(|index| {
+                let mut payload = Vec::new();
+                binfmt::encode_window(&sample_window(index), &mut payload);
+                (KIND_WINDOW, payload)
+            }))
+            .map(|(kind, payload)| {
+                let mut frame = Vec::new();
+                binfmt::append_frame(kind, &payload, &mut frame);
+                frame.len() as u64
+            })
+            .collect();
+        let max_frame = frames.iter().copied().max().unwrap();
+        let mut rotations = 0;
+        let mut active = SEGMENT_HEADER_LEN as u64;
+        for len in frames {
+            active += len;
+            if active >= config.segment_bytes {
+                rotations += 1;
+                active = SEGMENT_HEADER_LEN as u64;
+            }
+        }
+        if active > SEGMENT_HEADER_LEN as u64 {
+            rotations += 1;
+        }
+        assert!(rotations >= 20, "the run must rotate many times");
+
+        let manifest = JsonlStore::load_manifest(&dir).unwrap().unwrap();
+        let names: Vec<&str> = manifest.segments.iter().map(|m| m.name.as_str()).collect();
+        let expected: Vec<String> = (0..rotations).map(segment_name).collect();
+        assert_eq!(names, expected, "one segment per rotation, in order");
+        for meta in &manifest.segments {
+            let on_disk = std::fs::metadata(dir.join(&meta.name)).unwrap().len();
+            assert_eq!(meta.bytes, on_disk, "{}", meta.name);
+            assert!(
+                meta.bytes <= config.segment_bytes + max_frame,
+                "{} holds {} bytes",
+                meta.name,
+                meta.bytes
+            );
+        }
+        assert_eq!(
+            list_segment_files(&dir, SEGMENT_EXT).unwrap().len() as u64,
+            rotations
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -211,9 +211,9 @@ impl std::str::FromStr for StoreFormat {
 
 /// Accounting for one sealed binary segment file, carried in the manifest.
 /// The manifest's segment list is the authoritative set *and order* of
-/// sealed segments: compaction commits by atomically rewriting this list,
-/// so a crashed merge leaves either the old or the new set — recovery
-/// ignores segment files the manifest does not name.
+/// sealed segments: rotation appends to it before renaming the segment
+/// into place, and retention drops from it before deleting the file —
+/// recovery ignores segment files the manifest does not name.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SegmentMeta {
     /// File name within the record directory (e.g. `seg-000002.bin`).

@@ -10,18 +10,18 @@ use std::sync::Arc;
 use std::time::Duration;
 use tpupoint_par::ThreadPool;
 use tpupoint_profiler::{
-    recover_records, BinaryStore, BinaryStoreConfig, CompactCrashPoint, FaultConfig, FaultStore,
-    InMemoryStore, JsonlStore, PipelineConfig, RecordStore, RetryPolicy, RetryStore, SealPipeline,
-    StepRecord, StoreFormat, ThrottledStore, WindowRecord,
+    recover_records, BinaryStore, BinaryStoreConfig, FaultConfig, FaultStore, InMemoryStore,
+    JsonlStore, PipelineConfig, RecordStore, RetryPolicy, RetryStore, SealPipeline, StepRecord,
+    StoreFormat, ThrottledStore, WindowRecord,
 };
 use tpupoint_simcore::{OpId, SimDuration, SimTime, Track};
 
 const BOTH_FORMATS: [StoreFormat; 2] = [StoreFormat::Jsonl, StoreFormat::Binary];
 
 /// Opens a fresh store of either format on `dir`. The binary store uses a
-/// tiny segment size (forcing rotations even in small tests) with inline
-/// maintenance, so format-parameterized tests exercise the full
-/// rotate/compact machinery rather than a single never-rotated part file.
+/// tiny segment size (forcing rotations even in small tests), so
+/// format-parameterized tests exercise the full rotation machinery rather
+/// than a single never-rotated part file.
 fn format_store(format: StoreFormat, dir: &Path) -> Box<dyn RecordStore + Send> {
     match format {
         StoreFormat::Jsonl => Box::new(JsonlStore::create(dir).unwrap()),
@@ -30,7 +30,6 @@ fn format_store(format: StoreFormat, dir: &Path) -> Box<dyn RecordStore + Send> 
                 dir,
                 BinaryStoreConfig {
                     segment_bytes: 512,
-                    background: false,
                     ..BinaryStoreConfig::default()
                 },
             )
@@ -403,48 +402,6 @@ fn crash_behind_retry_layer_recovers_acknowledged_records_in_both_formats() {
 }
 
 #[test]
-fn compaction_kill_points_through_the_public_recover_path() {
-    // Integration twin of the segstore unit test: the crash fires inside a
-    // compaction merge scheduled by rotation, and the *auto-detecting*
-    // recovery entry point (what `analyze --recover` calls) must see either
-    // the pre- or post-compaction segment set — never a mixed one.
-    for point in [
-        CompactCrashPoint::BeforeRename,
-        CompactCrashPoint::BeforeManifest,
-        CompactCrashPoint::AfterManifest,
-    ] {
-        let dir = tmp_dir(&format!("int-killpoint-{point:?}"));
-        let mut store = BinaryStore::with_config(
-            &dir,
-            BinaryStoreConfig {
-                segment_bytes: 512,
-                compact_segments: 3,
-                background: false,
-                crash_point: Some(point),
-                ..BinaryStoreConfig::default()
-            },
-        )
-        .unwrap();
-        for n in 0..60 {
-            store.put_step(&step(n)).unwrap();
-        }
-        store.flush().unwrap();
-        std::mem::forget(store); // kill -9 mid-merge
-
-        let summary = recover_records(&dir).unwrap();
-        assert_eq!(summary.missing_acknowledged(), (0, 0), "{point:?}");
-        let steps: Vec<u64> = summary.steps.iter().map(|r| r.step).collect();
-        assert_eq!(
-            steps,
-            (0..steps.len() as u64).collect::<Vec<_>>(),
-            "{point:?}: mixed pre/post state would duplicate or drop steps"
-        );
-        assert!(steps.len() >= 60, "{point:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-#[test]
 fn crash_between_manifest_commit_and_sealing_rename_loses_nothing() {
     // rotate() commits the sealed segment to the manifest BEFORE the
     // `.part` → `.bin` rename; a kill -9 between the two leaves a listed
@@ -455,7 +412,6 @@ fn crash_between_manifest_commit_and_sealing_rename_loses_nothing() {
         &dir,
         BinaryStoreConfig {
             segment_bytes: 512,
-            background: false,
             ..BinaryStoreConfig::default()
         },
     )
@@ -485,22 +441,17 @@ fn crash_between_manifest_commit_and_sealing_rename_loses_nothing() {
 }
 
 #[test]
-fn pipelined_seal_with_background_maintenance_completes() {
-    // Regression guard for the seal-vs-maintenance pool deadlock: seal()
-    // runs on a pool worker (inside the drain task) while rotations have
-    // queued a background maintenance pass; seal must steal the queued
-    // pass instead of waiting for a job that may sit behind it in the
-    // pool FIFO. A regression here hangs the test rather than failing an
-    // assert.
+fn pipelined_seal_runs_retention_on_the_drain_worker() {
+    // With the seal pipeline on a 2-thread pool, rotation, retention and
+    // seal all run inside the drain task on a pool worker. Retention must
+    // still account every retired record and leave the budget enforced.
     let pool = Arc::new(ThreadPool::new(2));
-    let dir = tmp_dir("pipe-seal-maint");
+    let dir = tmp_dir("pipe-seal-retain");
     let store = BinaryStore::with_config(
         &dir,
         BinaryStoreConfig {
             segment_bytes: 512,
-            compact_segments: 3,
-            background: true,
-            ..BinaryStoreConfig::default()
+            retention_bytes: 2048,
         },
     )
     .unwrap();
@@ -514,9 +465,14 @@ fn pipelined_seal_with_background_maintenance_completes() {
 
     let summary = recover_records(&dir).unwrap();
     assert_eq!(summary.missing_acknowledged(), (0, 0));
+    let manifest = summary.manifest.clone().unwrap();
+    assert!(manifest.sealed);
+    assert!(manifest.steps_retired > 0, "the budget must have retired");
+    let total: u64 = manifest.segments.iter().map(|m| m.bytes).sum();
+    assert!(total <= 2048, "budget enforced, {total} bytes remain");
+    // The survivors are exactly the most recent suffix.
     let steps: Vec<u64> = summary.steps.iter().map(|r| r.step).collect();
-    assert_eq!(steps, (0..200).collect::<Vec<_>>());
-    assert!(summary.manifest.unwrap().sealed);
+    assert_eq!(steps, (manifest.steps_retired..200).collect::<Vec<_>>());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -695,8 +651,6 @@ proptest! {
             &dir,
             BinaryStoreConfig {
                 segment_bytes: 256,
-                compact_segments: usize::MAX,
-                background: false,
                 ..BinaryStoreConfig::default()
             },
         )

@@ -137,11 +137,11 @@ impl TpuPointBuilder {
     }
 
     /// Selects the analyzer-mode record encoding: checksummed binary
-    /// segments with background compaction
-    /// ([`tpupoint_profiler::BinaryStore`], the default) or JSON lines,
-    /// the human-readable opt-in. Both formats share the manifest and
-    /// crash-recovery contract; `analyze --recover` auto-detects
-    /// whichever was written.
+    /// segments, each written once at rotation and retired inline by the
+    /// retention budget ([`tpupoint_profiler::BinaryStore`], the default),
+    /// or JSON lines, the human-readable opt-in. Both formats share the
+    /// manifest and crash-recovery contract; `analyze --recover`
+    /// auto-detects whichever was written.
     pub fn store_format(mut self, format: StoreFormat) -> Self {
         self.store_format = format;
         self
@@ -304,7 +304,6 @@ impl TpuPointBuilder {
                 BinaryStoreConfig {
                     segment_bytes: self.store_segment_bytes,
                     retention_bytes: self.store_retention_bytes,
-                    ..BinaryStoreConfig::default()
                 },
             )?),
         };
