@@ -2,7 +2,7 @@
 //! checkpoints, and visualization together.
 
 use crate::checkpoint::{associate, PhaseCheckpoint};
-use crate::dbscan::{self, DbscanConfig, DbscanError};
+use crate::dbscan::{self, DbscanConfig, DbscanError, NeighborCache};
 use crate::features::{FeatureMatrix, MAX_DIMS};
 use crate::kmeans::{self, KmeansConfig};
 use crate::ols::{self, OlsConfig};
@@ -37,12 +37,16 @@ impl Default for AnalyzerOptions {
 ///
 /// The PCA-reduced feature matrix is extracted on first use, by
 /// [`Analyzer::features`] or a k-means, BIC or DBSCAN method, and reused
-/// after that. OLS, checkpoints, top operators and the visualization
-/// writers read the profile directly and never build it.
+/// after that. DBSCAN's eps and O(n²) neighbor lists are likewise built
+/// once, by the first DBSCAN method, and shared by the sweep and every
+/// [`Analyzer::dbscan_phases`] call. OLS, checkpoints, top operators and
+/// the visualization writers read the profile directly and never build
+/// either.
 #[derive(Debug)]
 pub struct Analyzer<'a> {
     profile: &'a Profile,
     features: OnceLock<FeatureMatrix>,
+    neighbors: OnceLock<NeighborCache>,
     options: AnalyzerOptions,
 }
 
@@ -62,6 +66,7 @@ impl<'a> Analyzer<'a> {
         Analyzer {
             profile,
             features: OnceLock::new(),
+            neighbors: OnceLock::new(),
             options,
         }
     }
@@ -123,6 +128,18 @@ impl<'a> Analyzer<'a> {
         PhaseSet::from_labels(&self.profile.steps, &labels)
     }
 
+    /// DBSCAN's neighbor lists at [`DbscanConfig::default`]'s eps, built
+    /// on first use. The point cap is checked before every use, so an
+    /// oversized profile fails each call alike and never builds them.
+    fn neighbors(&self) -> Result<&NeighborCache, DbscanError> {
+        let config = DbscanConfig::default();
+        let features = self.features();
+        config.check_points(features.len())?;
+        Ok(self
+            .neighbors
+            .get_or_init(|| NeighborCache::build(features, config.eps_for(features))))
+    }
+
     /// DBSCAN noise-ratio sweep over the paper's min-samples grid
     /// (Figure 5).
     ///
@@ -131,11 +148,10 @@ impl<'a> Analyzer<'a> {
     /// Returns [`DbscanError::MemoryLimit`] on oversized inputs.
     pub fn dbscan_sweep(&self) -> Result<Vec<(usize, f64, usize)>, DbscanError> {
         let _span = tpupoint_obs::span!("analyzer.dbscan", sweep = true);
-        dbscan::sweep(
-            self.features(),
+        Ok(dbscan::sweep_with_cache(
+            self.neighbors()?,
             &dbscan::paper_grid(),
-            &DbscanConfig::default(),
-        )
+        ))
     }
 
     /// Phases from DBSCAN with the given min-samples (Figure 8 uses 30);
@@ -146,13 +162,7 @@ impl<'a> Analyzer<'a> {
     /// Returns [`DbscanError::MemoryLimit`] on oversized inputs.
     pub fn dbscan_phases(&self, min_samples: usize) -> Result<PhaseSet, DbscanError> {
         let _span = tpupoint_obs::span!("analyzer.dbscan", min_samples = min_samples);
-        let result = dbscan::run(
-            self.features(),
-            &DbscanConfig {
-                min_samples,
-                ..DbscanConfig::default()
-            },
-        )?;
+        let result = dbscan::run_with_cache(self.neighbors()?, min_samples);
         Ok(PhaseSet::from_labels(&self.profile.steps, &result.labels))
     }
 
@@ -286,6 +296,33 @@ mod tests {
         assert_eq!(sweep.len(), 8);
         let set = analyzer.dbscan_phases(5).expect("within limits");
         assert!(!set.is_empty());
+    }
+
+    #[test]
+    fn dbscan_phases_share_one_cache_and_match_a_fresh_run() {
+        let profile = demo_profile();
+        let analyzer = Analyzer::new(&profile);
+        for m in dbscan::paper_grid() {
+            let fresh = dbscan::run(
+                analyzer.features(),
+                &DbscanConfig {
+                    min_samples: m,
+                    ..DbscanConfig::default()
+                },
+            )
+            .expect("within limits");
+            assert_eq!(
+                analyzer.dbscan_phases(m).expect("within limits"),
+                PhaseSet::from_labels(&profile.steps, &fresh.labels),
+                "min_samples {m}"
+            );
+        }
+        let first = analyzer.neighbors().expect("within limits");
+        analyzer.dbscan_sweep().expect("within limits");
+        assert!(std::ptr::eq(
+            first,
+            analyzer.neighbors().expect("within limits")
+        ));
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub const NOISE: isize = -1;
 const PAR_NEIGHBOR_MIN_ROWS: usize = 128;
 
 /// Pairwise eps-neighborhoods of a matrix, computed once and shared by
-/// every run of a [`sweep`] — the sweep varies only `min_samples`, so
-/// recomputing the O(n²) neighbor scan per grid point is pure waste.
+/// every DBSCAN run over it — a sweep varies only `min_samples`, so
+/// recomputing the O(n²) neighbor scan per run is pure waste.
 ///
 /// Each list keeps ascending row order (the same order the previous
 /// inline `(0..n).filter` scan produced), so BFS expansion and therefore
@@ -34,24 +34,40 @@ pub struct NeighborCache {
 }
 
 impl NeighborCache {
-    /// Builds the cache for `matrix` at radius `eps`. Rows are scanned
-    /// independently, so the build fans out over the pool for large
-    /// matrices with identical results at any thread count.
+    /// Builds the cache for `matrix` at radius `eps`, measuring each
+    /// pair once. Row i scans only j ≥ i, fanned out over the pool for
+    /// large matrices; the lower half is then mirrored from it, since
+    /// [`dist2`] is symmetric bit for bit. The diagonal is still
+    /// measured, so a row whose self-distance is NaN stays out of its own
+    /// list, as in a full scan. Mirroring walks rows in ascending order,
+    /// so every list comes out ascending and identical to a full scan at
+    /// any thread count.
     pub fn build(matrix: &FeatureMatrix, eps: f64) -> Self {
         let _span = tpupoint_obs::span!("dbscan.neighbor_cache");
         let n = matrix.len();
         let eps2 = eps * eps;
-        let scan = |i: usize| -> Vec<usize> {
-            (0..n)
-                .filter(|&j| dist2(&matrix.rows[i], &matrix.rows[j]) <= eps2)
+        let upper_half = |i: usize| -> Vec<usize> {
+            let row = &matrix.rows[i];
+            (i..n)
+                .filter(|&j| dist2(row, &matrix.rows[j]) <= eps2)
                 .collect()
         };
         let pool = tpupoint_par::pool();
-        let lists = if n >= PAR_NEIGHBOR_MIN_ROWS && pool.size() > 1 {
-            pool.par_map_index(n, scan)
+        let upper = if n >= PAR_NEIGHBOR_MIN_ROWS && pool.size() > 1 {
+            pool.par_map_index(n, upper_half)
         } else {
-            (0..n).map(scan).collect()
+            (0..n).map(upper_half).collect()
         };
+        // By the time row i is reached, every lower neighbor h < i has
+        // already been pushed in ascending order; its own upper half,
+        // all ≥ i, follows.
+        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, up) in upper.iter().enumerate() {
+            lists[i].extend_from_slice(up);
+            for &j in up.iter().filter(|&&j| j > i) {
+                lists[j].push(i);
+            }
+        }
         NeighborCache { eps, lists }
     }
 
@@ -96,6 +112,26 @@ impl Default for DbscanConfig {
             min_samples: 30,
             max_points: Some(200_000),
         }
+    }
+}
+
+impl DbscanConfig {
+    /// Refuses `points` rows when they exceed [`DbscanConfig::max_points`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbscanError::MemoryLimit`] past the cap.
+    pub fn check_points(&self, points: usize) -> Result<(), DbscanError> {
+        match self.max_points {
+            Some(limit) if points > limit => Err(DbscanError::MemoryLimit { points, limit }),
+            _ => Ok(()),
+        }
+    }
+
+    /// The radius this config uses on `matrix`: the fixed `eps`, or
+    /// [`auto_eps`] when none is set.
+    pub fn eps_for(&self, matrix: &FeatureMatrix) -> f64 {
+        self.eps.unwrap_or_else(|| auto_eps(matrix))
     }
 }
 
@@ -152,6 +188,10 @@ impl DbscanResult {
 /// ~`4×stride`-th neighbor of the full data, so restricting the search to
 /// the sample inflates eps and (time-weighted) phase coverage degrades as
 /// dense step clusters get merged across real boundaries.
+///
+/// The seeds' scans are independent and fan out over the pool; their
+/// distances come back in seed order, so eps is bit-identical at any
+/// thread count.
 pub fn auto_eps(matrix: &FeatureMatrix) -> f64 {
     let n = matrix.len();
     if n < 2 {
@@ -159,24 +199,17 @@ pub fn auto_eps(matrix: &FeatureMatrix) -> f64 {
     }
     let stride = n.div_ceil(512);
     let sample: Vec<usize> = (0..n).step_by(stride).collect();
-    let mut knn: Vec<f64> = Vec::with_capacity(sample.len());
-    for &i in &sample {
+    let mut knn = tpupoint_par::pool().par_map(&sample, |_, &i| {
         let mut d: Vec<f64> = (0..n)
             .filter(|&j| j != i)
             .map(|j| matrix.dist2(i, j))
             .collect();
-        if d.is_empty() {
-            continue;
-        }
         let k = 3.min(d.len() - 1);
         d.select_nth_unstable_by(k, |a, b| {
             a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
         });
-        knn.push(d[k].sqrt());
-    }
-    if knn.is_empty() {
-        return 1.0;
-    }
+        d[k].sqrt()
+    });
     knn.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let median = knn[knn.len() / 2];
     (1.5 * median).max(1e-9)
@@ -189,14 +222,8 @@ pub fn auto_eps(matrix: &FeatureMatrix) -> f64 {
 /// Returns [`DbscanError::MemoryLimit`] when the input exceeds the
 /// configured point cap.
 pub fn run(matrix: &FeatureMatrix, config: &DbscanConfig) -> Result<DbscanResult, DbscanError> {
-    let n = matrix.len();
-    if let Some(limit) = config.max_points {
-        if n > limit {
-            return Err(DbscanError::MemoryLimit { points: n, limit });
-        }
-    }
-    let eps = config.eps.unwrap_or_else(|| auto_eps(matrix));
-    let cache = NeighborCache::build(matrix, eps);
+    config.check_points(matrix.len())?;
+    let cache = NeighborCache::build(matrix, config.eps_for(matrix));
     Ok(run_with_cache(&cache, config.min_samples))
 }
 
@@ -245,8 +272,7 @@ pub fn run_with_cache(cache: &NeighborCache, min_samples: usize) -> DbscanResult
 /// returning `(min_samples, noise_ratio, clusters)` triples — Figure 5.
 ///
 /// eps and the O(n²) neighbor lists are computed once and shared by every
-/// grid point; the per-point runs then fan out over the pool (each BFS is
-/// independent given the cache, and results are ordered by grid index).
+/// grid point; see [`sweep_with_cache`].
 ///
 /// # Errors
 ///
@@ -257,19 +283,19 @@ pub fn sweep(
     grid: &[usize],
     base: &DbscanConfig,
 ) -> Result<Vec<(usize, f64, usize)>, DbscanError> {
-    let n = matrix.len();
-    if let Some(limit) = base.max_points {
-        if n > limit {
-            return Err(DbscanError::MemoryLimit { points: n, limit });
-        }
-    }
-    // eps is computed once so the sweep varies only min_samples.
-    let eps = base.eps.unwrap_or_else(|| auto_eps(matrix));
-    let cache = NeighborCache::build(matrix, eps);
-    Ok(tpupoint_par::pool().par_map(grid, |_, &m| {
-        let result = run_with_cache(&cache, m);
+    base.check_points(matrix.len())?;
+    let cache = NeighborCache::build(matrix, base.eps_for(matrix));
+    Ok(sweep_with_cache(&cache, grid))
+}
+
+/// [`sweep`] against a prebuilt [`NeighborCache`]: the per-point runs fan
+/// out over the pool (each BFS is independent given the cache, and
+/// results are ordered by grid index).
+pub fn sweep_with_cache(cache: &NeighborCache, grid: &[usize]) -> Vec<(usize, f64, usize)> {
+    tpupoint_par::pool().par_map(grid, |_, &m| {
+        let result = run_with_cache(cache, m);
         (m, result.noise_ratio(), result.clusters)
-    }))
+    })
 }
 
 /// The paper's sweep grid: 5 to 180 in steps of 25.
@@ -287,6 +313,7 @@ pub fn elbow_min_samples(sweep: &[(usize, f64, usize)]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{Just, Strategy};
     use tpupoint_simcore::SimRng;
 
     fn blobs(sizes: &[usize]) -> FeatureMatrix {
@@ -472,6 +499,102 @@ mod tests {
             serial
         );
         tpupoint_par::set_threads(0);
+    }
+
+    /// The full scan the half scan replaced: row i measured against
+    /// every row j, self included.
+    fn full_scan(matrix: &FeatureMatrix, eps: f64) -> Vec<Vec<usize>> {
+        let n = matrix.len();
+        let eps2 = eps * eps;
+        (0..n)
+            .map(|i| {
+                (0..n)
+                    .filter(|&j| dist2(&matrix.rows[i], &matrix.rows[j]) <= eps2)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `n` rows of `dims` columns. Coarse-grid rows repeat one another
+    /// exactly, so ties, zero distances and `eps = 0` neighbors all occur;
+    /// the rest are Gaussian.
+    fn mixed_rows(n: usize, dims: usize, seed: u64) -> FeatureMatrix {
+        let mut rng = SimRng::seed_from(seed);
+        let rows = (0..n)
+            .map(|_| {
+                let coarse = rng.chance(0.5);
+                (0..dims)
+                    .map(|_| {
+                        if coarse {
+                            rng.uniform_u64(0, 3) as f64 * 0.5
+                        } else {
+                            rng.standard_normal()
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        FeatureMatrix {
+            steps: (0..n as u64).collect(),
+            rows,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The half scan plus mirror equals the full scan list for list,
+        /// on both sides of `PAR_NEIGHBOR_MIN_ROWS` and at 1 and 4
+        /// threads, with duplicate rows, `eps = 0` and a NaN row.
+        #[test]
+        fn half_scan_matches_the_full_scan(
+            shape in (1usize..2 * PAR_NEIGHBOR_MIN_ROWS, 1usize..5, 0u64..1_000),
+            eps in proptest::prop_oneof![Just(0.0), 0.0f64..3.0],
+            nan_row in proptest::prop_oneof![
+                Just(None),
+                (0usize..2 * PAR_NEIGHBOR_MIN_ROWS).prop_map(Some),
+            ],
+            threads in proptest::prop_oneof![
+                Just(1usize),
+                Just(4usize),
+            ],
+        ) {
+            let (n, dims, seed) = shape;
+            let mut m = mixed_rows(n, dims, seed);
+            if let Some(r) = nan_row.filter(|&r| r < n) {
+                m.rows[r][0] = f64::NAN;
+            }
+            tpupoint_par::set_threads(threads);
+            let cache = NeighborCache::build(&m, eps);
+            let reference = full_scan(&m, eps);
+            proptest::prop_assert_eq!(cache.len(), n);
+            for (i, expected) in reference.iter().enumerate() {
+                proptest::prop_assert_eq!(cache.neighbors(i), expected.as_slice(), "row {}", i);
+            }
+        }
+    }
+
+    #[test]
+    fn nan_row_is_nobodys_neighbor_not_even_its_own() {
+        let mut m = mixed_rows(PAR_NEIGHBOR_MIN_ROWS + 5, 3, 11);
+        m.rows[7][1] = f64::NAN;
+        let cache = NeighborCache::build(&m, 10.0);
+        assert!(cache.neighbors(7).is_empty());
+        assert!((0..m.len()).all(|i| !cache.neighbors(i).contains(&7)));
+        assert_eq!(cache.neighbors(8), full_scan(&m, 10.0)[8].as_slice());
+    }
+
+    #[test]
+    fn auto_eps_is_bit_identical_across_thread_counts() {
+        // Over 512 rows, so the seeds are a strided sample.
+        for m in [blobs(&[40, 30]), mixed_rows(700, 4, 3)] {
+            tpupoint_par::set_threads(1);
+            let serial = auto_eps(&m);
+            tpupoint_par::set_threads(4);
+            let pooled = auto_eps(&m);
+            tpupoint_par::set_threads(0);
+            assert_eq!(pooled.to_bits(), serial.to_bits());
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn bench_dbscan_sweep(c: &mut Criterion) {
         });
     }
     tpupoint_par::set_threads(0);
-    // The pre-cache baseline: one full neighbor scan per grid point.
+    // The pre-cache baseline: one neighbor scan per grid point.
     let eps = dbscan::auto_eps(&features);
     c.bench_function("dbscan_sweep_uncached_baseline", |b| {
         b.iter(|| {

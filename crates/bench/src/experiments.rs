@@ -888,10 +888,11 @@ impl BenchReport {
 }
 
 /// Analyzer engine benchmark: the three sweep hot paths timed in the
-/// baseline configuration (one worker, cold-start k-means, one full
-/// neighbor scan per DBSCAN grid point — what the analyzer did before the
-/// engine) and on the engine (shared neighbor cache, warm-started
-/// k-means, 4 workers). Feature construction is serial in both lanes.
+/// baseline configuration (one worker, cold-start k-means, one neighbor
+/// scan per DBSCAN grid point — what the analyzer did before the engine,
+/// though each scan is now the half scan `NeighborCache::build` does) and
+/// on the engine (one neighbor cache per analyzer, warm-started k-means,
+/// 4 workers). Feature construction is serial in both lanes.
 fn bench_analyzer(suite: &Suite, out_dir: &Path) -> io::Result<String> {
     use tpupoint::analyzer::{AnalyzerOptions, DbscanConfig, KmeansConfig};
 

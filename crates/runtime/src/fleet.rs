@@ -544,7 +544,11 @@ impl Fleet {
             let Some(id) = state.queue.pop_front() else {
                 break;
             };
-            let entry = state.jobs.get_mut(&id).expect("queued job exists");
+            // A queue id without a job entry is stale: skip it rather
+            // than panic with the state lock held.
+            let Some(entry) = state.jobs.get_mut(&id) else {
+                continue;
+            };
             entry.phase = JobPhase::Running;
             state.running += 1;
             let spec = entry.spec.clone();
@@ -571,7 +575,6 @@ impl Fleet {
                 Err(err) => {
                     // Thread spawn failed (fd/memory pressure): the job
                     // fails without ever running.
-                    let entry = state.jobs.get_mut(&id).expect("job exists");
                     entry.phase = JobPhase::Failed;
                     entry.error = Some(format!("spawn: {err}"));
                     state.running -= 1;
@@ -779,6 +782,32 @@ mod tests {
         // Drained jobs still report the steps their rushed run completed.
         assert_eq!(by_id("job-0").steps_completed, 7);
         assert_eq!(fleet.cancel("missing"), None);
+    }
+
+    #[test]
+    fn pump_skips_a_queued_id_without_a_job() {
+        let fleet = Fleet::new(
+            FleetLimits {
+                max_running: 1,
+                ..FleetLimits::default()
+            },
+            Box::new(|_: &JobSpec, _: &JobControl| Ok(3u64)),
+        );
+        {
+            let mut state = fleet.inner.state();
+            state.queue.push_back("ghost".to_owned());
+            fleet.pump(&mut state);
+            assert!(state.queue.is_empty());
+            assert_eq!(state.running, 0);
+            assert!(!state.jobs.contains_key("ghost"));
+        }
+        // The stale id cost no running slot: the next job still runs.
+        fleet.submit(spec("real", "t")).unwrap();
+        fleet.wait_idle();
+        let real = fleet.status("real").unwrap();
+        assert_eq!(real.phase, JobPhase::Completed);
+        assert_eq!(real.steps_completed, 3);
+        assert!(fleet.status("ghost").is_none());
     }
 
     #[test]

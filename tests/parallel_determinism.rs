@@ -2,7 +2,7 @@
 //! size. Phase boundaries, elbow picks, and DBSCAN noise ratios must
 //! never depend on how many threads happen to run the sweeps.
 
-use tpupoint::analyzer::{kmeans, Analyzer, AnalyzerOptions};
+use tpupoint::analyzer::{kmeans, Analyzer, AnalyzerOptions, PhaseSet};
 use tpupoint::prelude::*;
 
 fn profile_of(id: WorkloadId, scale: f64) -> Profile {
@@ -26,6 +26,7 @@ struct Derived {
     elbow_k: Option<usize>,
     kmeans_phases: Vec<(u64, u64)>,
     dbscan_sweep: Vec<(usize, f64, usize)>,
+    dbscan_phases: PhaseSet,
     ols_phases: Vec<(u64, u64)>,
 }
 
@@ -39,7 +40,7 @@ fn derive(profile: &Profile, threads: usize) -> Derived {
     );
     let kmeans_sweep = analyzer.kmeans_sweep(1..=8);
     let elbow_k = kmeans::elbow_k(&kmeans_sweep);
-    let boundaries = |set: &tpupoint::analyzer::PhaseSet| -> Vec<(u64, u64)> {
+    let boundaries = |set: &PhaseSet| -> Vec<(u64, u64)> {
         set.phases
             .iter()
             .map(|p| (*p.steps.first().unwrap(), *p.steps.last().unwrap()))
@@ -49,6 +50,7 @@ fn derive(profile: &Profile, threads: usize) -> Derived {
         elbow_k,
         kmeans_phases: boundaries(&analyzer.kmeans_phases(5)),
         dbscan_sweep: analyzer.dbscan_sweep().expect("within limits"),
+        dbscan_phases: analyzer.dbscan_phases(30).expect("within limits"),
         ols_phases: boundaries(&analyzer.ols_phases(0.7)),
         kmeans_sweep,
     }
