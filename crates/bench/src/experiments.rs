@@ -1014,9 +1014,11 @@ fn assert_same_records(reference: &Path, other: &Path, what: &str) -> io::Result
 const WINDOW_MAX_EVENTS: u64 = 256;
 
 /// Runs `config` into a JSONL store under `dir` that sleeps `throttle_us`
-/// per call, standing in for slow cloud storage. Windows seal on the
-/// simulation thread, or through the seal pipeline when `queue` is given.
-/// Returns the report, the profile, and the run and finish walls in µs.
+/// per call, standing in for slow cloud storage. Records are written
+/// inline on the simulation thread ([`ProfilerSink::with_store`], the
+/// batch lane), or queued on the pool when `queue` is given
+/// ([`ProfilerSink::with_pipelined_store`], the served lane). Returns the
+/// report, the profile, and the run and finish walls in µs.
 fn run_throttled(
     config: &JobConfig,
     dir: &Path,
@@ -1047,13 +1049,14 @@ fn run_throttled(
     Ok((report, profile, run_us, elapsed_us(t)))
 }
 
-/// Pipelined-profiler benchmark: one job into a throttled store, once
-/// with the serial sink — every window seal blocks the simulation thread
-/// — and once with the seal pipeline, which drains full windows on the
-/// shared pool. End to end is run plus finish: the pipeline moves the
-/// store latency off the simulation thread and into the drain barrier,
-/// so it hides latency from the simulation rather than raising
-/// throughput. Records must stay byte-identical across the lanes.
+/// Seal-lane benchmark: one job into a throttled store through each sink
+/// constructor — inline, where every store call blocks the simulation
+/// thread, and queued, where the pipeline drains records on the shared
+/// pool. End to end is run plus finish: the queued lane moves the store
+/// latency off the simulation thread and into the drain barrier, so it
+/// hides latency from the simulation (what a served job needs) rather
+/// than raising throughput (why batch runs stay inline). Records must
+/// stay byte-identical across the lanes.
 fn bench_pipeline(out_dir: &Path) -> io::Result<String> {
     const THREADS: usize = 4;
     const THROTTLE_US: u64 = 500;
@@ -1061,41 +1064,41 @@ fn bench_pipeline(out_dir: &Path) -> io::Result<String> {
     let config = build(id, TpuGeneration::V2, &BuildOptions::default());
     let tmp = ScratchDir::new("pipeline");
     tpupoint_par::set_threads(THREADS);
-    let serial = run_throttled(&config, &tmp.join("serial"), THROTTLE_US, None);
+    let inline = run_throttled(&config, &tmp.join("inline"), THROTTLE_US, None);
     // The high-water mark is past the full op count (windows plus the
     // steps streamed at window seals), so the simulation thread never
     // waits on the queue.
     let queue = PipelineConfig { high_water: 16384 };
-    let pipelined = run_throttled(&config, &tmp.join("pipelined"), THROTTLE_US, Some(queue));
+    let queued = run_throttled(&config, &tmp.join("queued"), THROTTLE_US, Some(queue));
     tpupoint_par::set_threads(0);
-    let (serial_report, serial_profile, serial_run_us, serial_finish_us) = serial?;
-    let (pipelined_report, pipelined_profile, pipelined_run_us, pipelined_finish_us) = pipelined?;
+    let (inline_report, inline_profile, inline_run_us, inline_finish_us) = inline?;
+    let (queued_report, queued_profile, queued_run_us, queued_finish_us) = queued?;
 
     // Off-critical-path sealing must not change a single byte of output.
-    assert_eq!(serial_report, pipelined_report, "run reports diverged");
-    assert_eq!(serial_profile, pipelined_profile, "profiles diverged");
+    assert_eq!(inline_report, queued_report, "run reports diverged");
+    assert_eq!(inline_profile, queued_profile, "profiles diverged");
     assert_same_records(
-        &tmp.join("serial"),
-        &tmp.join("pipelined"),
-        "serial vs pipelined sealing",
+        &tmp.join("inline"),
+        &tmp.join("queued"),
+        "inline vs queued sealing",
     )?;
 
     BenchReport {
         name: "pipeline",
         workload: id.label(),
         threads: THREADS,
-        baseline: ("serial", serial_run_us + serial_finish_us),
-        change: ("pipelined", pipelined_run_us + pipelined_finish_us),
+        baseline: ("inline", inline_run_us + inline_finish_us),
+        change: ("queued", queued_run_us + queued_finish_us),
         target_speedup: None,
         layers: vec![
-            ("simulation wall", serial_run_us, pipelined_run_us),
-            ("drain barrier", serial_finish_us, pipelined_finish_us),
+            ("simulation wall", inline_run_us, queued_run_us),
+            ("drain barrier", inline_finish_us, queued_finish_us),
         ],
         facts: serde_json::json!({
             "store_throttle_us_per_op": THROTTLE_US,
             "window_max_events": WINDOW_MAX_EVENTS,
-            "windows_sealed": serial_profile.windows.len(),
-            "steps_recorded": serial_profile.steps.len(),
+            "windows_sealed": inline_profile.windows.len(),
+            "steps_recorded": inline_profile.steps.len(),
             "byte_identical": true,
         }),
     }

@@ -22,8 +22,7 @@ USAGE:
                    [--seed N] [--naive] [--out DIR] [--store-retries N]
                    [--store-fault-prob F] [--store-fault-seed N]
                    [--store-format jsonl|binary] [--store-segment-kib N]
-                   [--store-retain-mib N] [--pipeline-profiler]
-                   [--paired-baseline]
+                   [--store-retain-mib N] [--paired-baseline]
       Simulate and profile a training session; writes <DIR>/profile.json.
       --store-retries bounds record-store retries before spilling to
       memory (default 3; 0 disables resilience). --store-fault-prob
@@ -37,10 +36,10 @@ USAGE:
       accounting (0 = keep everything). jsonl writes human-readable JSON lines instead. Both
       formats share the crash-recovery contract; `analyze --recover`
       auto-detects whichever was written.
-      --pipeline-profiler seals windows off the simulation thread on the
-      shared worker pool (TPUPOINT_THREADS); the recorded output is
-      byte-identical to the default serial path. --paired-baseline also
-      runs an uninstrumented twin of the job and reports the *measured*
+      Records are written on the simulation thread; served jobs (see
+      serve) queue theirs on the shared worker pool instead, with
+      byte-identical output. --paired-baseline also runs an
+      uninstrumented twin of the job and reports the *measured*
       instrumented-to-baseline wall ratio instead of the modeled bound.
 
   tpupoint analyze <profile.json> [--algorithm ols|kmeans|dbscan]
@@ -241,11 +240,7 @@ fn profile(argv: &[String]) -> Result<(), String> {
         "store-fault-seed",
     ]);
     options.extend(STORE_OPTIONS);
-    let args = Args::parse(
-        argv,
-        &options,
-        &["naive", "pipeline-profiler", "paired-baseline"],
-    )?;
+    let args = Args::parse(argv, &options, &["naive", "paired-baseline"])?;
     let session = ObsSession::start(&args)?;
     let config = build_from_args(&args)?;
     let out: PathBuf = args.get("out").unwrap_or("tpupoint-out").into();
@@ -254,7 +249,6 @@ fn profile(argv: &[String]) -> Result<(), String> {
             parse_fault_prob(&args)?,
             args.get_or("store-fault-seed", 0xFA117)?,
         )
-        .pipeline_profiler(args.flag("pipeline-profiler"))
         .build();
     let run = tp
         .profile(config)

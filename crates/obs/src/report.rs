@@ -176,7 +176,7 @@ pub struct ObsReport {
     pub store_health: Option<StoreHealth>,
     /// Binary segment-store health, when the binary format ran.
     pub store_format: Option<StoreFormatHealth>,
-    /// Seal-pipeline health, when the pipelined profiler ran.
+    /// Seal-pipeline health, when a store was attached.
     pub pipeline_health: Option<PipelineHealth>,
 }
 

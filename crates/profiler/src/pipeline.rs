@@ -1,17 +1,25 @@
-//! Off-critical-path sealing: [`SealPipeline`] sits between the profiler
-//! sink and its [`RecordStore`], queueing every store operation and
-//! draining the queue on `tpupoint-par` workers so record encoding and
-//! storage writes happen off the simulation thread.
+//! The seal lane: [`SealPipeline`] is the only route from the profiler
+//! sink to its [`RecordStore`]. It runs in one of two modes, and the
+//! caller's mode picks it:
 //!
-//! The paper's profiler runs as a background thread precisely so that
-//! collection does not perturb the training being measured; this module is
-//! that design. Three invariants make the pipelined path a drop-in for the
-//! serial one:
+//! - **Inline** ([`SealPipeline::inline`], or any pipeline on a pool of
+//!   one). Each operation is applied on the caller, straight from the
+//!   borrowed record. Batch profiles seal this way: a batch run returns
+//!   only after its store is sealed, so moving store latency off the
+//!   simulation thread could not make it finish sooner.
+//! - **Queued** ([`SealPipeline::new`] or [`SealPipeline::on_pool`] on a
+//!   pool of two or more). Each operation is cloned into a bounded queue
+//!   drained by `tpupoint-par` workers, so record encoding and storage
+//!   writes happen off the recording thread. Served jobs seal this way:
+//!   the paper's profiler runs as a background thread precisely so that
+//!   collection does not perturb the training being measured.
+//!
+//! Three invariants make the two modes interchangeable:
 //!
 //! 1. **FIFO store order.** At most one drain task runs at a time, and it
 //!    applies queued operations in submission order, so the store decorator
-//!    chain (retry/fault/JSONL) observes the *identical* call sequence as
-//!    the serial path — sealed output is byte-identical and seeded fault
+//!    chain (retry/fault/JSONL) observes the *identical* call sequence in
+//!    both modes — sealed output is byte-identical and seeded fault
 //!    scenarios replay exactly.
 //! 2. **Bounded queue.** [`PipelineConfig::high_water`] caps in-flight
 //!    operations; a producer hitting the cap blocks until the drainer
@@ -19,20 +27,21 @@
 //!    store cannot buffer unbounded memory.
 //! 3. **Drain barrier.** [`SealPipeline::wait_idle`] returns only when the
 //!    queue is empty and no drain task is running, so a finished profile
-//!    reflects every store result, exactly like the serial path.
+//!    reflects every store result. Inline, the queue is always empty.
 //!
-//! On a pool of one participant there are no worker threads; the pipeline
-//! degrades to applying each operation inline on the caller, which *is*
-//! the serial path.
+//! Either way, store failures are kept in operation order until the sink
+//! takes them ([`SealPipeline::take_errors`]).
 //!
 //! Observability: gauge `profiler.seal_queue_depth`, histogram
-//! `profiler.seal_latency_us` (real wall time per drained operation),
-//! counter `profiler.seal_backpressure_waits`, and the drain task's
-//! `span.profiler.seal_drain` spans appearing in each worker's trace lane.
+//! `profiler.seal_latency_us` (real wall time per applied operation, in
+//! both modes), counter `profiler.seal_backpressure_waits`, and the drain
+//! task's `span.profiler.seal_drain` spans appearing in each worker's
+//! trace lane.
 
 use crate::record::StepRecord;
 use crate::store::RecordStore;
 use crate::window::WindowRecord;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,23 +61,23 @@ impl Default for PipelineConfig {
     }
 }
 
-/// One queued store operation.
-enum SealTask {
-    Window(WindowRecord),
-    Step(StepRecord),
-    Meta(String, String),
+/// One store operation. The inline mode applies it from the caller's
+/// borrows; only the queue owns one (`SealTask<'static>`).
+enum SealTask<'a> {
+    Window(Cow<'a, WindowRecord>),
+    Step(Cow<'a, StepRecord>),
+    Meta(Cow<'a, str>, Cow<'a, str>),
     Catalog {
-        names: Vec<String>,
-        uses_mxu: Vec<bool>,
-        on_host: Vec<bool>,
+        names: Cow<'a, [String]>,
+        uses_mxu: Cow<'a, [bool]>,
+        on_host: Cow<'a, [bool]>,
     },
     Flush,
     Seal,
 }
 
-impl SealTask {
-    /// The label store errors are reported under; matches the serial
-    /// sink's accounting strings so profiles compare equal.
+impl SealTask<'_> {
+    /// The label store errors are reported under in the profile.
     fn what(&self) -> &'static str {
         match self {
             SealTask::Window(_) => "put_window",
@@ -79,31 +88,54 @@ impl SealTask {
             SealTask::Seal => "seal",
         }
     }
-}
 
-fn apply(store: &mut Box<dyn RecordStore + Send>, task: SealTask) -> io::Result<()> {
-    match task {
-        SealTask::Window(window) => store.put_window(&window),
-        SealTask::Step(step) => store.put_step(&step),
-        SealTask::Meta(model, dataset) => {
-            store.set_meta(&model, &dataset);
-            Ok(())
+    /// The operation with every borrow cloned, ready to queue.
+    fn into_owned(self) -> SealTask<'static> {
+        fn own<T: ToOwned + ?Sized + 'static>(value: Cow<'_, T>) -> Cow<'static, T> {
+            Cow::Owned(value.into_owned())
         }
-        SealTask::Catalog {
-            names,
-            uses_mxu,
-            on_host,
-        } => {
-            store.set_catalog(&names, &uses_mxu, &on_host);
-            Ok(())
+        match self {
+            SealTask::Window(window) => SealTask::Window(own(window)),
+            SealTask::Step(step) => SealTask::Step(own(step)),
+            SealTask::Meta(model, dataset) => SealTask::Meta(own(model), own(dataset)),
+            SealTask::Catalog {
+                names,
+                uses_mxu,
+                on_host,
+            } => SealTask::Catalog {
+                names: own(names),
+                uses_mxu: own(uses_mxu),
+                on_host: own(on_host),
+            },
+            SealTask::Flush => SealTask::Flush,
+            SealTask::Seal => SealTask::Seal,
         }
-        SealTask::Flush => store.flush(),
-        SealTask::Seal => store.seal(),
+    }
+
+    fn apply(&self, store: &mut Box<dyn RecordStore + Send>) -> io::Result<()> {
+        match self {
+            SealTask::Window(window) => store.put_window(window),
+            SealTask::Step(step) => store.put_step(step),
+            SealTask::Meta(model, dataset) => {
+                store.set_meta(model, dataset);
+                Ok(())
+            }
+            SealTask::Catalog {
+                names,
+                uses_mxu,
+                on_host,
+            } => {
+                store.set_catalog(names, uses_mxu, on_host);
+                Ok(())
+            }
+            SealTask::Flush => store.flush(),
+            SealTask::Seal => store.seal(),
+        }
     }
 }
 
 struct PipelineState {
-    queue: VecDeque<SealTask>,
+    queue: VecDeque<SealTask<'static>>,
     /// Checked out (None) only while the single active drain task applies
     /// an operation outside the lock.
     store: Option<Box<dyn RecordStore + Send>>,
@@ -113,10 +145,18 @@ struct PipelineState {
     /// Set by [`SealPipeline::simulate_crash`]: drop everything in flight
     /// and leak the store, like a `kill -9`.
     killed: bool,
-    /// Store failures in operation order, replayed into the sink's
-    /// accounting at the drain barrier.
+    /// Store failures in operation order, until the sink takes them.
     errors: Vec<(&'static str, io::Error)>,
     ops_done: u64,
+}
+
+impl PipelineState {
+    fn settle(&mut self, what: &'static str, result: io::Result<()>) {
+        self.ops_done += 1;
+        if let Err(err) = result {
+            self.errors.push((what, err));
+        }
+    }
 }
 
 struct PipelineShared {
@@ -132,6 +172,19 @@ struct PipelineShared {
 }
 
 impl PipelineShared {
+    /// Applies `task` to `store`, recording its wall time.
+    fn apply(
+        &self,
+        store: &mut Box<dyn RecordStore + Send>,
+        task: &SealTask<'_>,
+    ) -> io::Result<()> {
+        let started = Instant::now();
+        let result = task.apply(store);
+        self.latency_us
+            .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        result
+    }
+
     fn drain(self: &Arc<Self>) {
         let _span = tpupoint_obs::span!("profiler.seal_drain");
         let mut state = self.state.lock().expect("pipeline");
@@ -149,11 +202,7 @@ impl PipelineShared {
                 .take()
                 .expect("store is checked out by the single active drainer only");
             drop(state);
-            let what = task.what();
-            let started = Instant::now();
-            let result = apply(&mut store, task);
-            self.latency_us
-                .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
+            let result = self.apply(&mut store, &task);
             state = self.state.lock().expect("pipeline");
             if state.killed {
                 // Crashed while this operation was in flight: the store
@@ -163,10 +212,7 @@ impl PipelineShared {
                 break;
             }
             state.store = Some(store);
-            state.ops_done += 1;
-            if let Err(err) = result {
-                state.errors.push((what, err));
-            }
+            state.settle(task.what(), result);
         }
         state.draining = false;
         drop(state);
@@ -175,18 +221,18 @@ impl PipelineShared {
     }
 }
 
-/// The bounded sealing queue; see the module docs.
+/// The sink's route to its store; see the module docs.
 pub struct SealPipeline {
     shared: Arc<PipelineShared>,
-    pool: Arc<tpupoint_par::ThreadPool>,
-    /// Pool of one: no workers exist, apply operations on the caller.
-    inline: bool,
+    /// The pool draining the queue; `None` applies every operation inline
+    /// on the caller.
+    pool: Option<Arc<tpupoint_par::ThreadPool>>,
 }
 
 impl std::fmt::Debug for SealPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SealPipeline")
-            .field("inline", &self.inline)
+            .field("inline", &self.pool.is_none())
             .field("depth", &self.depth())
             .finish_non_exhaustive()
     }
@@ -199,13 +245,27 @@ impl SealPipeline {
     }
 
     /// Builds a pipeline draining on an explicit pool (tests pin sizes).
+    /// A pool of one has no workers, so the pipeline runs inline.
     pub fn on_pool(
         store: Box<dyn RecordStore + Send>,
         config: PipelineConfig,
         pool: Arc<tpupoint_par::ThreadPool>,
     ) -> Self {
+        Self::build(store, config, (pool.size() > 1).then_some(pool))
+    }
+
+    /// Builds a pipeline that applies every operation on the caller,
+    /// straight from the borrowed record, with nothing queued or copied.
+    pub fn inline(store: Box<dyn RecordStore + Send>) -> Self {
+        Self::build(store, PipelineConfig::default(), None)
+    }
+
+    fn build(
+        store: Box<dyn RecordStore + Send>,
+        config: PipelineConfig,
+        pool: Option<Arc<tpupoint_par::ThreadPool>>,
+    ) -> Self {
         let metrics = tpupoint_obs::metrics();
-        let inline = pool.size() <= 1;
         SealPipeline {
             shared: Arc::new(PipelineShared {
                 state: Mutex::new(PipelineState {
@@ -224,7 +284,6 @@ impl SealPipeline {
                 backpressure: metrics.counter("profiler.seal_backpressure_waits"),
             }),
             pool,
-            inline,
         }
     }
 
@@ -256,66 +315,56 @@ impl SealPipeline {
         self.shared.state.lock().expect("pipeline").ops_done
     }
 
-    /// Enqueues one window record.
+    /// Submits one window record.
     pub fn put_window(&self, record: &WindowRecord) {
-        self.submit(SealTask::Window(record.clone()));
+        self.submit(SealTask::Window(Cow::Borrowed(record)));
     }
 
-    /// Enqueues one step record.
+    /// Submits one step record.
     pub fn put_step(&self, record: &StepRecord) {
-        self.submit(SealTask::Step(record.clone()));
+        self.submit(SealTask::Step(Cow::Borrowed(record)));
     }
 
-    /// Enqueues the stream's model/dataset label.
+    /// Submits the stream's model/dataset label.
     pub fn set_meta(&self, model: &str, dataset: &str) {
-        self.submit(SealTask::Meta(model.to_owned(), dataset.to_owned()));
+        self.submit(SealTask::Meta(Cow::Borrowed(model), Cow::Borrowed(dataset)));
     }
 
-    /// Enqueues the op-name catalog.
-    pub fn set_catalog(&self, names: Vec<String>, uses_mxu: Vec<bool>, on_host: Vec<bool>) {
+    /// Submits the op-name catalog.
+    pub fn set_catalog(&self, names: &[String], uses_mxu: &[bool], on_host: &[bool]) {
         self.submit(SealTask::Catalog {
-            names,
-            uses_mxu,
-            on_host,
+            names: Cow::Borrowed(names),
+            uses_mxu: Cow::Borrowed(uses_mxu),
+            on_host: Cow::Borrowed(on_host),
         });
     }
 
-    /// Enqueues a flush (the store's acknowledgement watermark advances
-    /// when the drainer applies it).
+    /// Submits a flush (the store's acknowledgement watermark advances
+    /// when it is applied).
     pub fn flush(&self) {
         self.submit(SealTask::Flush);
     }
 
-    /// Enqueues the sealing rename of a clean shutdown.
+    /// Submits the sealing rename of a clean shutdown.
     pub fn seal(&self) {
         self.submit(SealTask::Seal);
     }
 
-    fn submit(&self, task: SealTask) {
-        if self.inline {
-            let mut state = self.shared.state.lock().expect("pipeline");
-            if state.killed {
-                return;
-            }
-            let what = task.what();
-            let store = state
-                .store
-                .as_mut()
-                .expect("inline store never checked out");
-            let started = Instant::now();
-            let result = apply(store, task);
-            self.shared
-                .latency_us
-                .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-            state.ops_done += 1;
-            if let Err(err) = result {
-                state.errors.push((what, err));
+    fn submit(&self, task: SealTask<'_>) {
+        let mut state = self.shared.state.lock().expect("pipeline");
+        if self.pool.is_none() {
+            if !state.killed {
+                let store = state
+                    .store
+                    .as_mut()
+                    .expect("inline store never checked out");
+                let result = self.shared.apply(store, &task);
+                state.settle(task.what(), result);
             }
             return;
         }
-        let mut state = self.shared.state.lock().expect("pipeline");
         while state.queue.len() >= self.shared.high_water && !state.killed {
-            // Backpressure: the simulation thread waits for the drainer
+            // Backpressure: the recording thread waits for the drainer
             // instead of buffering without bound.
             self.shared.backpressure.inc();
             self.ensure_drainer(&mut state);
@@ -324,7 +373,7 @@ impl SealPipeline {
         if state.killed {
             return;
         }
-        state.queue.push_back(task);
+        state.queue.push_back(task.into_owned());
         self.shared.depth.set(state.queue.len() as f64);
         self.ensure_drainer(&mut state);
     }
@@ -334,12 +383,15 @@ impl SealPipeline {
     /// dry) so a scope-helping thread that happens to pick one up is never
     /// trapped in an endless loop.
     fn ensure_drainer(&self, state: &mut PipelineState) {
+        let Some(pool) = &self.pool else {
+            return;
+        };
         if state.draining || state.killed || state.queue.is_empty() {
             return;
         }
         state.draining = true;
         let shared = Arc::clone(&self.shared);
-        self.pool.spawn_detached(move || shared.drain());
+        pool.spawn_detached(move || shared.drain());
     }
 
     /// The drain barrier: blocks until every queued operation has been
@@ -361,16 +413,10 @@ impl SealPipeline {
         }
     }
 
-    /// Takes the store failures recorded so far, in operation order.
+    /// Takes the store failures recorded since the last call, in
+    /// operation order.
     pub fn take_errors(&self) -> Vec<(&'static str, io::Error)> {
         std::mem::take(&mut self.shared.state.lock().expect("pipeline").errors)
-    }
-
-    /// Waits for the drainer, then hands the store back (None after a
-    /// simulated crash).
-    pub fn into_store(self) -> Option<Box<dyn RecordStore + Send>> {
-        self.wait_idle();
-        self.shared.state.lock().expect("pipeline").store.take()
     }
 
     /// Fault-injection hook for crash tests: simulates a `kill -9` of the
@@ -393,5 +439,71 @@ impl SealPipeline {
         while state.draining {
             state = self.shared.idle.wait(state).expect("pipeline");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::resilience::{FaultConfig, FaultStore};
+    use crate::store::InMemoryStore;
+
+    fn step(n: u64) -> StepRecord {
+        StepRecord::new(n)
+    }
+
+    #[test]
+    fn inline_pipeline_applies_each_call_before_returning() {
+        // A pool of one has no workers, so it runs inline too.
+        let one = Arc::new(tpupoint_par::ThreadPool::new(1));
+        for pipeline in [
+            SealPipeline::inline(Box::new(InMemoryStore::new())),
+            SealPipeline::on_pool(
+                Box::new(InMemoryStore::new()),
+                PipelineConfig::default(),
+                one,
+            ),
+        ] {
+            pipeline.set_meta("model", "data");
+            assert_eq!(pipeline.ops_done(), 1);
+            for n in 0..5 {
+                pipeline.put_step(&step(n));
+                assert_eq!(pipeline.ops_done(), n + 2, "applied synchronously");
+                assert_eq!(pipeline.depth(), 0, "nothing is ever queued inline");
+            }
+            pipeline.seal();
+            assert_eq!(pipeline.ops_done(), 7);
+            assert!(pipeline.take_errors().is_empty());
+        }
+    }
+
+    #[test]
+    fn inline_errors_come_back_in_operation_order() {
+        let store = FaultStore::new(
+            InMemoryStore::new(),
+            FaultConfig {
+                error_probability: 1.0,
+                ..FaultConfig::default()
+            },
+        );
+        let pipeline = SealPipeline::inline(Box::new(store));
+        pipeline.put_step(&step(1));
+        pipeline.put_window(&WindowRecord {
+            index: 0,
+            start: tpupoint_simcore::SimTime::ZERO,
+            end: tpupoint_simcore::SimTime::ZERO,
+            events: 0,
+            tpu_busy: tpupoint_simcore::SimDuration::ZERO,
+            mxu_busy: tpupoint_simcore::SimDuration::ZERO,
+            first_step: 1,
+            last_step: 1,
+        });
+        let first: Vec<&str> = pipeline.take_errors().iter().map(|(w, _)| *w).collect();
+        assert_eq!(first, ["put_step", "put_window"]);
+        pipeline.flush();
+        pipeline.seal();
+        let rest: Vec<&str> = pipeline.take_errors().iter().map(|(w, _)| *w).collect();
+        assert_eq!(rest, ["flush", "seal"], "taken errors are not repeated");
+        assert_eq!(pipeline.ops_done(), 4);
     }
 }

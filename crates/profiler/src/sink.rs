@@ -76,15 +76,6 @@ impl Default for ProfilerOptions {
     }
 }
 
-/// How sealed records reach the attached store: directly on the
-/// simulation thread, or through the bounded [`SealPipeline`] drained by
-/// `tpupoint-par` workers. Both lanes issue the identical operation
-/// sequence, so the sealed output is byte-for-byte the same.
-enum StoreLane {
-    Serial(Box<dyn RecordStore + Send>),
-    Pipelined(SealPipeline),
-}
-
 /// A step record is streamed to the store once the runtime has marked this
 /// many *further* steps complete. Pipelined actors trail at most a couple
 /// of steps behind the session's completion marks (outfeed drains, summary
@@ -200,7 +191,9 @@ pub struct ProfilerSink {
     current: Option<WindowRecord>,
     step_marks: Vec<(u64, SimTime)>,
     checkpoints: Vec<(u64, SimTime)>,
-    store: Option<StoreLane>,
+    /// The route to the attached store: inline on the simulation thread
+    /// or queued on the pool, with the identical operation sequence.
+    store: Option<SealPipeline>,
     events_seen: u64,
     op_on_host: Vec<bool>,
     fault_rng: SimRng,
@@ -291,10 +284,8 @@ impl ProfilerSink {
     /// with a drain already scheduled keeps its handles).
     pub fn use_registry(&mut self, metrics: &tpupoint_obs::Metrics) {
         self.obs = SinkMetrics::in_registry(metrics);
-        match &mut self.store {
-            Some(StoreLane::Serial(store)) => store.use_registry(metrics),
-            Some(StoreLane::Pipelined(pipeline)) => pipeline.use_registry(metrics),
-            None => {}
+        if let Some(pipeline) = &mut self.store {
+            pipeline.use_registry(metrics);
         }
     }
 
@@ -368,15 +359,16 @@ impl ProfilerSink {
     }
 
     /// Creates a sink that additionally streams sealed records to `store`
-    /// (the analyzer-mode recording thread), writing on the simulation
-    /// thread.
+    /// (the analyzer-mode recording thread) through an inline
+    /// [`SealPipeline`]: each record is written on the simulation thread,
+    /// straight from the sink's own copy.
     pub fn with_store(
         catalog: OpCatalog,
         options: ProfilerOptions,
         store: Box<dyn RecordStore + Send>,
     ) -> Self {
         let mut sink = Self::new(catalog, options);
-        sink.store = Some(StoreLane::Serial(store));
+        sink.store = Some(SealPipeline::inline(store));
         sink
     }
 
@@ -391,7 +383,7 @@ impl ProfilerSink {
         config: PipelineConfig,
     ) -> Self {
         let mut sink = Self::new(catalog, options);
-        sink.store = Some(StoreLane::Pipelined(SealPipeline::new(store, config)));
+        sink.store = Some(SealPipeline::new(store, config));
         sink
     }
 
@@ -417,25 +409,24 @@ impl ProfilerSink {
         // Host placement is learned during the run; until then every op
         // defaults to host, matching the finished profile's default.
         let on_host = vec![true; names.len()];
-        match self.store.as_mut() {
-            Some(StoreLane::Serial(store)) => {
-                store.set_meta(model, dataset);
-                store.set_catalog(&names, &uses_mxu, &on_host);
-            }
-            Some(StoreLane::Pipelined(pipeline)) => {
-                pipeline.set_meta(model, dataset);
-                pipeline.set_catalog(names, uses_mxu, on_host);
-            }
-            None => {}
+        if let Some(pipeline) = &self.store {
+            pipeline.set_meta(model, dataset);
+            pipeline.set_catalog(&names, &uses_mxu, &on_host);
         }
     }
 
-    /// Accounts one store-operation result: failures are counted
+    /// Accounts the store failures the pipeline has seen since the last
+    /// call, in operation order: each is counted
     /// (`profiler.store_errors`), the first is remembered, and recording
     /// continues — a storage outage must never kill the training run, but
-    /// it must not be silent either.
-    fn note_store_result(&mut self, what: &str, result: std::io::Result<()>) {
-        if let Err(err) = result {
+    /// it must not be silent either. Runs after every kept window seal's
+    /// store operations and at the finish barrier; inline that is every
+    /// failure so far, queued it is those the drainer has reached.
+    fn note_store_errors(&mut self) {
+        let Some(pipeline) = &self.store else {
+            return;
+        };
+        for (what, err) in pipeline.take_errors() {
             self.store_errors += 1;
             self.obs.store_errors.inc();
             if self.first_store_error.is_none() {
@@ -466,20 +457,8 @@ impl ProfilerSink {
             self.obs
                 .window_span_us
                 .record(window.end.saturating_since(window.start).as_micros());
-            // Recording failures must not kill the training run, but they
-            // are counted and surfaced via the profile. On the pipelined
-            // lane the write happens on a pool worker; its result is
-            // merged into the same accounting at the finish barrier.
-            let serial_result = match self.store.as_mut() {
-                Some(StoreLane::Serial(store)) => Some(store.put_window(&window)),
-                Some(StoreLane::Pipelined(pipeline)) => {
-                    pipeline.put_window(&window);
-                    None
-                }
-                None => None,
-            };
-            if let Some(result) = serial_result {
-                self.note_store_result("put_window", result);
+            if let Some(pipeline) = &self.store {
+                pipeline.put_window(&window);
             }
             // Steps below the window's last step are complete; the last
             // step itself may straddle into the next window, so it stays
@@ -488,6 +467,7 @@ impl ProfilerSink {
             self.windows.push(window);
             self.deliver_completed(completed_below);
             self.stream_completed_steps();
+            self.note_store_errors();
         }
     }
 
@@ -506,19 +486,12 @@ impl ProfilerSink {
         }
         // `on_step` sealed these already, unless a late event reopened one.
         self.seal_open_below(hi);
-        let records = self.sealed.range(self.stored_through..hi).map(|(_, r)| r);
-        let mut failures = Vec::new();
-        match self.store.as_mut() {
-            Some(StoreLane::Serial(store)) => {
-                failures.extend(records.filter_map(|record| store.put_step(record).err()));
+        if let Some(pipeline) = &self.store {
+            for record in self.sealed.range(self.stored_through..hi).map(|(_, r)| r) {
+                pipeline.put_step(record);
             }
-            Some(StoreLane::Pipelined(pipeline)) => records.for_each(|r| pipeline.put_step(r)),
-            None => unreachable!("checked above"),
         }
         self.stored_through = hi;
-        for err in failures {
-            self.note_store_result("put_step", Err(err));
-        }
     }
 
     fn window_for(&mut self, event: &TraceEvent) -> &mut WindowRecord {
@@ -553,10 +526,10 @@ impl ProfilerSink {
     }
 
     /// Seals the final window and returns the finished profile, sorted by
-    /// step number. Also seals the store, if any; on the pipelined lane
-    /// this is the drain barrier — it returns only after every queued
-    /// operation reached the store, so the profile's error accounting is
-    /// identical to the serial lane's.
+    /// step number. Also seals the store, if any; this is the drain
+    /// barrier — it returns only after every queued operation reached the
+    /// store, so the profile's error accounting is the same on either
+    /// lane.
     pub fn finish(mut self) -> Profile {
         self.seal_window();
         for mut open in std::mem::take(&mut self.open) {
@@ -575,39 +548,22 @@ impl ProfilerSink {
         let (op_names, op_uses_mxu) = self.catalog_columns();
         let mut op_on_host = std::mem::take(&mut self.op_on_host);
         op_on_host.resize(op_names.len(), true);
-        match self.store.take() {
-            Some(StoreLane::Serial(mut store)) => {
-                store.set_catalog(&op_names, &op_uses_mxu, &op_on_host);
-                // Steps below `stored_through` were streamed at window
-                // seals; only the tail plus the synthetic step-0 record
-                // (which pools unstepped events for the whole run and is
-                // final only now) remain. With no mid-run seals this
-                // degenerates to writing every step, in the same order
-                // as before streaming existed.
-                let from = steps.partition_point(|r| r.step < self.stored_through);
-                let zero = steps.first().filter(|r| r.step == 0);
-                for record in zero.into_iter().chain(&steps[from..]) {
-                    let result = store.put_step(record);
-                    self.note_store_result("put_step", result);
-                }
-                let result = store.seal();
-                self.note_store_result("seal", result);
+        if let Some(pipeline) = &self.store {
+            pipeline.set_catalog(&op_names, &op_uses_mxu, &op_on_host);
+            // Steps below `stored_through` were streamed at window seals;
+            // only the tail plus the synthetic step-0 record (which pools
+            // unstepped events for the whole run and is final only now)
+            // remain. With no mid-run seals this degenerates to writing
+            // every step, in the same order as before streaming existed.
+            let from = steps.partition_point(|r| r.step < self.stored_through);
+            let zero = steps.first().filter(|r| r.step == 0);
+            for record in zero.into_iter().chain(&steps[from..]) {
+                pipeline.put_step(record);
             }
-            Some(StoreLane::Pipelined(pipeline)) => {
-                pipeline.set_catalog(op_names.clone(), op_uses_mxu.clone(), op_on_host.clone());
-                let from = steps.partition_point(|r| r.step < self.stored_through);
-                let zero = steps.first().filter(|r| r.step == 0);
-                for record in zero.into_iter().chain(&steps[from..]) {
-                    pipeline.put_step(record);
-                }
-                pipeline.seal();
-                pipeline.wait_idle();
-                for (what, err) in pipeline.take_errors() {
-                    self.note_store_result(what, Err(err));
-                }
-            }
-            None => {}
+            pipeline.seal();
+            pipeline.wait_idle();
         }
+        self.note_store_errors();
         Profile {
             model: self.model,
             dataset: self.dataset,
@@ -1036,6 +992,40 @@ mod tests {
         assert!(profile.is_degraded());
         // The in-memory profile itself is still complete.
         assert_eq!(profile.windows.len(), 3);
+    }
+
+    #[test]
+    fn inline_store_errors_are_counted_at_the_window_seal() {
+        use crate::resilience::{FaultConfig, FaultStore};
+        let store = FaultStore::new(
+            InMemoryStore::new(),
+            FaultConfig {
+                error_probability: 1.0,
+                ..FaultConfig::default()
+            },
+        );
+        let mut sink = ProfilerSink::with_store(
+            small_catalog(),
+            ProfilerOptions {
+                window_max_events: 2,
+                ..ProfilerOptions::default()
+            },
+            Box::new(store),
+        );
+        let registry = tpupoint_obs::Metrics::new();
+        sink.use_registry(&registry);
+        let errors = registry.counter("profiler.store_errors");
+        sink.record(&event(0, 1, 0, 5));
+        sink.record(&event(0, 1, 10, 5));
+        assert_eq!(errors.get(), 0, "no window has sealed yet");
+        // The third event seals the first window; its put_window fails.
+        sink.record(&event(0, 1, 20, 5));
+        assert_eq!(errors.get(), 1, "counted at the seal, not at finish");
+        assert_eq!(sink.store_errors, 1);
+        let profile = sink.finish();
+        assert!(profile.store_errors > 1);
+        assert_eq!(errors.get(), profile.store_errors);
+        assert!(profile.store_error.unwrap().starts_with("put_window: "));
     }
 
     #[test]

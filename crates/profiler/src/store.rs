@@ -119,7 +119,7 @@ macro_rules! impl_record_store_for_box {
 }
 
 impl_record_store_for_box!(Box<dyn RecordStore>);
-// The `+ Send` trait object is what the pipelined sealing path hands to
+// The `+ Send` trait object is what the queued seal lane hands to
 // pool workers; see [`crate::pipeline`].
 impl_record_store_for_box!(Box<dyn RecordStore + Send>);
 

@@ -7,8 +7,8 @@ use tpupoint_analyzer::{checkpoint::PhaseCheckpoint, Analyzer, AnalyzerOptions, 
 use tpupoint_obs::Metrics;
 use tpupoint_optimizer::{OptimizerReport, TpuPointOptimizer};
 use tpupoint_profiler::{
-    BinaryStore, BinaryStoreConfig, FaultConfig, FaultStore, JsonlStore, PipelineConfig, Profile,
-    ProfilerOptions, ProfilerSink, RecordStore, RetryPolicy, RetryStore, StoreFormat,
+    BinaryStore, BinaryStoreConfig, FaultConfig, FaultStore, JsonlStore, Profile, ProfilerOptions,
+    ProfilerSink, RecordStore, RetryPolicy, RetryStore, StoreFormat,
 };
 use tpupoint_runtime::{FleetLimits, JobConfig, RunReport, TrainingJob};
 use tpupoint_simcore::SimDuration;
@@ -51,7 +51,6 @@ pub struct TpuPointBuilder {
     pub(crate) store_format: StoreFormat,
     pub(crate) store_segment_bytes: u64,
     pub(crate) store_retention_bytes: u64,
-    pub(crate) pipeline_profiler: bool,
     pub(crate) serve_listen: Option<String>,
     pub(crate) serve_pace_us: u64,
     pub(crate) serve_real_backoff: bool,
@@ -76,7 +75,6 @@ impl Default for TpuPointBuilder {
             store_format: StoreFormat::default(),
             store_segment_bytes: BinaryStoreConfig::default().segment_bytes,
             store_retention_bytes: 0,
-            pipeline_profiler: false,
             serve_listen: None,
             serve_pace_us: 500,
             serve_real_backoff: true,
@@ -172,16 +170,6 @@ impl TpuPointBuilder {
     pub fn store_fault(mut self, probability: f64, seed: u64) -> Self {
         self.store_fault_prob = probability.clamp(0.0, 1.0);
         self.store_fault_seed = seed;
-        self
-    }
-
-    /// Moves analyzer-mode window sealing off the simulation thread: full
-    /// windows are handed to a bounded queue drained by the shared
-    /// [`tpupoint_par`] pool, so the training loop never blocks on the
-    /// record store. Sealed output is byte-identical to the serial path
-    /// for any thread count.
-    pub fn pipeline_profiler(mut self, enabled: bool) -> Self {
-        self.pipeline_profiler = enabled;
         self
     }
 
@@ -468,16 +456,9 @@ impl TpuPoint {
                     false,
                     RetryPolicy::default().max_spill,
                 )?;
-                if options.pipeline_profiler {
-                    ProfilerSink::with_pipelined_store(
-                        job.catalog().clone(),
-                        options.profiler_options,
-                        store,
-                        PipelineConfig::default(),
-                    )
-                } else {
-                    ProfilerSink::with_store(job.catalog().clone(), options.profiler_options, store)
-                }
+                // A batch run returns only once its store is sealed, so
+                // records are written inline on the simulation thread.
+                ProfilerSink::with_store(job.catalog().clone(), options.profiler_options, store)
             }
             _ => ProfilerSink::new(job.catalog().clone(), options.profiler_options),
         };

@@ -386,7 +386,7 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
             job_runtime.max_spill,
         )
         .map_err(|err| format!("store: {err}"))?;
-    // Serving always takes the pipelined lane: sealing drains on the
+    // Serving always takes the queued lane: sealing drains on the
     // shared pool, off this recording thread's critical path.
     let mut sink = ProfilerSink::with_pipelined_store(
         job.catalog().clone(),

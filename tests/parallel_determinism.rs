@@ -79,6 +79,8 @@ fn thread_count_never_changes_analysis_results() {
 
 #[test]
 fn pipelined_profiling_feeds_identical_analysis() {
+    use tpupoint::profiler::{BinaryStore, PipelineConfig, RecordStore, RetryStore};
+    use tpupoint::runtime::TrainingJob;
     let config = build(
         WorkloadId::DcganCifar10,
         TpuGeneration::V2,
@@ -93,26 +95,32 @@ fn pipelined_profiling_feeds_identical_analysis() {
         let _ = std::fs::remove_dir_all(&d);
         d
     };
+    // One job through the default analyzer-mode store chain (binary
+    // segments behind a retry layer), on the inline or the queued lane.
+    let profile = |dir: &std::path::Path, pipelined: bool| -> Profile {
+        let store: Box<dyn RecordStore + Send> = Box::new(RetryStore::new(
+            BinaryStore::create(&dir.join("records")).unwrap(),
+        ));
+        let job = TrainingJob::new(config.clone());
+        let (catalog, options) = (job.catalog().clone(), ProfilerOptions::default());
+        let mut sink = if pipelined {
+            ProfilerSink::with_pipelined_store(catalog, options, store, PipelineConfig::default())
+        } else {
+            ProfilerSink::with_store(catalog, options, store)
+        };
+        sink.set_source(&job.config().model, &job.config().dataset.name);
+        job.run(&mut sink);
+        sink.finish()
+    };
     let serial_dir = dir("serial");
-    let serial = TpuPoint::builder()
-        .analyzer(true)
-        .output_dir(&serial_dir)
-        .build()
-        .profile(config.clone())
-        .unwrap();
+    let serial = profile(&serial_dir, false);
     tpupoint_par::set_threads(4);
     let pipe_dir = dir("pipe");
-    let pipelined = TpuPoint::builder()
-        .analyzer(true)
-        .output_dir(&pipe_dir)
-        .pipeline_profiler(true)
-        .build()
-        .profile(config)
-        .unwrap();
-    assert_eq!(pipelined.profile, serial.profile);
+    let pipelined = profile(&pipe_dir, true);
+    assert_eq!(pipelined, serial);
     // The downstream analysis (itself running on the work-stealing pool)
     // sees no difference either.
-    assert_eq!(derive(&pipelined.profile, 4), derive(&serial.profile, 1));
+    assert_eq!(derive(&pipelined, 4), derive(&serial, 1));
     tpupoint_par::set_threads(0);
     for d in [serial_dir, pipe_dir] {
         std::fs::remove_dir_all(&d).unwrap();

@@ -1,16 +1,20 @@
-//! Integration: the pipelined profiler (off-critical-path window sealing
-//! on the shared worker pool) is a byte-for-byte drop-in for the serial
-//! sink. For every pool size, the sealed record files, the manifest, and
-//! the finished [`Profile`] must be identical to the serial run — and
-//! seeded store-fault scenarios must replay the exact same error
-//! sequence, because determinism that breaks under faults is no
-//! determinism at all.
+//! Integration: the sink's two seal lanes — inline on the simulation
+//! thread ([`ProfilerSink::with_store`], the batch lane) and queued on the
+//! shared worker pool ([`ProfilerSink::with_pipelined_store`], the served
+//! lane) — are byte-for-byte interchangeable. For every pool size, the
+//! sealed record files, the manifest, and the finished [`Profile`] must be
+//! identical across lanes — and seeded store-fault scenarios must replay
+//! the exact same error sequence, because determinism that breaks under
+//! faults is no determinism at all.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use tpupoint::prelude::*;
-use tpupoint::profiler::{record_files, ProfilerOptions};
-use tpupoint::TpuPoint;
+use tpupoint::profiler::{
+    record_files, BinaryStore, BinaryStoreConfig, FaultConfig, FaultStore, PipelineConfig,
+    ProfilerOptions, RecordStore, RetryPolicy, RetryStore,
+};
+use tpupoint::runtime::TrainingJob;
 
 fn config() -> JobConfig {
     build(
@@ -24,7 +28,7 @@ fn config() -> JobConfig {
     )
 }
 
-/// Small windows so the run seals many of them — the pipelined path gets
+/// Small windows so the run seals many of them — the queued lane gets
 /// real traffic, not one window at shutdown.
 fn options() -> ProfilerOptions {
     ProfilerOptions {
@@ -39,18 +43,55 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_lane(dir: &Path, pipelined: bool, fault: Option<(f64, u64, u32)>) -> ProfiledRun {
-    let mut builder = TpuPoint::builder()
-        .analyzer(true)
-        .output_dir(dir)
-        .profiler_options(options())
-        .pipeline_profiler(pipelined);
-    if let Some((prob, seed, retries)) = fault {
-        builder = builder.store_fault(prob, seed).store_retries(retries);
-    } else {
-        builder = builder.store_retries(0);
+/// The analyzer-mode store chain: binary segments under `dir/records`,
+/// seeded faults `(probability, seed)` when given, and a retry layer
+/// unless `retries` is 0.
+fn store_chain(dir: &Path, fault: Option<(f64, u64)>, retries: u32) -> Box<dyn RecordStore + Send> {
+    let mut store: Box<dyn RecordStore + Send> = Box::new(
+        BinaryStore::with_config(&dir.join("records"), BinaryStoreConfig::default())
+            .expect("create store"),
+    );
+    if let Some((error_probability, seed)) = fault {
+        store = Box::new(FaultStore::new(
+            store,
+            FaultConfig {
+                error_probability,
+                seed,
+                ..FaultConfig::default()
+            },
+        ));
     }
-    builder.build().profile(config()).expect("profiling run")
+    if retries > 0 {
+        store = Box::new(RetryStore::with_policy(
+            store,
+            RetryPolicy {
+                max_retries: retries,
+                ..RetryPolicy::default()
+            },
+        ));
+    }
+    store
+}
+
+fn run_lane(dir: &Path, pipelined: bool, fault: Option<(f64, u64, u32)>) -> ProfiledRun {
+    let (fault, retries) = match fault {
+        Some((prob, seed, retries)) => (Some((prob, seed)), retries),
+        None => (None, 0),
+    };
+    let store = store_chain(dir, fault, retries);
+    let job = TrainingJob::new(config());
+    let catalog = job.catalog().clone();
+    let mut sink = if pipelined {
+        ProfilerSink::with_pipelined_store(catalog, options(), store, PipelineConfig::default())
+    } else {
+        ProfilerSink::with_store(catalog, options(), store)
+    };
+    sink.set_source(&job.config().model, &job.config().dataset.name);
+    let report = job.run(&mut sink);
+    ProfiledRun {
+        report,
+        profile: sink.finish(),
+    }
 }
 
 fn record_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
