@@ -13,30 +13,19 @@ use std::sync::OnceLock;
 use tpupoint_profiler::Profile;
 
 /// Tuning knobs for [`Analyzer`] construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AnalyzerOptions {
     /// Worker-pool size for the parallel sweeps. `0` (the default) leaves
     /// the process-wide pool untouched — auto-sized from
     /// `TPUPOINT_THREADS` or the machine on first use — so constructing
     /// an analyzer never undoes an explicit `--threads` choice.
     pub threads: usize,
-    /// Warm-start the k-means k-sweep ([`KmeansConfig::warm_start`]).
-    pub warm_start: bool,
-}
-
-impl Default for AnalyzerOptions {
-    fn default() -> Self {
-        AnalyzerOptions {
-            threads: 0,
-            warm_start: true,
-        }
-    }
 }
 
 /// Post-execution analyzer over one [`Profile`].
 ///
 /// The PCA-reduced feature matrix is extracted on first use, by
-/// [`Analyzer::features`] or a k-means, BIC or DBSCAN method, and reused
+/// [`Analyzer::features`] or a k-means or DBSCAN method, and reused
 /// after that. DBSCAN's eps and O(n²) neighbor lists are likewise built
 /// once, by the first DBSCAN method, and shared by the sweep and every
 /// [`Analyzer::dbscan_phases`] call. OLS, checkpoints, top operators and
@@ -47,7 +36,6 @@ pub struct Analyzer<'a> {
     profile: &'a Profile,
     features: OnceLock<FeatureMatrix>,
     neighbors: OnceLock<NeighborCache>,
-    options: AnalyzerOptions,
 }
 
 impl<'a> Analyzer<'a> {
@@ -67,20 +55,6 @@ impl<'a> Analyzer<'a> {
             profile,
             features: OnceLock::new(),
             neighbors: OnceLock::new(),
-            options,
-        }
-    }
-
-    /// The tuning knobs this analyzer was built with.
-    pub fn options(&self) -> AnalyzerOptions {
-        self.options
-    }
-
-    /// The k-means configuration the sweeps use.
-    fn kmeans_config(&self) -> KmeansConfig {
-        KmeansConfig {
-            warm_start: self.options.warm_start,
-            ..KmeansConfig::default()
         }
     }
 
@@ -104,14 +78,7 @@ impl<'a> Analyzer<'a> {
     /// k-means sum-of-squared-distances sweep (Figure 4).
     pub fn kmeans_sweep(&self, range: std::ops::RangeInclusive<usize>) -> Vec<(usize, f64)> {
         let _span = tpupoint_obs::span!("analyzer.kmeans", k_max = *range.end());
-        kmeans::sweep(self.features(), range, &self.kmeans_config())
-    }
-
-    /// SimPoint-style BIC sweep over k; an alternative to the elbow
-    /// method (see `bic` module docs).
-    pub fn kmeans_bic_sweep(&self, range: std::ops::RangeInclusive<usize>) -> Vec<(usize, f64)> {
-        let _span = tpupoint_obs::span!("analyzer.kmeans", k_max = *range.end(), bic = true);
-        crate::bic::sweep(self.features(), range, &self.kmeans_config())
+        kmeans::sweep(self.features(), range, &KmeansConfig::default())
     }
 
     /// Phases from k-means with the given k (Figure 9 uses k = 5).

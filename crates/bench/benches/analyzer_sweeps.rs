@@ -1,7 +1,6 @@
 //! Criterion benches for the analyzer's parallel sweep engine: the
 //! k-means k-sweep and the DBSCAN min-samples sweep measured at one
-//! worker and at four, the cold-start k-means sweep as the
-//! pre-warm-start baseline, and the (serial) PCA projection.
+//! worker and at four, and the (serial) PCA projection.
 //!
 //! Run with `cargo bench -p tpupoint-bench --bench analyzer_sweeps`.
 //! Set `TPUPOINT_BENCH_QUICK=1` to shrink the sample count to a CI-sized
@@ -38,13 +37,6 @@ fn bench_kmeans_sweep(c: &mut Criterion) {
         tpupoint_par::set_threads(threads);
         c.bench_function(&format!("kmeans_sweep_warm/threads{threads}"), |b| {
             b.iter(|| black_box(kmeans::sweep(&features, 1..=15, &KmeansConfig::default())))
-        });
-        let cold = KmeansConfig {
-            warm_start: false,
-            ..KmeansConfig::default()
-        };
-        c.bench_function(&format!("kmeans_sweep_cold/threads{threads}"), |b| {
-            b.iter(|| black_box(kmeans::sweep(&features, 1..=15, &cold)))
         });
     }
     tpupoint_par::set_threads(0);

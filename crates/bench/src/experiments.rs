@@ -888,26 +888,19 @@ impl BenchReport {
 }
 
 /// Analyzer engine benchmark: the three sweep hot paths timed in the
-/// baseline configuration (one worker, cold-start k-means, one neighbor
-/// scan per DBSCAN grid point — what the analyzer did before the engine,
-/// though each scan is now the half scan `NeighborCache::build` does) and
-/// on the engine (one neighbor cache per analyzer, warm-started k-means,
-/// 4 workers). Feature construction is serial in both lanes.
+/// baseline configuration (one worker, an independent k-means fit per k,
+/// one neighbor scan per DBSCAN grid point — what the analyzer did before
+/// the engine, though each scan is now the half scan
+/// `NeighborCache::build` does) and on the engine (one neighbor cache per
+/// analyzer, warm-started k-means, 4 workers). Feature construction is
+/// serial in both lanes.
 fn bench_analyzer(suite: &Suite, out_dir: &Path) -> io::Result<String> {
     use tpupoint::analyzer::{AnalyzerOptions, DbscanConfig, KmeansConfig};
 
     const THREADS: usize = 4;
     let id = WorkloadId::DcganCifar10;
     let profile = &suite.tuned(id, TpuGeneration::V2).profile;
-    let analyzer = |threads| {
-        Analyzer::with_options(
-            profile,
-            AnalyzerOptions {
-                threads,
-                ..AnalyzerOptions::default()
-            },
-        )
-    };
+    let analyzer = |threads| Analyzer::with_options(profile, AnalyzerOptions { threads });
 
     // Baseline: one worker, pre-engine algorithms.
     tpupoint_par::set_threads(1);
@@ -915,12 +908,16 @@ fn bench_analyzer(suite: &Suite, out_dir: &Path) -> io::Result<String> {
     let serial = analyzer(1);
     let features = serial.features();
     let serial_features_us = elapsed_us(t);
-    let cold = KmeansConfig {
-        warm_start: false,
-        ..KmeansConfig::default()
-    };
     let t = Instant::now();
-    let serial_kmeans = kmeans::sweep(features, 1..=15, &cold);
+    let serial_kmeans: Vec<(usize, f64)> = (1..=15)
+        .map(|k| {
+            let config = KmeansConfig {
+                k,
+                ..KmeansConfig::default()
+            };
+            (k, kmeans::run(features, &config).sse)
+        })
+        .collect();
     let serial_kmeans_us = elapsed_us(t);
     let t = Instant::now();
     let eps = dbscan::auto_eps(features);

@@ -513,7 +513,6 @@ fn analyze(argv: &[String]) -> Result<(), String> {
         &profile,
         tpupoint::analyzer::AnalyzerOptions {
             threads: args.get_or("threads", 0)?,
-            ..Default::default()
         },
     );
     let algorithm = args.get("algorithm").unwrap_or("ols");

@@ -79,7 +79,6 @@ impl OptimizerReport {
 #[derive(Debug)]
 pub struct TpuPointOptimizer {
     config: JobConfig,
-    tuner_options: TunerOptions,
     segment_steps: u64,
     detection_steps: u64,
 }
@@ -89,7 +88,6 @@ impl TpuPointOptimizer {
     pub fn new(config: JobConfig) -> Self {
         TpuPointOptimizer {
             config,
-            tuner_options: TunerOptions::default(),
             segment_steps: 48,
             detection_steps: 64,
         }
@@ -98,12 +96,6 @@ impl TpuPointOptimizer {
     /// Overrides the measurement-segment length.
     pub fn with_segment_steps(mut self, steps: u64) -> Self {
         self.segment_steps = steps.max(8);
-        self
-    }
-
-    /// Overrides tuner options.
-    pub fn with_tuner_options(mut self, options: TunerOptions) -> Self {
-        self.tuner_options = options;
         self
     }
 
@@ -137,7 +129,7 @@ impl TpuPointOptimizer {
 
         let outcome = if critical {
             let mut runner = SegmentRunner::new(self.config.clone(), self.segment_steps);
-            let tuner = Tuner::new(self.tuner_options);
+            let tuner = Tuner::new(TunerOptions::default());
             tuner.tune(&self.config.pipeline, &discovery.adjustable, &mut runner)
         } else {
             TuneOutcome {

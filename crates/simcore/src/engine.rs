@@ -148,11 +148,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Number of items currently buffered in `q`.
-    pub fn queue_len(&self, q: QueueId) -> usize {
-        self.queues.len(q)
-    }
-
     /// Deterministic RNG for this simulation.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng

@@ -481,7 +481,6 @@ impl TpuPoint {
             profile,
             AnalyzerOptions {
                 threads: self.options.threads,
-                ..AnalyzerOptions::default()
             },
         );
         let ols_phases = analyzer.ols_phases(self.options.ols_threshold);

@@ -31,13 +31,7 @@ struct Derived {
 }
 
 fn derive(profile: &Profile, threads: usize) -> Derived {
-    let analyzer = Analyzer::with_options(
-        profile,
-        AnalyzerOptions {
-            threads,
-            ..AnalyzerOptions::default()
-        },
-    );
+    let analyzer = Analyzer::with_options(profile, AnalyzerOptions { threads });
     let kmeans_sweep = analyzer.kmeans_sweep(1..=8);
     let elbow_k = kmeans::elbow_k(&kmeans_sweep);
     let boundaries = |set: &PhaseSet| -> Vec<(u64, u64)> {

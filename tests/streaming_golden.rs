@@ -138,14 +138,14 @@ fn offline_kmeans_matches_its_golden_digests() {
         warm.u64(k as u64);
         warm.f64(sse);
     }
-    let cold_config = KmeansConfig {
-        warm_start: false,
-        ..KmeansConfig::default()
-    };
     let mut cold = Digest::new();
-    for (k, sse) in kmeans::sweep(&matrix, 1..=15, &cold_config) {
+    for k in 1..=15 {
+        let config = KmeansConfig {
+            k,
+            ..KmeansConfig::default()
+        };
         cold.u64(k as u64);
-        cold.f64(sse);
+        cold.f64(kmeans::run(&matrix, &config).sse);
     }
     let result = kmeans::run(&matrix, &KmeansConfig::default());
     let mut run = Digest::new();
