@@ -261,7 +261,7 @@ fn help_text(name: &str) -> String {
         "profiler.windows_dropped" => "Profile windows lost to simulated collection faults",
         "profiler.events_recorded" => "Trace events recorded into kept windows",
         "profiler.events_lost" => "Trace events lost with dropped windows",
-        "profiler.seal_latency_us" => "Wall time applying one drained seal-pipeline operation, microseconds",
+        "profiler.seal_latency_us" => "Wall time applying one seal-pipeline operation, inline or drained from the queue, microseconds",
         "profiler.seal_backpressure_waits" => "Times the simulation thread blocked on the seal queue's high-water mark",
         "profiler.seal_queue_depth" => "Operations queued in the seal pipeline",
         "profiler.overhead_ratio" => "Instrumented-to-uninstrumented wall-clock ratio (measured when profiler.overhead_measured is set, modeled otherwise)",
