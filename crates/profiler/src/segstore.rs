@@ -339,8 +339,10 @@ impl BinaryStore {
         let manifest = crate::store::JsonlStore::load_manifest(dir).unwrap_or(None);
         let mut steps = Vec::new();
         let mut windows = Vec::new();
-        let mut skipped_steps = 0usize;
-        let mut skipped_windows = 0usize;
+        // The expected counts come from the manifest, which may be
+        // corrupt, so the tallies saturate instead of overflowing.
+        let mut skipped_steps = 0u64;
+        let mut skipped_windows = 0u64;
         let metas: Vec<SegmentMeta> = match &manifest {
             Some(m) => m.segments.clone(),
             // No manifest survived (a crash before the very first write
@@ -382,13 +384,14 @@ impl BinaryStore {
                 Ok(bytes) => {
                     found_any = true;
                     let read = binfmt::read_segment(&bytes);
-                    skipped_steps += meta.steps.saturating_sub(read.steps.len() as u64) as usize;
-                    skipped_windows +=
-                        meta.windows.saturating_sub(read.windows.len() as u64) as usize;
+                    skipped_steps = skipped_steps
+                        .saturating_add(meta.steps.saturating_sub(read.steps.len() as u64));
+                    skipped_windows = skipped_windows
+                        .saturating_add(meta.windows.saturating_sub(read.windows.len() as u64));
                     if !read.clean && meta.steps == 0 && meta.windows == 0 {
                         // Fallback metas carry no expected counts; still
                         // mark the stream torn.
-                        skipped_steps += 1;
+                        skipped_steps = skipped_steps.saturating_add(1);
                     }
                     steps.extend(read.steps);
                     windows.extend(read.windows);
@@ -396,8 +399,8 @@ impl BinaryStore {
                 // The whole segment vanished without being retired: every
                 // record it held is missing.
                 Err(_) => {
-                    skipped_steps += meta.steps as usize;
-                    skipped_windows += meta.windows as usize;
+                    skipped_steps = skipped_steps.saturating_add(meta.steps);
+                    skipped_windows = skipped_windows.saturating_add(meta.windows);
                 }
             }
         }
@@ -414,9 +417,9 @@ impl BinaryStore {
                 // A torn tail; attribute it to the stream of the frame
                 // it tore in when the kind byte survived.
                 if read.torn_kind == Some(KIND_WINDOW) {
-                    skipped_windows += 1;
+                    skipped_windows = skipped_windows.saturating_add(1);
                 } else {
-                    skipped_steps += 1;
+                    skipped_steps = skipped_steps.saturating_add(1);
                 }
             }
             steps.extend(read.steps);
@@ -435,8 +438,8 @@ impl BinaryStore {
         let mut summary = RecoverySummary {
             steps,
             windows,
-            skipped_step_lines: skipped_steps,
-            skipped_window_lines: skipped_windows,
+            skipped_step_lines: usize::try_from(skipped_steps).unwrap_or(usize::MAX),
+            skipped_window_lines: usize::try_from(skipped_windows).unwrap_or(usize::MAX),
             manifest,
             sealed_files,
         };

@@ -10,9 +10,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use tpupoint_par::ThreadPool;
 use tpupoint_profiler::{
-    recover_records, BinaryStore, BinaryStoreConfig, FaultConfig, FaultStore, InMemoryStore,
-    JsonlStore, PipelineConfig, RecordStore, RetryPolicy, RetryStore, SealPipeline, StepRecord,
-    StoreFormat, ThrottledStore, WindowRecord,
+    record_files, recover_records, BinaryStore, BinaryStoreConfig, FaultConfig, FaultStore,
+    InMemoryStore, JsonlStore, PipelineConfig, RecordStore, RetryPolicy, RetryStore, SealPipeline,
+    StepRecord, StoreFormat, ThrottledStore, WindowRecord,
 };
 use tpupoint_simcore::{OpId, SimDuration, SimTime, Track};
 
@@ -690,5 +690,132 @@ proptest! {
         let (missing_steps, _) = summary.missing_acknowledged();
         prop_assert_eq!(summary.steps.len() as u64 + missing_steps, n);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The files of a small sealed record directory of `format`, by name:
+/// several binary segments, or the two sealed JSONL streams, plus the
+/// manifest.
+fn sealed_dir_files(format: StoreFormat) -> Vec<(String, Vec<u8>)> {
+    let dir = std::env::temp_dir().join(format!(
+        "tpupoint-crash-sealed-{format}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = format_store(format, &dir);
+    store.set_meta("model", "dataset");
+    for i in 0..30 {
+        store.put_step(&step(i)).unwrap();
+        if i % 3 == 0 {
+            store.put_window(&window(i / 3)).unwrap();
+        }
+    }
+    store.seal().unwrap();
+    drop(store);
+    let files = record_files(&dir).unwrap().into_iter().collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    files
+}
+
+/// Numbers spliced over the manifest's counts: type limits and values
+/// no writer produces.
+const ODD_NUMBERS: [&str; 7] = [
+    "18446744073709551615",
+    "18446744073709551616",
+    "9223372036854775807",
+    "4294967295",
+    "0",
+    "-1",
+    "1e400",
+];
+
+/// `manifest` with each digit run whose bit is set in `mask` replaced by
+/// one of [`ODD_NUMBERS`].
+fn odd_counts(manifest: &[u8], mask: u64, pick: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(manifest.len());
+    let mut run = 0;
+    let mut i = 0;
+    while i < manifest.len() {
+        if !manifest[i].is_ascii_digit() {
+            out.push(manifest[i]);
+            i += 1;
+            continue;
+        }
+        let end = manifest[i..]
+            .iter()
+            .position(|b| !b.is_ascii_digit())
+            .map_or(manifest.len(), |len| i + len);
+        if mask >> (run % 64) & 1 == 1 {
+            out.extend_from_slice(ODD_NUMBERS[(pick + run) % ODD_NUMBERS.len()].as_bytes());
+        } else {
+            out.extend_from_slice(&manifest[i..end]);
+        }
+        run += 1;
+        i = end;
+    }
+    out
+}
+
+proptest! {
+    /// Recovery of a record directory whose manifest is garbage, cut
+    /// short or carries impossible counts, and whose record files are
+    /// flipped, cut, replaced by garbage or gone, returns a summary or an
+    /// error and never panics; neither does the summary's accounting.
+    #[test]
+    fn garbage_manifests_and_records_never_panic_recovery(
+        manifest_mode in 0u32..5,
+        mask in any::<u64>(),
+        at in any::<usize>(),
+        file_modes in proptest::collection::vec(0u32..5, 16usize..17),
+        garbage in proptest::collection::vec(0u32..256, 0usize..128),
+    ) {
+        let garbage: Vec<u8> = garbage.iter().map(|&b| b as u8).collect();
+        for format in BOTH_FORMATS {
+            let dir = std::env::temp_dir().join(format!(
+                "tpupoint-crash-garbage-{format}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let files = sealed_dir_files(format);
+            for (i, (name, bytes)) in files.iter().enumerate() {
+                let at = at.wrapping_add(i) % (bytes.len() + 1);
+                let mutated = if name == "manifest.json" {
+                    match manifest_mode {
+                        0 => Some(bytes.clone()),
+                        1 => Some(garbage.clone()),
+                        2 => Some(bytes[..at].to_vec()),
+                        3 => Some(odd_counts(bytes, mask, at)),
+                        _ => None,
+                    }
+                } else {
+                    match file_modes[i % file_modes.len()] {
+                        0 => Some(bytes.clone()),
+                        1 => {
+                            let mut flipped = bytes.clone();
+                            if let Some(b) = flipped.get_mut(at) {
+                                *b ^= (mask as u8) | 1;
+                            }
+                            Some(flipped)
+                        }
+                        2 => Some(bytes[..at].to_vec()),
+                        3 => Some(garbage.clone()),
+                        _ => None,
+                    }
+                };
+                if let Some(mutated) = mutated {
+                    std::fs::write(dir.join(name), mutated).unwrap();
+                }
+            }
+            // A stray in-progress segment of garbage beside the rest.
+            if mask & 1 == 1 {
+                std::fs::write(dir.join("seg-999999.bin.part"), &garbage).unwrap();
+            }
+            if let Ok(summary) = recover_records(&dir) {
+                let _ = summary.missing_acknowledged();
+                let _ = summary.is_torn();
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

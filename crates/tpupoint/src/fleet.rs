@@ -1214,6 +1214,93 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// The fields of a valid `POST /jobs` body, every optional one set.
+    const JOB_FIELDS: [(&str, &str); 10] = [
+        ("workload", "\"bert-mrpc\""),
+        ("id", "\"fuzz\""),
+        ("tenant", "\"t\""),
+        ("generation", "\"v3\""),
+        ("scale", "0.05"),
+        ("seed", "7"),
+        ("naive", "true"),
+        ("pace_us", "0"),
+        ("store_fault_prob", "0.5"),
+        ("store_fault_seed", "9"),
+    ];
+
+    /// Values spliced over one field of a valid body: wrong types, range
+    /// edges, and numbers at and past the limits of their types.
+    const ODD_VALUES: [&str; 20] = [
+        "null",
+        "false",
+        "-1",
+        "0",
+        "-0",
+        "1e-7",
+        "1e-300",
+        "5e-324",
+        "1.0000001",
+        "1e308",
+        "1e400",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-9223372036854775809",
+        "\"\"",
+        "\"V2\"",
+        "\"bert-mrpc/../x\"",
+        "[]",
+        "{}",
+        "\"\\ud800\"",
+    ];
+
+    fn job_body(fields: &[(&str, &str)]) -> String {
+        let pairs: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        format!("{{{}}}", pairs.join(", "))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// `POST /jobs` bodies that are garbage or a mutation of a valid
+        /// request never panic the parser: garbage is an `Err`, and a
+        /// mutated request is an `Err` or a job.
+        #[test]
+        fn job_request_parser_never_panics(
+            mutation in 0u32..5,
+            at in proptest::prelude::any::<usize>(),
+            odd in 0usize..ODD_VALUES.len(),
+            bytes in proptest::collection::vec(0u32..256, 0usize..96),
+            depth in 0usize..70_000,
+        ) {
+            let valid = job_body(&JOB_FIELDS);
+            let garbage: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            let (body, must_fail) = match mutation {
+                0 => (String::from_utf8_lossy(&garbage).into_owned(), true),
+                1 => (valid[..at % valid.len()].to_owned(), true),
+                2 => {
+                    let mut spliced = valid.clone().into_bytes();
+                    let start = at % spliced.len();
+                    let end = (start + garbage.len()).min(spliced.len());
+                    spliced.splice(start..end, garbage);
+                    (String::from_utf8_lossy(&spliced).into_owned(), false)
+                }
+                3 => {
+                    let mut fields = JOB_FIELDS;
+                    fields[at % fields.len()].1 = ODD_VALUES[odd];
+                    (job_body(&fields), false)
+                }
+                _ => (format!("{}{valid}", "[".repeat(depth)), depth > 0),
+            };
+            let parsed = parse_job_request(&body);
+            if must_fail {
+                proptest::prop_assert!(parsed.is_err(), "accepted {body:?}");
+            }
+        }
+    }
+
     #[test]
     fn derive_job_caps_scales_with_budget_and_clamps() {
         // No budget: the pipeline and retry defaults.

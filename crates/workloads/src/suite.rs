@@ -246,9 +246,11 @@ pub fn build(id: WorkloadId, generation: TpuGeneration, opts: &BuildOptions) -> 
         train_steps: scaled(sched.train_steps, s),
         // The loop cadence scales with the run so scaled runs keep the
         // same *number* of loop boundaries (distinct step behaviour) as
-        // full-length ones.
+        // full-length ones. A loop is at least 2 steps, even when a tiny
+        // scale leaves a 1-step run.
         iterations_per_loop: scaled(sched.iterations_per_loop, s)
-            .clamp(2, scaled(sched.train_steps, s)),
+            .min(scaled(sched.train_steps, s))
+            .max(2),
         steps_per_eval: sched.steps_per_eval.map(|v| scaled(v, s)),
         // Eval segments keep their full length: evaluation passes cost the
         // same regardless of how much training is simulated.
@@ -480,6 +482,20 @@ mod tests {
                 assert!(!cfg.step_plan().is_empty(), "{id}");
                 assert!(cfg.train_graph.node_count() > 10, "{id}");
             }
+        }
+    }
+
+    #[test]
+    fn the_tiniest_scale_builds_a_one_step_run() {
+        let opts = BuildOptions {
+            scale: f64::MIN_POSITIVE,
+            ..BuildOptions::default()
+        };
+        for id in WorkloadId::paper_nine() {
+            let cfg = build(id, TpuGeneration::V2, &opts);
+            assert_eq!(cfg.train_steps, 1, "{id}");
+            assert_eq!(cfg.iterations_per_loop, 2, "{id}");
+            assert!(!cfg.step_plan().is_empty(), "{id}");
         }
     }
 
