@@ -17,7 +17,9 @@ use std::fmt;
 /// Label DBSCAN gives to unclustered points.
 pub const NOISE: isize = -1;
 
-/// Row count below which the neighbor-cache build stays serial.
+/// Row count below which the neighbor-cache build stays serial. The
+/// pooled build pays end to end: with a serial build, perfbench
+/// `analyze-sweep` (2-core host) ran at 0.68x and lost 3 of 3 pairs.
 const PAR_NEIGHBOR_MIN_ROWS: usize = 128;
 
 /// Pairwise eps-neighborhoods of a matrix, computed once and shared by
@@ -191,7 +193,8 @@ impl DbscanResult {
 ///
 /// The seeds' scans are independent and fan out over the pool; their
 /// distances come back in seed order, so eps is bit-identical at any
-/// thread count.
+/// thread count. The pool pays end to end: with serial scans, perfbench
+/// `analyze-sweep` (2-core host) ran at 0.78x and lost 3 of 3 pairs.
 pub fn auto_eps(matrix: &FeatureMatrix) -> f64 {
     let n = matrix.len();
     if n < 2 {
@@ -290,7 +293,10 @@ pub fn sweep(
 
 /// [`sweep`] against a prebuilt [`NeighborCache`]: the per-point runs fan
 /// out over the pool (each BFS is independent given the cache, and
-/// results are ordered by grid index).
+/// results are ordered by grid index). End to end this is within noise
+/// of a serial loop: on perfbench `analyze-sweep` (2-core host, ten
+/// alternating 15 s pairs) the serial loop won 5 pairs, with a median
+/// 0.2% higher.
 pub fn sweep_with_cache(cache: &NeighborCache, grid: &[usize]) -> Vec<(usize, f64, usize)> {
     tpupoint_par::pool().par_map(grid, |_, &m| {
         let result = run_with_cache(cache, m);

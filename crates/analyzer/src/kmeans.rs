@@ -29,9 +29,10 @@ use tpupoint_simcore::SimRng;
 
 /// Count of rows needing a full distance pass below which the assignment
 /// step stays serial; fewer rows lose more to task hand-off than they
-/// gain from the pool. The pooled step pays end to end: with it made
-/// serial, perfbench `analyze-sweep` ran about 2% fewer steps per second
-/// on a 2-core host.
+/// gain from the pool. End to end the pooled step is within noise of a
+/// serial one: on perfbench `analyze-sweep` (2-core host, ten
+/// alternating 15 s pairs) the serial step won 6 pairs, with a median
+/// 1.0% lower.
 const PAR_ASSIGN_MIN_ROWS: usize = 256;
 
 /// Relative margin by which every stored bound is loosened and by which
