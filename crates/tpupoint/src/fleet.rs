@@ -26,10 +26,13 @@
 //!   process-wide series (unlabeled) and a merged fleet aggregate under
 //!   `job="fleet"` — one `HELP`/`TYPE` header per family across all of
 //!   them. Jobs publish into per-job snapshot slots at seal points (and
-//!   a ~200 ms cadence publisher refreshes between seals), so a scrape
-//!   never takes a job's registry or streaming-analyzer lock: one
-//!   wedged tenant cannot stall `/metrics`, `/healthz`, or `/phases`
-//!   for its neighbours.
+//!   a ~200 ms cadence publisher refreshes the jobs still recording
+//!   between seals), so a scrape never takes a job's registry or
+//!   streaming-analyzer lock: one wedged tenant cannot stall `/metrics`,
+//!   `/healthz`, or `/phases` for its neighbours. A finished job stops
+//!   republishing, so the merged aggregate stays cached once every job
+//!   has settled. Phase reports are published unrendered and rendered to
+//!   JSON once, on their first `/phases` read.
 //! * **A fleet memory budget.** `FleetLimits::memory_budget_bytes`
 //!   (CLI: `--fleet-memory-mib`) sheds admissions with 429 once one
 //!   more job would overrun the budget, sizes each admitted job's
@@ -50,8 +53,10 @@
 //!   as batch [`TpuPoint::profile`] (always on the seal pipeline), and
 //!   its sealed output stays **byte-identical** to a solo
 //!   [`TpuPoint::profile`] run of the same configuration and seed. A
-//!   finished job leaves `profile.json` and its final labeled scrape,
-//!   `metrics.prom`, beside its records.
+//!   finished job leaves `profile.json` (the batch writer's bytes) and
+//!   its final labeled scrape, `metrics.prom`, beside its records. That
+//!   tail, through the final publish, is the `tpupoint.fleet_persist`
+//!   span of the self-trace.
 //!
 //! `POST /quit` (or Ctrl-C with [`TpuPointBuilder::serve_sigint`]) drains
 //! the whole fleet gracefully — pacing off, every record sealed — and
@@ -62,19 +67,20 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use tpupoint_analyzer::{StreamingAnalyzer, StreamingConfig, STREAM_CADENCE};
 use tpupoint_obs::{
     to_prometheus_labeled, to_prometheus_multi_ref, Health, LabeledSnapshotRef, Metrics,
-    MetricsServer, MetricsSnapshot, Request, Response, ServeHooks,
+    MetricsServer, MetricsSnapshot, PhasesReport, Request, Response, ServeHooks,
 };
 use tpupoint_profiler::{PipelineConfig, ProfilerSink};
 use tpupoint_runtime::{
-    AdmitError, Fleet, JobConfig, JobControl, JobPhase, JobSpec, JobStatus, LiveSink,
+    AdmitError, Fleet, JobConfig, JobControl, JobPhase, JobSpec, JobStatus, LiveSink, RunReport,
     AGGREGATE_JOB_ID,
 };
+use tpupoint_simcore::SimDuration;
 use tpupoint_workloads::{build, BuildOptions, Variant, WorkloadId};
 
 use crate::facade::{TpuPoint, TpuPointBuilder};
@@ -141,6 +147,28 @@ impl FleetJobRequest {
     }
 }
 
+/// A published streaming-phase report. Its JSON renders on the first
+/// read and is kept, so a report that no `/phases` request reads before
+/// the next publish replaces it costs no render at all.
+struct PublishedPhases {
+    report: PhasesReport,
+    json: OnceLock<String>,
+}
+
+impl PublishedPhases {
+    fn new(report: PhasesReport) -> PublishedPhases {
+        PublishedPhases {
+            report,
+            json: OnceLock::new(),
+        }
+    }
+
+    /// [`PhasesReport::to_json`] of the report, rendered at most once.
+    fn json(&self) -> &str {
+        self.json.get_or_init(|| self.report.to_json())
+    }
+}
+
 /// Per-job state the scrape plane reads: the job's own metrics registry,
 /// its streaming analyzer, the store knobs its runner applies, and the
 /// *published* snapshot slots the scrape plane actually serves from.
@@ -163,10 +191,16 @@ struct JobRuntime {
     max_spill: usize,
     /// The last published registry view; swapped whole, never mutated.
     published_metrics: Mutex<Arc<MetricsSnapshot>>,
-    /// The last published streaming-phase report, pre-rendered as JSON.
-    published_phases: Mutex<Arc<String>>,
+    /// The last published streaming-phase report.
+    published_phases: Mutex<Arc<PublishedPhases>>,
     /// Bumped once per metrics publish; the aggregate cache keys off it.
     publish_version: AtomicU64,
+    /// True while the job's runner records into `registry`, from its
+    /// start to its final publish. The cadence publisher refreshes only
+    /// these jobs: a queued or settled job's registry does not change, so
+    /// republishing it would only bump its version and miss the
+    /// aggregate cache.
+    recording: AtomicBool,
 }
 
 impl JobRuntime {
@@ -188,12 +222,27 @@ impl JobRuntime {
             .inc();
     }
 
-    /// Swaps a pre-rendered phases report into the published slot.
-    fn publish_phases(&self, json: String) {
+    /// Swaps a phases report into the published slot, unrendered.
+    fn publish_phases(&self, report: PhasesReport) {
         *self
             .published_phases
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Arc::new(json);
+            .unwrap_or_else(|poisoned| poisoned.into_inner()) =
+            Arc::new(PublishedPhases::new(report));
+    }
+
+    /// The final publish, once the registry is quiescent: from here on
+    /// every scrape of this job serves its settled end state, and the
+    /// cadence publisher leaves it alone.
+    fn settle(&self) {
+        let report = self
+            .streaming
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .report();
+        self.publish_phases(report);
+        self.publish_metrics();
+        self.recording.store(false, Ordering::SeqCst);
     }
 
     /// The published registry view (cheap: one Arc clone under a lock
@@ -208,7 +257,7 @@ impl JobRuntime {
     }
 
     /// The published phases report.
-    fn phases_view(&self) -> Arc<String> {
+    fn phases_view(&self) -> Arc<PublishedPhases> {
         Arc::clone(
             &self
                 .published_phases
@@ -350,7 +399,7 @@ impl FleetShared {
                 body.push_str(", ");
             }
             let report = job.phases_view();
-            body.push_str(&format!("{:?}: {}", id, report.trim_end()));
+            body.push_str(&format!("{:?}: {}", id, report.json().trim_end()));
         }
         body.push_str("}\n");
         body
@@ -359,7 +408,8 @@ impl FleetShared {
 
 /// Executes one admitted fleet job on its `tpupoint-job-<id>` thread:
 /// the wall-clock recording lane, writing to the job's own sharded store
-/// and its own metrics registry.
+/// and its own metrics registry, then the persist tail under a
+/// `tpupoint.fleet_persist` span, which ends with the job's final publish.
 fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Result<u64, String> {
     let job_runtime = shared
         .jobs
@@ -368,6 +418,25 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
         .get(&spec.id)
         .cloned()
         .ok_or_else(|| format!("job {:?} has no runtime entry", spec.id))?;
+    job_runtime.recording.store(true, Ordering::SeqCst);
+    let recorded = record_fleet_job(shared, spec, ctl, &job_runtime);
+    let _persist = tpupoint_obs::span!("tpupoint.fleet_persist");
+    let persisted = recorded.and_then(|(report, sink, baseline_wall)| {
+        persist_fleet_job(shared, spec, &job_runtime, &report, sink, baseline_wall)?;
+        Ok(report.steps_completed)
+    });
+    job_runtime.settle();
+    persisted
+}
+
+/// The recording lane: runs the job against its store and streaming
+/// analyzer, returning the run report and the still-open sink.
+fn record_fleet_job(
+    shared: &FleetShared,
+    spec: &JobSpec,
+    ctl: &JobControl,
+    job_runtime: &Arc<JobRuntime>,
+) -> Result<(RunReport, ProfilerSink, Option<SimDuration>), String> {
     let options = &shared.options;
 
     // Same twin and overhead charge as profile(): the recorded JSONL stays
@@ -407,7 +476,7 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
     // step marks), the phase structure re-clusters incrementally, and the
     // fresh state is published to the job's gauges and status. The
     // observer only reads records, so the sealed output is unchanged.
-    let observer_runtime = Arc::clone(&job_runtime);
+    let observer_runtime = Arc::clone(job_runtime);
     let observer_ctl = ctl.clone();
     let stop_on_stable = options.stop_on_stable;
     let n_ops = job.catalog().len();
@@ -453,7 +522,8 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
             }
             // Publish while the analyzer lock is still held so phase
             // reports from successive seals can never swap out of order.
-            runtime.publish_phases(report.to_json());
+            // The report renders only if a `/phases` request reads it.
+            runtime.publish_phases(report);
             drop(analyzer);
             runtime.publish_metrics();
         }),
@@ -468,9 +538,24 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
         options.ols_threshold,
     );
     let report = job.run(&mut live);
-    let profile = live.into_inner().finish();
-    options.publish_run_gauges(&job_runtime.registry, &report, &profile, baseline_wall);
+    Ok((report, live.into_inner(), baseline_wall))
+}
 
+/// The persist tail: finishes the sink, then writes `profile.json` and
+/// the job's final labeled scrape beside its records.
+fn persist_fleet_job(
+    shared: &FleetShared,
+    spec: &JobSpec,
+    job_runtime: &JobRuntime,
+    report: &RunReport,
+    sink: ProfilerSink,
+    baseline_wall: Option<SimDuration>,
+) -> Result<(), String> {
+    let profile = sink.finish();
+    shared
+        .options
+        .publish_run_gauges(&job_runtime.registry, report, &profile, baseline_wall);
+    let dir = shared.root.join("jobs").join(&spec.id);
     std::fs::create_dir_all(&dir).map_err(|err| format!("output dir: {err}"))?;
     let file =
         std::fs::File::create(dir.join("profile.json")).map_err(|err| format!("profile: {err}"))?;
@@ -485,18 +570,7 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
             ("workload", job_runtime.workload.as_str()),
         ],
     );
-    std::fs::write(dir.join("metrics.prom"), scrape).map_err(|err| format!("scrape: {err}"))?;
-    // Final publish: the registry is quiescent after finish(), so from
-    // here on every scrape of this job serves its settled end state.
-    let final_phases = job_runtime
-        .streaming
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .report()
-        .to_json();
-    job_runtime.publish_phases(final_phases);
-    job_runtime.publish_metrics();
-    Ok(report.steps_completed)
+    std::fs::write(dir.join("metrics.prom"), scrape).map_err(|err| format!("scrape: {err}"))
 }
 
 /// Sizes one job's seal-queue high-water and spill cap from its share of
@@ -695,19 +769,16 @@ fn submit_job(
         shared.options.fleet_limits.memory_budget_bytes,
         fleet.active_count() + 1,
     );
-    let initial_phases = StreamingAnalyzer::new(StreamingConfig::default())
-        .report()
-        .to_json();
+    let streaming = StreamingAnalyzer::new(StreamingConfig::default());
     let runtime = Arc::new(JobRuntime {
         published_metrics: Mutex::new(Arc::new(registry.snapshot())),
-        published_phases: Mutex::new(Arc::new(initial_phases)),
+        published_phases: Mutex::new(Arc::new(PublishedPhases::new(streaming.report()))),
         publish_version: AtomicU64::new(0),
+        recording: AtomicBool::new(false),
         registry,
         tenant: request.tenant.clone(),
         workload: request.config.model.clone(),
-        streaming: Arc::new(Mutex::new(StreamingAnalyzer::new(
-            StreamingConfig::default(),
-        ))),
+        streaming: Arc::new(Mutex::new(streaming)),
         store_fault: (request.store_fault_prob, request.store_fault_seed),
         high_water,
         max_spill,
@@ -894,7 +965,7 @@ fn route_jobs(
             .get(id)
             .cloned();
         return Some(match job {
-            Some(job) => Response::json(job.phases_view().as_str().to_owned()),
+            Some(job) => Response::json(job.phases_view().json().to_owned()),
             None => Response::json_status(404, format!("{{\"error\": \"no job {id:?}\"}}\n")),
         });
     }
@@ -961,10 +1032,11 @@ impl TpuPoint {
             auto_id: AtomicU64::new(0),
             aggregate: Mutex::new(None),
         });
-        // Coarse-cadence publisher: refreshes every job's published
-        // metrics between seal points, so idle or slow-sealing jobs still
-        // converge on /metrics within ~200 ms. Phases republish only at
-        // seals (the analyzer state only changes there).
+        // Coarse-cadence publisher: refreshes every recording job's
+        // published metrics between seal points, so slow-sealing jobs
+        // still converge on /metrics within ~200 ms. Queued and settled
+        // jobs are skipped (see `JobRuntime::recording`). Phases
+        // republish only at seals (the analyzer state only changes there).
         let publisher_stop = Arc::new(AtomicBool::new(false));
         let publisher = {
             let shared = Arc::clone(&shared);
@@ -976,7 +1048,9 @@ impl TpuPoint {
                         // Parked, not slept: shutdown unparks it at once.
                         std::thread::park_timeout(Duration::from_millis(200));
                         for (_, job) in shared.job_list() {
-                            job.publish_metrics();
+                            if job.recording.load(Ordering::SeqCst) {
+                                job.publish_metrics();
+                            }
                         }
                     }
                 })?
@@ -1299,6 +1373,64 @@ mod tests {
                 proptest::prop_assert!(parsed.is_err(), "accepted {body:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_published_report_renders_once_with_to_json_bytes() {
+        let report = PhasesReport {
+            phases: vec![tpupoint_obs::PhaseStat {
+                id: 0,
+                occupancy: 3,
+                share: 1.0,
+                centroid: vec![0.5, -1.25],
+            }],
+            stability: 0.75,
+            updates: 2,
+            steps_assigned: 3,
+            last_transition_step: Some(9),
+            transitions: vec![tpupoint_obs::PhaseTransition { step: 9, phase: 0 }],
+            ..PhasesReport::default()
+        };
+        let published = PublishedPhases::new(report.clone());
+        assert!(published.json.get().is_none(), "rendered before a read");
+        let first = published.json();
+        assert_eq!(first, report.to_json());
+        assert!(std::ptr::eq(first, published.json()), "rendered twice");
+    }
+
+    #[test]
+    fn settled_jobs_stop_republishing() {
+        let root = temp_root("settled");
+        let _ = std::fs::remove_dir_all(&root);
+        let session = fleet_at(&root);
+        for id in ["s1", "s2"] {
+            session
+                .submit(FleetJobRequest::new(JobConfig::demo()).id(id))
+                .expect("admits");
+        }
+        session.wait_jobs_idle();
+        let shared = &session.shared;
+        let versions = || -> u64 {
+            shared
+                .published()
+                .iter()
+                .map(|(_, _, version, _)| version)
+                .sum()
+        };
+        // One publisher period lets an iteration that began before the
+        // jobs settled finish; the next two must publish nothing.
+        std::thread::sleep(Duration::from_millis(250));
+        let before = versions();
+        session.scrape();
+        let first = shared.fleet_aggregate(&shared.published()).unwrap();
+        std::thread::sleep(Duration::from_millis(450));
+        assert_eq!(versions(), before, "a settled job republished");
+        session.scrape();
+        let second = shared.fleet_aggregate(&shared.published()).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "aggregate was rebuilt");
+        session.request_quit();
+        session.wait().expect("drains");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
