@@ -29,6 +29,13 @@ use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use tpupoint_simcore::OpId;
+
+/// Op ids [`RecoverySummary::to_profile`] keeps for a stream whose
+/// manifest has no catalog: ids at or past it are dropped as corrupt.
+/// The largest workload catalog is a few hundred ops, and 65,536
+/// `op<N>` placeholders cost about 1 MB.
+pub const MAX_UNCATALOGED_OPS: u32 = 1 << 16;
 
 /// Destination for sealed profile records.
 pub trait RecordStore {
@@ -342,17 +349,37 @@ impl RecoverySummary {
     /// good enough for the analyzer to cluster phases.
     ///
     /// The op catalog comes from the manifest when the writer persisted
-    /// one ([`RecordStore::set_catalog`]); ops beyond it — or all ops, for
-    /// streams recorded before the catalog was stored — fall back to
-    /// `op<N>` placeholders. Step marks are synthesized from the step
-    /// records themselves (every step's last event end); when three or
-    /// more records survive, the highest step is treated as the
-    /// session-shutdown record, mirroring a live profile's shape.
+    /// one ([`RecordStore::set_catalog`]); for streams recorded before the
+    /// catalog was stored, ops fall back to `op<N>` placeholders. Op ids
+    /// are bounded, because record files are external input and one
+    /// corrupt id must not size the op table: an id at or past the
+    /// catalog, or past [`MAX_UNCATALOGED_OPS`] without one, is dropped
+    /// from its step and its invocations are counted in `lost_events`.
+    /// Step marks are synthesized from the step records themselves (every
+    /// step's last event end); when three or more records survive, the
+    /// highest step is treated as the session-shutdown record, mirroring a
+    /// live profile's shape.
     pub fn to_profile(&self) -> Profile {
-        let op_count = self
+        let manifest = self.manifest.clone().unwrap_or_default();
+        let bound = match manifest.op_names.len() {
+            0 => MAX_UNCATALOGED_OPS,
+            n => u32::try_from(n).unwrap_or(u32::MAX),
+        };
+        let mut lost_events = 0u64;
+        let steps: Vec<StepRecord> = self
             .steps
             .iter()
-            .flat_map(|r| r.ops.keys())
+            .map(|r| {
+                let mut r = r.clone();
+                for stats in r.ops.split_off(&OpId(bound)).values() {
+                    lost_events = lost_events.saturating_add(stats.count);
+                }
+                r
+            })
+            .collect();
+        let op_count = steps
+            .iter()
+            .filter_map(|r| r.ops.keys().next_back())
             .map(|op| op.0 as usize + 1)
             .max()
             .unwrap_or(0);
@@ -367,7 +394,6 @@ impl RecoverySummary {
             .filter(|r| r.step > 0 && r.step < shutdown_step)
             .map(|r| (r.step, r.last_end))
             .collect();
-        let manifest = self.manifest.clone().unwrap_or_default();
         let op_count = op_count.max(manifest.op_names.len());
         let mut op_names = manifest.op_names;
         for i in op_names.len()..op_count {
@@ -383,12 +409,12 @@ impl RecoverySummary {
             op_names,
             op_uses_mxu,
             op_on_host,
-            steps: self.steps.clone(),
+            steps,
             windows: self.windows.clone(),
             step_marks,
             checkpoints: Vec::new(),
             dropped_windows: 0,
-            lost_events: 0,
+            lost_events,
             store_errors: 0,
             store_error: None,
         }
@@ -709,7 +735,7 @@ impl RecordStore for JsonlStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpupoint_simcore::{OpId, SimDuration, SimTime, Track};
+    use tpupoint_simcore::{SimDuration, SimTime, Track};
 
     fn sample_step(step: u64) -> StepRecord {
         let mut r = StepRecord::new(step);
@@ -868,6 +894,65 @@ mod tests {
         let marked: Vec<u64> = profile.step_marks.iter().map(|(s, _)| *s).collect();
         assert_eq!(marked, vec![1, 2, 3, 4, 5]);
         assert_eq!(profile.training_records().len(), 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A step record carrying `extra` invocations of op `id` beside
+    /// `sample_step`'s op 1.
+    fn step_with_op(step: u64, id: u32, extra: u64) -> StepRecord {
+        let mut r = sample_step(step);
+        for _ in 0..extra {
+            r.absorb(
+                OpId(id),
+                Track::Host,
+                SimTime::from_micros(10),
+                SimDuration::from_micros(1),
+                SimDuration::ZERO,
+            );
+        }
+        r
+    }
+
+    #[test]
+    fn corrupt_op_ids_past_the_catalog_are_dropped_as_lost_events() {
+        let dir = tmp_dir("op-bound");
+        let mut store = JsonlStore::create(&dir).unwrap();
+        let names = ["a".to_owned(), "b".to_owned()];
+        store.set_catalog(&names, &[false, true], &[true, false]);
+        store.put_step(&sample_step(1)).unwrap();
+        store.put_step(&step_with_op(2, u32::MAX, 3)).unwrap();
+        store.put_step(&step_with_op(3, 2, 2)).unwrap();
+        store.seal().unwrap();
+        let line = std::fs::read_to_string(dir.join("steps.jsonl")).unwrap();
+        assert!(line.contains("\"4294967295\":"), "{line}");
+        let profile = recover_records(&dir).unwrap().to_profile();
+        assert_eq!(profile.op_names, names);
+        assert_eq!(profile.op_on_host, vec![true, false]);
+        assert!(profile
+            .steps
+            .iter()
+            .all(|r| r.ops.keys().all(|op| op.0 < 2)));
+        assert_eq!(profile.lost_events, 5);
+        assert_eq!(profile.steps[1].ops.len(), 1, "op 1 survives");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn uncataloged_op_ids_are_bounded() {
+        let dir = tmp_dir("op-bound-no-catalog");
+        let mut store = JsonlStore::create(&dir).unwrap();
+        store
+            .put_step(&step_with_op(1, MAX_UNCATALOGED_OPS - 1, 1))
+            .unwrap();
+        store
+            .put_step(&step_with_op(2, MAX_UNCATALOGED_OPS, 4))
+            .unwrap();
+        store.put_step(&step_with_op(3, u32::MAX, 2)).unwrap();
+        store.seal().unwrap();
+        let profile = recover_records(&dir).unwrap().to_profile();
+        assert_eq!(profile.op_names.len(), MAX_UNCATALOGED_OPS as usize);
+        assert_eq!(profile.op_names[1], "op1");
+        assert_eq!(profile.lost_events, 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
