@@ -2,20 +2,32 @@
 //! run for k = 1..15 and pick the knee of the sum-of-squared-distances
 //! curve with the elbow method.
 //!
-//! Three pieces of performance work live here, all bit-deterministic for
-//! any thread count:
+//! The performance work here is all exact: every label, centroid and SSE
+//! bit equals the plain descent's, for any thread count.
 //!
 //! * the Lloyd **assignment step** is bound-pruned (Hamerly): every row
 //!   carries an upper bound on its distance to its own centroid and a
 //!   lower bound on its distance to every other one, so a row whose
 //!   bounds settle its nearest centroid skips the distance pass. The
-//!   bounds are kept on the safe side of rounding and a row is skipped
-//!   only when they clear each other by a relative margin, so the argmin
-//!   (lowest index on ties) and every output bit equal the unpruned
-//!   descent's;
+//!   lower bound also takes Hamerly's **separation** test: a row lying
+//!   less than half its centroid's distance to the nearest other
+//!   centroid away from it is settled too. The bounds are kept on the
+//!   safe side of rounding and a row is skipped only when they clear
+//!   each other by a relative margin, so the argmin (lowest index on
+//!   ties) equals the unpruned descent's;
+//! * distances run through **interleaved-lane kernels**: four rows
+//!   against one centroid (k-means++ seeding, the SSE pass), or one row
+//!   against a transposed block of four centroids (a row's full
+//!   assignment pass). Each lane sums in dimension order from `-0.0`,
+//!   exactly as [`dist2`] does, so the lanes only overlap independent
+//!   addition chains; empty rows and NaN lanes fall back to [`dist2`];
 //! * the rows that still need a full pass fan out over the pool when
 //!   there are enough of them (each row's nearest centroid is
 //!   independent);
+//! * a descent ([`descend`]) and its **SSE pass** are separate, so a
+//!   caller that only compares SSEs can first compare an upper bound
+//!   from the row bounds ([`Descent::sse_bound`]); offline [`run`] and
+//!   [`sweep`] always take the exact SSE, whose bits they output;
 //! * the k-**sweep** **warm-starts** run k from run k-1's final
 //!   centroids plus one k-means++ pick, which replaces `n_init` full
 //!   restarts per k with a single Lloyd descent and keeps the SSD curve
@@ -177,6 +189,160 @@ fn fold_nearest(d: f64, c: usize, best: &mut (f64, usize, f64)) {
     }
 }
 
+/// The lower bound on a row's distance to every centroid but its own
+/// that the triangle inequality gives when its own centroid lies at
+/// least `apart` from all the others and the row at most `upper` from
+/// its own, loosened like every derived bound.
+fn beyond(apart: f64, upper: f64) -> f64 {
+    (apart - upper) * (1.0 - SLACK) - TINY
+}
+
+/// Hamerly's centroid separation: for each centroid, a safe lower bound
+/// on its distance to its nearest other centroid. A NaN distance makes
+/// the triangle inequality unusable for both centroids, so their
+/// separation is minus infinity, which [`beyond`] turns into no bound;
+/// the check comes before [`lower_of`], which maps NaN to `sqrt(MAX)`.
+fn separation(centroids: &[Vec<f64>]) -> Vec<f64> {
+    let k = centroids.len();
+    let mut nearest_d2 = vec![f64::INFINITY; k];
+    for a in 0..k {
+        for b in a + 1..k {
+            let d = dist2(&centroids[a], &centroids[b]);
+            for c in [a, b] {
+                let near = &mut nearest_d2[c];
+                *near = if near.is_nan() || d.is_nan() {
+                    f64::NAN
+                } else {
+                    near.min(d)
+                };
+            }
+        }
+    }
+    nearest_d2
+        .into_iter()
+        .map(|d2| {
+            if d2.is_nan() {
+                f64::NEG_INFINITY
+            } else {
+                lower_of(d2)
+            }
+        })
+        .collect()
+}
+
+/// Lanes of the interleaved distance kernels.
+const LANES: usize = 4;
+
+/// [`dist2`] of [`LANES`] rows to one centroid at once, bit for bit.
+/// Each lane sums its squared differences in dimension order from
+/// `-0.0`, exactly as `Iterator::sum` does, so interleaving only overlaps
+/// independent addition chains (Rust never contracts them to FMA). Empty
+/// rows and NaN lanes, whose payload an interleaved order need not keep,
+/// are recomputed by [`dist2`] itself.
+fn dist2_rows(rows: [&[f64]; LANES], centroid: &[f64]) -> [f64; LANES] {
+    let d = centroid.len();
+    debug_assert!(rows.iter().all(|row| row.len() == d));
+    let [r0, r1, r2, r3] = rows.map(|row| &row[..d]);
+    let mut acc = [-0.0f64; LANES];
+    for (t, &y) in centroid.iter().enumerate() {
+        let e = [r0[t] - y, r1[t] - y, r2[t] - y, r3[t] - y];
+        for j in 0..LANES {
+            acc[j] += e[j] * e[j];
+        }
+    }
+    for j in 0..LANES {
+        if d == 0 || acc[j].is_nan() {
+            acc[j] = dist2(rows[j], centroid);
+        }
+    }
+    acc
+}
+
+/// Calls `f(i, dist2(points.row(i), centroid))` for each `i` of `rows`,
+/// [`LANES`] rows at a time.
+fn each_row_dist2(
+    points: Points<'_>,
+    rows: &[usize],
+    centroid: &[f64],
+    mut f: impl FnMut(usize, f64),
+) {
+    let (groups, rest) = rows.as_chunks::<LANES>();
+    for group in groups {
+        let d = dist2_rows(group.map(|i| points.row(i)), centroid);
+        for (&i, d) in group.iter().zip(d) {
+            f(i, d);
+        }
+    }
+    for &i in rest {
+        f(i, dist2(points.row(i), centroid));
+    }
+}
+
+/// Each row's [`dist2`] to its own centroid, computed a cluster at a
+/// time.
+fn own_dist2(points: Points<'_>, assignments: &[usize], centroids: &[Vec<f64>]) -> Vec<f64> {
+    let mut members = vec![Vec::new(); centroids.len()];
+    for (i, &c) in assignments.iter().enumerate() {
+        members[c].push(i);
+    }
+    let mut row_d2 = vec![0.0; assignments.len()];
+    for (rows, centroid) in members.iter().zip(centroids) {
+        each_row_dist2(points, rows, centroid, |i, d| row_d2[i] = d);
+    }
+    row_d2
+}
+
+/// Centroids transposed into blocks of [`LANES`]: for each dimension in
+/// turn, one block holds that coordinate of [`LANES`] consecutive
+/// centroids side by side (zero past the last one), so a single pass over
+/// a row measures it against the whole block.
+struct CentroidBlocks<'a> {
+    centroids: &'a [Vec<f64>],
+    dims: usize,
+    /// `dims` entries per block.
+    data: Vec<[f64; LANES]>,
+}
+
+impl<'a> CentroidBlocks<'a> {
+    fn new(centroids: &'a [Vec<f64>], dims: usize) -> CentroidBlocks<'a> {
+        let mut data = vec![[0.0; LANES]; centroids.len().div_ceil(LANES) * dims];
+        for (c, centroid) in centroids.iter().enumerate() {
+            let block = &mut data[c / LANES * dims..][..dims];
+            for (lanes, &x) in block.iter_mut().zip(centroid) {
+                lanes[c % LANES] = x;
+            }
+        }
+        CentroidBlocks {
+            centroids,
+            dims,
+            data,
+        }
+    }
+
+    /// Calls `f(c, dist2(row, centroid c))` for every centroid, in index
+    /// order, bit for bit as [`dist2`] (see [`dist2_rows`]).
+    fn each_dist2(&self, row: &[f64], mut f: impl FnMut(usize, f64)) {
+        for (c0, centroids) in self.centroids.chunks(LANES).enumerate() {
+            let block = &self.data[c0 * self.dims..][..self.dims];
+            let mut acc = [-0.0f64; LANES];
+            for (&x, lanes) in row.iter().zip(block) {
+                for j in 0..LANES {
+                    let e = x - lanes[j];
+                    acc[j] += e * e;
+                }
+            }
+            for (j, centroid) in centroids.iter().enumerate() {
+                let d = if self.dims == 0 || acc[j].is_nan() {
+                    dist2(row, centroid)
+                } else {
+                    acc[j]
+                };
+                f(c0 * LANES + j, d);
+            }
+        }
+    }
+}
+
 impl RowBounds {
     /// Bounds that settle no row.
     fn unknown(centroids: &[Vec<f64>], n: usize) -> RowBounds {
@@ -197,10 +363,19 @@ impl RowBounds {
         }
     }
 
+    /// Row `i`'s lower bound on its distance to every other centroid,
+    /// given an upper bound on its distance to its candidate: the stored
+    /// one, or the separation bound when that is larger (`sep` from
+    /// [`separation`] of the current centroids).
+    fn lower_given(&self, i: usize, upper: f64, sep: &[f64]) -> f64 {
+        self.lower[i].max(beyond(sep[self.nearest[i]], upper))
+    }
+
     /// Whether row `i`'s bounds prove that its candidate is its nearest
     /// centroid under the computed squared distances.
-    fn settled(&self, i: usize) -> bool {
-        clears(self.upper[i], self.lower[i])
+    fn settled(&self, i: usize, sep: &[f64]) -> bool {
+        let upper = self.upper[i];
+        clears(upper, self.lower[i]) || clears(upper, self.lower_given(i, upper, sep))
     }
 
     /// Moves the bounds onto `centroids` (same count): each row's upper
@@ -248,26 +423,25 @@ impl RowBounds {
         self.centroids.push(centroid);
     }
 
-    /// Settles row `row` against `centroids`: the candidate's exact
-    /// distance first, then, if that does not clear the lower bound, a
-    /// full pass. Returns (nearest, upper, lower); the nearest is what
-    /// [`nearest`] returns.
-    fn settle(&self, i: usize, row: &[f64], centroids: &[Vec<f64>]) -> (usize, f64, f64) {
+    /// Settles row `row` against `blocks`' centroids: the candidate's
+    /// exact distance first, then, if that does not clear the lower bound
+    /// (or the separation bound), a full pass. Returns (nearest, upper,
+    /// lower); the nearest is what [`nearest`] returns.
+    fn settle(
+        &self,
+        i: usize,
+        row: &[f64],
+        blocks: &CentroidBlocks<'_>,
+        sep: &[f64],
+    ) -> (usize, f64, f64) {
         let candidate = self.nearest[i];
-        let d2_candidate = dist2(row, &centroids[candidate]);
-        let upper = upper_of(d2_candidate);
-        if clears(upper, self.lower[i]) {
-            return (candidate, upper, self.lower[i]);
+        let upper = upper_of(dist2(row, &blocks.centroids[candidate]));
+        let lower = self.lower_given(i, upper, sep);
+        if clears(upper, lower) {
+            return (candidate, upper, lower);
         }
         let mut best = (f64::INFINITY, 0, f64::INFINITY);
-        for (c, centroid) in centroids.iter().enumerate() {
-            let d = if c == candidate {
-                d2_candidate
-            } else {
-                dist2(row, centroid)
-            };
-            fold_nearest(d, c, &mut best);
-        }
+        blocks.each_dist2(row, |c, d| fold_nearest(d, c, &mut best));
         (best.1, upper_of(best.0), lower_of(best.2))
     }
 }
@@ -349,15 +523,15 @@ pub(crate) fn seed_centroids(
     let mut best = vec![(f64::INFINITY, 0, f64::INFINITY); n];
     // Lower bounds on the distances to the seeds a row skipped.
     let mut skipped = vec![f64::INFINITY; n];
-    let mut min_d2: Vec<f64> = points
-        .rows()
-        .zip(&mut best)
-        .map(|(r, best)| {
-            let d = dist2(r, &centroids[0]);
-            fold_nearest(d, 0, best);
-            d
-        })
-        .collect();
+    let mut min_d2 = vec![0.0; n];
+    // Each row's upper bound on its distance to its nearest seed.
+    let mut upper = vec![0.0; n];
+    let mut open: Vec<usize> = (0..n).collect();
+    each_row_dist2(points, &open, &centroids[0], |i, d| {
+        min_d2[i] = d;
+        fold_nearest(d, 0, &mut best[i]);
+        upper[i] = upper_of(best[i].0);
+    });
     while centroids.len() < k {
         let idx = kmeanspp_pick(&min_d2, rng);
         centroids.push(points.row(idx).to_vec());
@@ -366,21 +540,24 @@ pub(crate) fn seed_centroids(
             .iter()
             .map(|seed| lower_of(dist2(seed, &centroids[c])))
             .collect();
-        for (i, row) in points.rows().enumerate() {
-            let upper = upper_of(best[i].0);
-            let beyond = (apart[best[i].1] - upper) * (1.0 - SLACK) - TINY;
-            if clears(upper, beyond) {
+        open.clear();
+        for i in 0..n {
+            let beyond = beyond(apart[best[i].1], upper[i]);
+            if clears(upper[i], beyond) {
                 skipped[i] = skipped[i].min(beyond);
-                continue;
+            } else {
+                open.push(i);
             }
-            let d = dist2(row, &centroids[c]);
+        }
+        each_row_dist2(points, &open, &centroids[c], |i, d| {
             min_d2[i] = min_d2[i].min(d);
             fold_nearest(d, c, &mut best[i]);
-        }
+            upper[i] = upper_of(best[i].0);
+        });
     }
     let bounds = RowBounds {
         nearest: best.iter().map(|b| b.1).collect(),
-        upper: best.iter().map(|b| upper_of(b.0)).collect(),
+        upper,
         lower: best
             .iter()
             .zip(&skipped)
@@ -405,24 +582,89 @@ pub(crate) fn nearest(row: &[f64], centroids: &[Vec<f64>]) -> usize {
     best_c
 }
 
+/// A finished Lloyd descent before its SSE is taken: labels, centroids,
+/// and bounds against the final centroids, ready to carry into another
+/// descent.
+#[derive(Debug)]
+pub(crate) struct Descent {
+    pub(crate) assignments: Vec<usize>,
+    pub(crate) centroids: Vec<Vec<f64>>,
+    pub(crate) bounds: RowBounds,
+}
+
+impl Descent {
+    /// The exact SSE: each row's [`dist2`] to its centroid, summed in row
+    /// order. The pass also tightens the upper bound of every row whose
+    /// candidate is its label.
+    pub(crate) fn exact_sse(&mut self, points: Points<'_>) -> f64 {
+        let row_d2 = own_dist2(points, &self.assignments, &self.centroids);
+        for (i, &d2) in row_d2.iter().enumerate() {
+            if self.bounds.nearest[i] == self.assignments[i] {
+                self.bounds.upper[i] = upper_of(d2);
+            }
+        }
+        row_d2.iter().sum()
+    }
+
+    /// An upper bound on [`Descent::exact_sse`] from the row bounds alone:
+    /// infinite unless every row's candidate is its label.
+    pub(crate) fn sse_bound(&self, points: Points<'_>) -> f64 {
+        if self.bounds.nearest != self.assignments {
+            return f64::INFINITY;
+        }
+        sse_bound(&self.bounds.upper, points.dims)
+    }
+
+    fn into_result(self, sse: f64) -> (KmeansResult, RowBounds) {
+        let result = KmeansResult {
+            assignments: self.assignments,
+            centroids: self.centroids,
+            sse,
+        };
+        (result, self.bounds)
+    }
+}
+
+/// An upper bound on the computed SSE of rows of `dims` values whose exact
+/// distances to their centroids are at most `upper`: `Σ upper²`, widened
+/// past the rounding of the squares, of each [`dist2`] and of both sums
+/// (each about one unit in the last place per term) and past [`SLACK`].
+/// Every `upper` is at least [`TINY`], so underflow adds nothing the
+/// squares do not already dwarf.
+fn sse_bound(upper: &[f64], dims: usize) -> f64 {
+    let margin = SLACK + (upper.len() + dims + 8) as f64 * f64::EPSILON;
+    upper.iter().map(|u| u * u).sum::<f64>() * (1.0 + margin)
+}
+
+/// [`descend`], then the exact SSE.
+pub(crate) fn lloyd_from(
+    points: Points<'_>,
+    centroids: Vec<Vec<f64>>,
+    max_iters: usize,
+    bounds: Option<RowBounds>,
+) -> (KmeansResult, RowBounds) {
+    let mut descent = descend(points, centroids, max_iters, bounds);
+    let sse = descent.exact_sse(points);
+    descent.into_result(sse)
+}
+
 /// Lloyd iterations from the given initial centroids, optionally starting
 /// from `bounds` against some earlier centroids of the same count (the
 /// seeding's, or a previous descent's over the same points; rows beyond
-/// the bounds' length start unknown). Returns the result and its bounds
-/// against the final centroids, ready to carry into another descent.
+/// the bounds' length start unknown).
 ///
 /// Each assignment step moves the bounds by how far the centroids moved,
-/// skips the rows they settle, and computes the rest — in the pool when
-/// at least [`PAR_ASSIGN_MIN_ROWS`] of them remain. A settled row's
-/// candidate is provably what the full pass would pick, the update step
-/// and the SSE fold serially in row order, so the result is bit-identical
-/// to the unpruned descent for any thread count.
-pub(crate) fn lloyd_from(
+/// skips the rows they or the centroids' separation settle, and computes
+/// the rest — in the pool when at least [`PAR_ASSIGN_MIN_ROWS`] of them
+/// remain. A settled row's candidate is provably what the full pass would
+/// pick, and the update step folds serially in row order, so the descent
+/// is bit-identical to the unpruned one for any thread count.
+pub(crate) fn descend(
     points: Points<'_>,
     mut centroids: Vec<Vec<f64>>,
     max_iters: usize,
     bounds: Option<RowBounds>,
-) -> (KmeansResult, RowBounds) {
+) -> Descent {
     let n = points.len();
     let d = points.dims;
     let k = centroids.len();
@@ -440,8 +682,10 @@ pub(crate) fn lloyd_from(
     let mut assignments = vec![0usize; n];
     for iter in 0..max_iters {
         // Assign: only the rows the bounds leave open.
-        let open: Vec<usize> = (0..n).filter(|&i| !b.settled(i)).collect();
-        let settle = |i: usize| b.settle(i, points.row(i), &centroids);
+        let sep = separation(&centroids);
+        let open: Vec<usize> = (0..n).filter(|&i| !b.settled(i, &sep)).collect();
+        let blocks = CentroidBlocks::new(&centroids, d);
+        let settle = |i: usize| b.settle(i, points.row(i), &blocks, &sep);
         let settled: Vec<(usize, f64, f64)> =
             if open.len() >= PAR_ASSIGN_MIN_ROWS && pool.size() > 1 {
                 pool.par_map(&open, |_, &i| settle(i))
@@ -488,25 +732,11 @@ pub(crate) fn lloyd_from(
             break;
         }
     }
-
-    let row_d2: Vec<f64> = points
-        .rows()
-        .zip(&assignments)
-        .map(|(row, &c)| dist2(row, &centroids[c]))
-        .collect();
-    let sse = row_d2.iter().sum();
-    // The SSE pass measured each row's distance to its own centroid.
-    for (i, &d2) in row_d2.iter().enumerate() {
-        if b.nearest[i] == assignments[i] {
-            b.upper[i] = upper_of(d2);
-        }
-    }
-    let result = KmeansResult {
+    Descent {
         assignments,
         centroids,
-        sse,
-    };
-    (result, b)
+        bounds: b,
+    }
 }
 
 /// One warm-started sweep step: the previous run's final centroids plus a
@@ -526,13 +756,11 @@ fn run_warm(
             .wrapping_add((previous.centroids.len() as u64 + 1).wrapping_mul(0x51ab)),
     );
     let mut centroids = previous.centroids.clone();
-    let min_d2: Vec<f64> = points
-        .rows()
-        .zip(&previous.assignments)
-        .map(|(row, &c)| dist2(row, &centroids[c]))
-        .collect();
+    let min_d2 = own_dist2(points, &previous.assignments, &centroids);
     let pick = points.row(kmeanspp_pick(&min_d2, &mut rng)).to_vec();
-    let to_pick: Vec<f64> = points.rows().map(|row| dist2(row, &pick)).collect();
+    let all: Vec<usize> = (0..points.len()).collect();
+    let mut to_pick = vec![0.0; all.len()];
+    each_row_dist2(points, &all, &pick, |i, d| to_pick[i] = d);
     bounds.push_centroid(pick.clone(), &to_pick);
     centroids.push(pick);
     lloyd_from(points, centroids, config.max_iters, Some(bounds))
@@ -580,6 +808,7 @@ pub fn elbow_k(sweep: &[(usize, f64)]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Three well-separated blobs of 20 points each.
     fn blobs() -> FeatureMatrix {
@@ -962,6 +1191,242 @@ mod tests {
         let few = random_rows(&mut rng, 7, 2, 1.0);
         check_exact(&few, few.clone(), "k equals n");
         check_exact(&few, vec![few[0].clone(); 7], "k equals n, one start");
+    }
+
+    /// `x` moved `ulps` representable values up (or down).
+    fn nudge(mut x: f64, ulps: i32) -> f64 {
+        for _ in 0..ulps.unsigned_abs() {
+            x = if ulps > 0 { x.next_up() } else { x.next_down() };
+        }
+        x
+    }
+
+    #[test]
+    fn pruned_lloyd_equals_naive_lloyd_at_near_ties() {
+        // Points on the bisector of two centroids at non-dyadic
+        // coordinates, each coordinate nudged a few units in the last
+        // place, so rounding alone decides which centroid computes
+        // nearer.
+        let (a, b) = (vec![0.1, 0.7], vec![0.3, 0.2]);
+        let mid = [(a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0];
+        let along = [a[1] - b[1], b[0] - a[0]];
+        let rows: Vec<Vec<f64>> = (0..300)
+            .map(|i| {
+                let t = (i % 30) as f64 * 0.37 - 5.0;
+                let (dx, dy) = (i / 30 % 5 - 2, i / 150 * 2 - 1);
+                vec![
+                    nudge(mid[0] + t * along[0], dx),
+                    nudge(mid[1] + t * along[1], dy),
+                ]
+            })
+            .collect();
+        check_exact(&rows, vec![a.clone(), b.clone()], "near ties");
+        check_exact(&rows, vec![b.clone(), a.clone()], "near ties, swapped");
+        check_exact(
+            &rows,
+            vec![a, b, vec![5.0, 5.0]],
+            "near ties, third centroid",
+        );
+    }
+
+    #[test]
+    fn pruned_lloyd_equals_naive_lloyd_at_equal_separations() {
+        // Equally spaced centroids, so every centroid's separation is the
+        // same, with rows at and a few units in the last place around
+        // the midpoints between them.
+        let line: Vec<Vec<f64>> = (0..280)
+            .map(|i| {
+                let midpoint = [1.0, 3.0, 5.0, 0.0, 6.0][i % 5];
+                vec![nudge(midpoint, (i / 5 % 7) as i32 - 3)]
+            })
+            .collect();
+        let lattice: Vec<Vec<f64>> = (0..4).map(|c| vec![2.0 * c as f64]).collect();
+        check_exact(&line, lattice.clone(), "equal separation on a line");
+        check_exact(&line, lattice.into_iter().rev().collect(), "reversed line");
+        let square: Vec<Vec<f64>> = (0..260)
+            .map(|i| {
+                let (x, y) = [(0.5, 0.5), (0.5, 0.0), (0.0, 0.5), (0.5, 1.0)][i % 4];
+                let ulps = (i / 4 % 5) as i32 - 2;
+                vec![nudge(x, ulps), nudge(y, -ulps)]
+            })
+            .collect();
+        let corners = vec![
+            vec![0.0, 0.0],
+            vec![1.0, 0.0],
+            vec![0.0, 1.0],
+            vec![1.0, 1.0],
+        ];
+        check_exact(&square, corners, "equal separation on a square");
+
+        // A tie at the separation bound: the row at 0 sits exactly half
+        // the separation from both centroids, with a tight upper bound on
+        // its distance to its candidate. The bound must not settle it;
+        // the tie goes to centroid 0.
+        let origin = [0.0];
+        let start = vec![vec![-1.0], vec![1.0]];
+        let bounds = RowBounds {
+            centroids: start.clone(),
+            nearest: vec![1],
+            upper: vec![upper_of(1.0)],
+            lower: vec![0.0],
+        };
+        let (pruned, _) = lloyd_from(Points::new(&origin, 1, 1), start.clone(), 1, Some(bounds));
+        let naive = naive_lloyd(&[origin.to_vec()], start, 1);
+        assert_same_bits(&pruned, &naive, "tie at the separation bound");
+        assert_eq!(pruned.assignments, vec![0]);
+    }
+
+    #[test]
+    fn separation_bound_keeps_its_margin() {
+        // The separation test's lower bound stays strictly below the bare
+        // triangle bound `sep - upper`, whatever the scale.
+        for (sep, upper) in [
+            (2.0, 1.0),
+            (1.0, 1.0),
+            (3.0, 0.5),
+            (0.0, 0.0),
+            (1e-300, 0.0),
+            (1e300, 1e-300),
+            (f64::MAX, 1.0),
+        ] {
+            let bounds = RowBounds {
+                centroids: Vec::new(),
+                nearest: vec![0],
+                upper: vec![upper],
+                lower: vec![f64::NEG_INFINITY],
+            };
+            let lower = bounds.lower_given(0, upper, &[sep]);
+            assert!(lower < sep - upper, "sep {sep}, upper {upper}: {lower}");
+        }
+        // Separations are safe lower bounds; a NaN distance disables the
+        // test for both centroids instead of reading as sqrt(MAX) apart.
+        let sep = separation(&[vec![0.0], vec![3.0], vec![10.0]]);
+        assert!(sep[0] < 3.0 && sep[1] < 3.0 && sep[2] < 7.0, "{sep:?}");
+        assert!(sep[0] > 2.99 && sep[2] > 6.99, "{sep:?}");
+        let sep = separation(&[vec![0.0, 0.0], vec![1.0, 0.0], vec![f64::NAN, 0.0]]);
+        assert!(sep.iter().all(|&s| s == f64::NEG_INFINITY), "{sep:?}");
+        assert_eq!(separation(&[vec![1.0]]), vec![lower_of(f64::INFINITY)]);
+    }
+
+    /// The smallest double whose square is at least the exact `n / 2^80`.
+    fn tightest_upper(n: u128) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        let covers = |u: f64| {
+            // u = m · 2^e exactly; compare m² with n · 2^(-2e - 80).
+            let bits = u.to_bits();
+            let m = u128::from((bits & ((1 << 52) - 1)) | (1 << 52));
+            let e = ((bits >> 52) & 0x7ff) as i32 - 1075;
+            let shift = u32::try_from(-2 * e - 80).expect("u stays below 2^13");
+            n.leading_zeros() >= shift && m * m >= n << shift
+        };
+        let mut u = (n as f64 * 2f64.powi(-80)).sqrt();
+        while !covers(u) {
+            u = u.next_up();
+        }
+        while covers(u.next_down()) {
+            u = u.next_down();
+        }
+        u
+    }
+
+    #[test]
+    fn sse_bound_covers_the_computed_sse_at_the_tightest_bounds() {
+        // Coordinates on a 2^-40 grid make every exact squared distance a
+        // known integer over 2^80, so each row gets the tightest valid
+        // upper bound; the computed SSE still rounds above their squares.
+        let mut rng = SimRng::seed_from(0x55e);
+        let grid = |rng: &mut SimRng| rng.uniform_u64(0, (1 << 40) - 1);
+        for case in 0..2000 {
+            let d = 1 + case % 6;
+            let n = 1 + rng.uniform_u64(0, 40) as usize;
+            let centroid: Vec<u64> = (0..d).map(|_| grid(&mut rng)).collect();
+            let to_f64 =
+                |m: &[u64]| -> Vec<f64> { m.iter().map(|&m| m as f64 * 2f64.powi(-40)).collect() };
+            let (mut upper, mut row_d2) = (Vec::new(), Vec::new());
+            for _ in 0..n {
+                let row: Vec<u64> = (0..d).map(|_| grid(&mut rng)).collect();
+                let exact: u128 = row
+                    .iter()
+                    .zip(&centroid)
+                    .map(|(&x, &c)| u128::from(x.abs_diff(c)).pow(2))
+                    .sum();
+                upper.push(tightest_upper(exact));
+                row_d2.push(dist2(&to_f64(&row), &to_f64(&centroid)));
+            }
+            let sse: f64 = row_d2.iter().sum();
+            assert!(
+                sse_bound(&upper, d) >= sse,
+                "case {case}: bound {} below sse {sse}",
+                sse_bound(&upper, d)
+            );
+        }
+    }
+
+    /// Doubles a kernel must handle: zeros of both signs, subnormals,
+    /// infinities, NaN, values near `f64::MAX`, and ordinary ones.
+    fn edge_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            (1u64..1 << 52).prop_map(|bits| -f64::from_bits(bits)),
+            (0.5f64..1.0).prop_map(|x| x * f64::MAX),
+            (0.5f64..1.0).prop_map(|x| -x * f64::MAX),
+            -4.0f64..4.0,
+            -1e6f64..1e6,
+            any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn lane_kernels_equal_dist2_bit_for_bit(
+            d in 0usize..131,
+            k in 1usize..10,
+            pool in proptest::collection::vec(edge_f64(), 1..200),
+            finite_only in any::<bool>(),
+            pick in any::<u64>(),
+        ) {
+            // Draw every coordinate from the pool; half the cases keep
+            // only its finite values so long sums stay finite too.
+            let pool: Vec<f64> = pool
+                .into_iter()
+                .filter(|x| !finite_only || x.is_finite())
+                .chain([1.5])
+                .collect();
+            let mut rng = SimRng::seed_from(pick);
+            let mut vector = || -> Vec<f64> {
+                (0..d)
+                    .map(|_| pool[rng.uniform_u64(0, pool.len() as u64 - 1) as usize])
+                    .collect()
+            };
+            let rows: Vec<Vec<f64>> = (0..LANES).map(|_| vector()).collect();
+            let centroids: Vec<Vec<f64>> = (0..k).map(|_| vector()).collect();
+            let bits = |x: f64| x.to_bits();
+            for centroid in &centroids {
+                let lanes = dist2_rows(std::array::from_fn(|j| rows[j].as_slice()), centroid);
+                for (j, row) in rows.iter().enumerate() {
+                    prop_assert_eq!(bits(lanes[j]), bits(dist2(row, centroid)), "d {}, lane {}", d, j);
+                }
+            }
+            let blocks = CentroidBlocks::new(&centroids, d);
+            for row in &rows {
+                let mut seen = 0;
+                blocks.each_dist2(row, |c, x| {
+                    assert_eq!(c, seen, "centroids in index order");
+                    assert_eq!(bits(x), bits(dist2(row, &centroids[c])), "d {d}, centroid {c}");
+                    seen += 1;
+                });
+                prop_assert_eq!(seen, k);
+            }
+        }
     }
 
     #[test]

@@ -20,12 +20,19 @@
 //!   evolving bounds), growing toward `k` with k-means++ picks, plus one
 //!   cold k-means++ restart adopted only when decisively better;
 //! * **bound-pruned descents**: both descents run the exact
-//!   bound-pruned Lloyd kernel in [`crate::kmeans`]. The cold restart
-//!   starts from the bounds its seeding's distances give. The warm
-//!   descent starts from the previous update's bounds, which stay valid
-//!   while the scaled rows stay put: they are dropped when a bound moves
-//!   or a projection is active, and forgotten for fresh or replaced
-//!   slots. Pruning never changes a label, centroid or SSE bit;
+//!   bound-pruned Lloyd kernel in [`crate::kmeans`] (interleaved-lane
+//!   distance kernels, Hamerly's bounds and separation test). The cold
+//!   restart starts from the bounds its seeding's distances give. The
+//!   warm descent starts from the previous update's bounds, which stay
+//!   valid while the scaled rows stay put: they are dropped when a bound
+//!   moves or a projection is active, and forgotten for fresh or
+//!   replaced slots. Pruning never changes a label, centroid or SSE bit;
+//! * a **bound-decided restart**: the cold restart's SSE is always taken
+//!   exactly, the warm descent's only when its upper bound (`Σ upper²`
+//!   over the row bounds, widened past rounding) leaves the
+//!   [`RESTART_MARGIN`] comparison open. The decision is the one the
+//!   exact warm SSE gives; the carried bounds are then merely looser,
+//!   never wrong;
 //! * **incremental PCA**: a rank-1-updated raw scatter matrix, converted
 //!   to the scaled-space covariance on demand and diagonalized with the
 //!   same Jacobi solver the offline path uses — only engaged when the
@@ -217,6 +224,10 @@ pub struct StreamingAnalyzer {
     stability: f64,
     stable_windows: u64,
     updates: u64,
+    /// Takes the warm SSE exactly even where its bound decides the
+    /// restart: the reference the bound-decided twin must match.
+    #[cfg(test)]
+    exact_restart: bool,
 }
 
 impl StreamingAnalyzer {
@@ -244,6 +255,8 @@ impl StreamingAnalyzer {
             stability: 0.0,
             stable_windows: 0,
             updates: 0,
+            #[cfg(test)]
+            exact_restart: false,
         }
     }
 
@@ -385,13 +398,10 @@ impl StreamingAnalyzer {
     /// Renames `cold`'s cluster indices so each maps to its nearest
     /// centroid in `reference` (greedy injective matching by distance),
     /// keeping label identity continuous when a restart is adopted.
-    fn align_to_reference(
-        (mut cold, mut bounds): (kmeans::KmeansResult, kmeans::RowBounds),
-        reference: &[Vec<f64>],
-    ) -> (kmeans::KmeansResult, kmeans::RowBounds) {
+    fn align_to_reference(mut cold: kmeans::Descent, reference: &[Vec<f64>]) -> kmeans::Descent {
         let k = cold.centroids.len();
         if reference.len() != k {
-            return (cold, bounds);
+            return cold;
         }
         let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(k * k);
         for (i, c) in cold.centroids.iter().enumerate() {
@@ -418,14 +428,34 @@ impl StreamingAnalyzer {
             centroids[rename[i]] = c;
         }
         cold.centroids = centroids;
-        for label in cold.assignments.iter_mut().chain(&mut bounds.nearest) {
+        for label in cold.assignments.iter_mut().chain(&mut cold.bounds.nearest) {
             *label = rename[*label];
         }
-        bounds.centroids.clone_from(&cold.centroids);
-        (cold, bounds)
+        cold.bounds.centroids.clone_from(&cold.centroids);
+        cold
     }
 
-    fn update(&mut self) {
+    /// Whether a cold restart of exact SSE `cold_sse` beats the warm
+    /// descent by [`RESTART_MARGIN`]. The warm descent's SSE pass runs
+    /// only when the upper bound its row bounds give leaves the answer
+    /// open: `RESTART_MARGIN * x` rounds monotonically in `x`, so a cold
+    /// SSE at or above the margin times the bound is at or above the
+    /// margin times the exact SSE too, and the answer is the same.
+    fn restart_wins(
+        &self,
+        cold_sse: f64,
+        warm: &mut kmeans::Descent,
+        points: kmeans::Points<'_>,
+    ) -> bool {
+        let bound_decides = cold_sse >= RESTART_MARGIN * warm.sse_bound(points);
+        #[cfg(test)]
+        let bound_decides = bound_decides && !self.exact_restart;
+        !bound_decides && cold_sse < RESTART_MARGIN * warm.exact_sse(points)
+    }
+
+    /// Re-clusters the reservoir; returns whether the cold restart was
+    /// adopted.
+    fn update(&mut self) -> bool {
         self.updates += 1;
         let pending = std::mem::take(&mut self.pending);
         let basis = self.projection_basis();
@@ -485,7 +515,7 @@ impl StreamingAnalyzer {
             let idx = kmeans::kmeanspp_pick(&min_d2, &mut self.kmeans_rng);
             centroids.push(points.row(idx).to_vec());
         }
-        let warm = kmeans::lloyd_from(points, centroids, self.config.minibatch_iters, carried);
+        let mut warm = kmeans::descend(points, centroids, self.config.minibatch_iters, carried);
         // Restart guard: a purely warm-started descent inherits whatever
         // optimum the first few rows suggested and can stay trapped
         // spending clusters on early outliers while the dominant mass
@@ -493,23 +523,24 @@ impl StreamingAnalyzer {
         // restart and adopts it only when decisively better, its
         // clusters renamed to the nearest warm centroids so surviving
         // phases keep their labels across the switch.
-        let (result, bounds) = if n >= want && want > 0 {
+        let (result, adopted) = if n >= want && want > 0 {
             let (seeds, seed_bounds) = kmeans::seed_centroids(points, want, &mut self.kmeans_rng);
-            let cold = kmeans::lloyd_from(
+            let mut cold = kmeans::descend(
                 points,
                 seeds,
                 self.config.minibatch_iters,
                 Some(seed_bounds),
             );
-            if cold.0.sse < RESTART_MARGIN * warm.0.sse {
-                Self::align_to_reference(cold, &warm.0.centroids)
+            let cold_sse = cold.exact_sse(points);
+            if self.restart_wins(cold_sse, &mut warm, points) {
+                (Self::align_to_reference(cold, &warm.centroids), true)
             } else {
-                warm
+                (warm, false)
             }
         } else {
-            warm
+            (warm, false)
         };
-        self.carried = basis.is_none().then_some(bounds);
+        self.carried = basis.is_none().then_some(result.bounds);
 
         // Stability: previously-labeled sampled steps whose label
         // survived this update. Fresh and replaced slots are excluded —
@@ -561,6 +592,7 @@ impl StreamingAnalyzer {
             })
             .collect();
         self.centroids_view = result.centroids;
+        adopted
     }
 
     /// Writes one step's label, keeping the per-label occupancy in step.
@@ -922,6 +954,43 @@ mod tests {
                 assert_eq!(carried.assignments(), fresh.assignments(), "seed {seed}");
             }
         }
+    }
+
+    #[test]
+    fn bound_decided_restart_matches_the_exact_decision() {
+        // Against a twin that takes the warm SSE exactly on every update:
+        // the same restart decision, report and labels, update by update.
+        let mut adopted = 0;
+        for seed in 0..60 {
+            let config = StreamingConfig {
+                k: 2 + (seed % 4) as usize,
+                reservoir: 32 + (seed % 5) as usize * 32,
+                ..StreamingConfig::default()
+            };
+            let mut bounded = StreamingAnalyzer::new(config);
+            let mut exact = StreamingAnalyzer::new(config);
+            exact.exact_restart = true;
+            for chunk in outlier_steps(seed).chunks(STREAM_CADENCE) {
+                let decisions = [&mut bounded, &mut exact].map(|analyzer| {
+                    for record in chunk {
+                        analyzer.ingest(record.step, row_of(record, 2));
+                    }
+                    analyzer.update()
+                });
+                assert_eq!(decisions[0], decisions[1], "seed {seed}");
+                adopted += usize::from(decisions[0]);
+                assert_eq!(
+                    bounded.report().to_json(),
+                    exact.report().to_json(),
+                    "seed {seed}"
+                );
+                assert_eq!(bounded.assignments(), exact.assignments(), "seed {seed}");
+            }
+        }
+        assert!(
+            adopted > 0,
+            "no restart was adopted, so the test covers only one outcome"
+        );
     }
 
     #[test]
