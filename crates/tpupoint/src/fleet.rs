@@ -72,7 +72,7 @@ use std::time::Duration;
 
 use tpupoint_analyzer::{StreamingAnalyzer, StreamingConfig, STREAM_CADENCE};
 use tpupoint_obs::{
-    to_prometheus_labeled, to_prometheus_multi_ref, Health, LabeledSnapshotRef, Metrics,
+    to_prometheus_labeled, to_prometheus_multi_ref, Gauge, Health, LabeledSnapshotRef, Metrics,
     MetricsServer, MetricsSnapshot, PhasesReport, Request, Response, ServeHooks,
 };
 use tpupoint_profiler::{PipelineConfig, ProfilerSink};
@@ -480,6 +480,15 @@ fn record_fleet_job(
     let observer_ctl = ctl.clone();
     let stop_on_stable = options.stop_on_stable;
     let n_ops = job.catalog().len();
+    // Gauge handles resolved once: the preregistered scalars now, the
+    // transition gauge at the first transition and one occupancy gauge
+    // per phase as phases appear, so the series set grows as before.
+    let registry = &job_runtime.registry;
+    let stability_gauge = registry.gauge("analyzer.phase_stability");
+    let phase_count_gauge = registry.gauge("analyzer.phase_count");
+    let stable_windows_gauge = registry.gauge("analyzer.stable_windows");
+    let mut transition_gauge: Option<Gauge> = None;
+    let mut occupancy_gauges: Vec<Gauge> = Vec::new();
     sink.set_seal_observer(
         Box::new(move |records| {
             let runtime = &observer_runtime;
@@ -490,25 +499,22 @@ fn record_fleet_job(
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             analyzer.observe_seal(records, n_ops);
             let stable_windows = analyzer.stable_windows();
-            registry
-                .gauge("analyzer.phase_stability")
-                .set(analyzer.stability());
-            registry
-                .gauge("analyzer.phase_count")
-                .set(analyzer.phase_count() as f64);
-            registry
-                .gauge("analyzer.stable_windows")
-                .set(stable_windows as f64);
+            stability_gauge.set(analyzer.stability());
+            phase_count_gauge.set(analyzer.phase_count() as f64);
+            stable_windows_gauge.set(stable_windows as f64);
             let report = analyzer.report();
             if let Some(step) = report.last_transition_step {
-                registry
-                    .gauge("analyzer.last_transition_step")
+                transition_gauge
+                    .get_or_insert_with(|| registry.gauge("analyzer.last_transition_step"))
                     .set(step as f64);
             }
             for phase in &report.phases {
-                registry
-                    .gauge(&format!("analyzer.phase_occupancy.{}", phase.id))
-                    .set(phase.occupancy as f64);
+                while occupancy_gauges.len() <= phase.id {
+                    let id = occupancy_gauges.len();
+                    occupancy_gauges
+                        .push(registry.gauge(&format!("analyzer.phase_occupancy.{id}")));
+                }
+                occupancy_gauges[phase.id].set(phase.occupancy as f64);
             }
             observer_ctl
                 .status
