@@ -23,11 +23,16 @@
 //! [`ServeHooks::route`] — the fleet layer mounts its `/jobs` control API
 //! there without `crates/obs` learning anything about jobs.
 //!
+//! Each request is read by one parser over `BufRead` with a bounded
+//! head, a bounded body and one read deadline; a malformed, oversized or
+//! late request is answered with a 4xx (400, 408, 413 or 431) instead of
+//! reaching a route.
+//!
 //! The server owns no policy: every response body comes from a
 //! [`ServeHooks`] closure, so `crates/obs` stays dependency-free and the
 //! profiler/runtime layers decide what "status" means.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,6 +54,9 @@ const MAX_IN_FLIGHT: usize = 64;
 /// Largest request body the server will buffer (the `/jobs` submit API
 /// posts small JSON documents; anything larger is hostile).
 const MAX_BODY_BYTES: usize = 64 * 1024;
+
+/// Largest request head (request line plus headers) the server reads.
+const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
 /// Degradation-aware health of a serving run, as reported by
 /// `GET /healthz`.
@@ -171,9 +179,11 @@ fn status_line(status: u16) -> &'static str {
         400 => "400 Bad Request",
         404 => "404 Not Found",
         405 => "405 Method Not Allowed",
+        408 => "408 Request Timeout",
         409 => "409 Conflict",
         413 => "413 Payload Too Large",
         429 => "429 Too Many Requests",
+        431 => "431 Request Header Fields Too Large",
         503 => "503 Service Unavailable",
         _ => "500 Internal Server Error",
     }
@@ -314,77 +324,143 @@ fn accept_loop(listener: &TcpListener, hooks: &Arc<ServeHooks>, stop: &Arc<Atomi
     }
 }
 
-/// Reads one line with the remaining slice of the total request deadline
-/// as the socket read timeout. Returns `None` on timeout, EOF, or error.
-fn read_line_by(
-    reader: &mut BufReader<TcpStream>,
+/// A connection whose reads share one deadline: each read waits at most
+/// for what is left of [`REQUEST_READ_DEADLINE`], so a client trickling
+/// bytes cannot hold its handler past it.
+struct DeadlineReader {
+    stream: TcpStream,
     started: Instant,
-    line: &mut String,
-) -> Option<usize> {
-    let remaining = REQUEST_READ_DEADLINE.checked_sub(started.elapsed())?;
-    let _ = reader.get_ref().set_read_timeout(Some(remaining));
-    match reader.read_line(line) {
-        Ok(0) | Err(_) => None,
-        Ok(n) => Some(n),
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let remaining = REQUEST_READ_DEADLINE
+            .checked_sub(self.started.elapsed())
+            .filter(|left| !left.is_zero())
+            .ok_or(io::ErrorKind::TimedOut)?;
+        self.stream.set_read_timeout(Some(remaining))?;
+        self.stream.read(buf)
     }
 }
 
-fn handle(mut stream: TcpStream, hooks: &ServeHooks) {
-    let started = Instant::now();
-    let Ok(clone) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(clone);
-    let mut request_line = String::new();
-    if read_line_by(&mut reader, started, &mut request_line).is_none() {
-        return;
+/// Why a request could not be read; each maps to the 4xx it is answered
+/// with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BadRequest {
+    /// Not a well-formed HTTP/1.x request (400).
+    Malformed(&'static str),
+    /// The client did not send its request within the deadline (408).
+    Timeout,
+    /// A `Content-Length` beyond [`MAX_BODY_BYTES`] (413).
+    BodyTooLarge,
+    /// A head beyond [`MAX_HEAD_BYTES`] (431).
+    HeadTooLarge,
+}
+
+impl BadRequest {
+    fn from_io(err: &io::Error) -> BadRequest {
+        match err.kind() {
+            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => BadRequest::Timeout,
+            io::ErrorKind::UnexpectedEof => BadRequest::Malformed("truncated body"),
+            _ => BadRequest::Malformed("unreadable request"),
+        }
     }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
+
+    fn response(self) -> Response {
+        match self {
+            BadRequest::Malformed(why) => Response::text(400, format!("bad request: {why}\n")),
+            BadRequest::Timeout => Response::text(408, "request not received in time\n"),
+            BadRequest::BodyTooLarge => {
+                Response::text(413, format!("request body over {MAX_BODY_BYTES} bytes\n"))
+            }
+            BadRequest::HeadTooLarge => {
+                Response::text(431, format!("request head over {MAX_HEAD_BYTES} bytes\n"))
+            }
+        }
+    }
+}
+
+/// Reads one head line (request line or header) within the head's byte
+/// budget, without its `\n` or `\r\n` terminator.
+fn read_head_line(head: &mut Take<impl BufRead>) -> Result<String, BadRequest> {
+    let mut line = Vec::new();
+    head.read_until(b'\n', &mut line)
+        .map_err(|err| BadRequest::from_io(&err))?;
+    if line.pop() != Some(b'\n') {
+        return Err(if head.limit() == 0 {
+            BadRequest::HeadTooLarge
+        } else {
+            BadRequest::Malformed("truncated request head")
+        });
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    String::from_utf8(line).map_err(|_| BadRequest::Malformed("request head is not UTF-8"))
+}
+
+/// Reads one request: a `METHOD /target HTTP/1.x` line, headers up to a
+/// blank line, and a body of exactly `Content-Length` bytes. It reads at
+/// most [`MAX_HEAD_BYTES`] of head and [`MAX_BODY_BYTES`] of body, and
+/// nothing past the body.
+fn read_request(reader: &mut impl BufRead) -> Result<Request, BadRequest> {
+    let mut head = reader.take(MAX_HEAD_BYTES);
+    let request_line = read_head_line(&mut head)?;
+    let mut parts = request_line.split(' ');
+    let (Some(method), Some(target), Some(version), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Err(BadRequest::Malformed("request line"));
+    };
+    if method.is_empty()
+        || !method.bytes().all(|b| b.is_ascii_uppercase())
+        || !target.starts_with('/')
+        || !version.starts_with("HTTP/1.")
+    {
+        return Err(BadRequest::Malformed("request line"));
+    }
     // Real Prometheus scrape configs append query params; route on the
     // bare path.
-    let (path, query) = match target.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (target, ""),
-    };
-    // Drain the header block so the peer sees its request fully read
-    // before the response closes the connection, capturing Content-Length
-    // for routes that accept a body.
-    let mut content_length = 0usize;
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let mut content_length: Option<usize> = None;
     loop {
-        let mut header = String::new();
-        match read_line_by(&mut reader, started, &mut header) {
-            None => break,
-            Some(_) if header == "\r\n" || header == "\n" => break,
-            Some(_) => {
-                if let Some((name, value)) = header.split_once(':') {
-                    if name.trim().eq_ignore_ascii_case("content-length") {
-                        content_length = value.trim().parse().unwrap_or(0);
-                    }
-                }
+        let header = read_head_line(&mut head)?;
+        if header.is_empty() {
+            break;
+        }
+        let (name, value) = header
+            .split_once(':')
+            .ok_or(BadRequest::Malformed("header without a colon"))?;
+        if name.trim().eq_ignore_ascii_case("content-length") {
+            let length = value
+                .trim()
+                .parse::<usize>()
+                .map_err(|_| BadRequest::Malformed("content-length"))?;
+            if content_length.is_some_and(|seen| seen != length) {
+                return Err(BadRequest::Malformed("conflicting content-length"));
             }
+            content_length = Some(length);
         }
     }
-    let mut body = String::new();
-    if content_length > 0 && content_length <= MAX_BODY_BYTES {
-        let mut raw = vec![0u8; content_length];
-        let mut filled = 0usize;
-        while filled < raw.len() {
-            let Some(remaining) = REQUEST_READ_DEADLINE.checked_sub(started.elapsed()) else {
-                break;
-            };
-            let _ = reader.get_ref().set_read_timeout(Some(remaining));
-            match reader.read(&mut raw[filled..]) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => filled += n,
-            }
-        }
-        raw.truncate(filled);
-        body = String::from_utf8_lossy(&raw).into_owned();
+    let length = content_length.unwrap_or(0);
+    if length > MAX_BODY_BYTES {
+        return Err(BadRequest::BodyTooLarge);
     }
-    crate::metrics().counter("obs.http_requests").inc();
-    let response = match (method, path) {
+    let mut raw = vec![0u8; length];
+    reader
+        .read_exact(&mut raw)
+        .map_err(|err| BadRequest::from_io(&err))?;
+    Ok(Request {
+        method: method.to_owned(),
+        path: path.to_owned(),
+        query: query.to_owned(),
+        body: String::from_utf8_lossy(&raw).into_owned(),
+    })
+}
+
+/// Answers one request from the built-in routes or the route hook.
+fn route(request: Request, hooks: &ServeHooks) -> Response {
+    match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/metrics") => Response {
             status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8".to_owned(),
@@ -401,18 +477,26 @@ fn handle(mut stream: TcpStream, hooks: &ServeHooks) {
             (hooks.quit)();
             Response::text(200, "quitting\n")
         }
-        _ => {
-            let request = Request {
-                method: method.to_owned(),
-                path: path.to_owned(),
-                query: query.to_owned(),
-                body,
-            };
-            match hooks.route.as_ref().and_then(|route| route(&request)) {
-                Some(response) => response,
-                None => Response::text(404, format!("no route for {method} {path}\n")),
-            }
-        }
+        (method, path) => match hooks.route.as_ref().and_then(|route| route(&request)) {
+            Some(response) => response,
+            None => Response::text(404, format!("no route for {method} {path}\n")),
+        },
+    }
+}
+
+fn handle(mut stream: TcpStream, hooks: &ServeHooks) {
+    let Ok(clone) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: clone,
+        started: Instant::now(),
+    });
+    let request = read_request(&mut reader);
+    crate::metrics().counter("obs.http_requests").inc();
+    let response = match request {
+        Ok(request) => route(request, hooks),
+        Err(bad) => bad.response(),
     };
     let _ = write!(
         stream,
@@ -429,6 +513,7 @@ fn handle(mut stream: TcpStream, hooks: &ServeHooks) {
 mod tests {
     use super::*;
     use crate::Metrics;
+    use proptest::prelude::*;
     use std::io::Read;
 
     fn fixed_hooks(quit_flag: Arc<AtomicBool>) -> ServeHooks {
@@ -612,6 +697,171 @@ mod tests {
         let health = Health::from_snapshot(&metrics.snapshot());
         assert!(health.is_healthy());
         assert_eq!(health.body(), "ok\n");
+    }
+
+    /// Parses `bytes` as one request; also returns how many bytes the
+    /// parser consumed.
+    fn parse(bytes: &[u8]) -> (Result<Request, BadRequest>, u64) {
+        let mut cursor = io::Cursor::new(bytes);
+        let outcome = read_request(&mut cursor);
+        (outcome, cursor.position())
+    }
+
+    #[test]
+    fn request_parser_reads_well_formed_requests_exactly() {
+        let bytes =
+            b"POST /jobs?tenant=a HTTP/1.1\r\nHost: t\r\ncontent-length: 5\r\n\r\nhello tail";
+        let (request, consumed) = parse(bytes);
+        let request = request.expect("well formed");
+        assert_eq!(request.method, "POST");
+        assert_eq!(request.path, "/jobs");
+        assert_eq!(request.query, "tenant=a");
+        assert_eq!(request.body, "hello");
+        assert_eq!(consumed, bytes.len() as u64 - " tail".len() as u64);
+        // Bare LF line ends and a repeated, agreeing length are fine.
+        let (request, _) =
+            parse(b"GET /metrics HTTP/1.0\nContent-Length: 0\nContent-Length: 0\n\n");
+        assert_eq!(request.expect("well formed").path, "/metrics");
+    }
+
+    #[test]
+    fn request_parser_answers_each_malformed_request_with_a_4xx() {
+        let long_line = format!(
+            "GET /{} HTTP/1.1\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES as usize)
+        );
+        let many_headers = format!(
+            "GET / HTTP/1.1\r\n{}\r\n",
+            "X-Pad: padding\r\n".repeat(2000)
+        );
+        let huge_body = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        let cases: [(&[u8], u16); 17] = [
+            (b"", 400),
+            (b"GET /metrics HTTP/1.1\r\nHost: t\r\n", 400),
+            (b"GET /metrics HTTP/1.1", 400),
+            (b"GET /metrics\r\n\r\n", 400),
+            (b"get /metrics HTTP/1.1\r\n\r\n", 400),
+            (b"GET metrics HTTP/1.1\r\n\r\n", 400),
+            (b"GET /metrics HTTP/1.1 extra\r\n\r\n", 400),
+            (b"GET / HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+            (b"GET /\xff HTTP/1.1\r\n\r\n", 400),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+            (
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+                400,
+            ),
+            (
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab",
+                400,
+            ),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", 400),
+            (huge_body.as_bytes(), 413),
+            (long_line.as_bytes(), 431),
+            (many_headers.as_bytes(), 431),
+        ];
+        for (bytes, status) in cases {
+            let (outcome, consumed) = parse(bytes);
+            let shown = String::from_utf8_lossy(&bytes[..bytes.len().min(80)]).into_owned();
+            let bad = outcome.expect_err(&shown);
+            assert_eq!(bad.response().status, status, "{shown}: {bad:?}");
+            assert!(consumed <= MAX_HEAD_BYTES, "{shown}: read {consumed} bytes");
+        }
+    }
+
+    /// A request with a body that every strict prefix truncates, and an
+    /// arbitrary byte.
+    fn valid_request(body_len: usize) -> Vec<u8> {
+        let body = "b".repeat(body_len);
+        format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {body_len}\r\n\r\n{body}")
+            .into_bytes()
+    }
+
+    /// Byte strings a client might send, each with whether it is surely
+    /// malformed: arbitrary bytes, truncated requests, oversized lines,
+    /// and garbage `Content-Length` values.
+    fn hostile_bytes() -> impl Strategy<Value = (Vec<u8>, bool)> {
+        let byte = (0u64..256).prop_map(|b| b as u8);
+        prop_oneof![
+            proptest::collection::vec(byte, 0..600).prop_map(|bytes| (bytes, false)),
+            (1usize..200, 0.0f64..1.0).prop_map(|(body_len, cut)| {
+                let mut bytes = valid_request(body_len);
+                bytes.truncate((cut * bytes.len() as f64) as usize);
+                (bytes, true)
+            }),
+            (0usize..3, 1usize..40_000).prop_map(|(line, len)| {
+                let pad = "a".repeat(len + MAX_HEAD_BYTES as usize);
+                let bytes = match line {
+                    0 => format!("GET /{pad} HTTP/1.1\r\n\r\n"),
+                    1 => format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"),
+                    _ => pad,
+                };
+                (bytes.into_bytes(), true)
+            }),
+            (
+                proptest::collection::vec((0u64..128).prop_map(|b| b as u8), 0..30),
+                0usize..3
+            )
+                .prop_map(|(junk, sign)| {
+                    let value = String::from_utf8_lossy(&junk).replace(['\r', '\n'], "");
+                    let value = match sign {
+                        0 => format!("-{}", value.len() + 1),
+                        1 => format!("{value}x"),
+                        _ => format!("{}", MAX_BODY_BYTES + 1 + value.len()),
+                    };
+                    let bytes =
+                        format!("POST /jobs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n{junk:?}");
+                    (bytes.into_bytes(), true)
+                }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn request_parser_rejects_garbage_without_panicking(case in hostile_bytes()) {
+            let (bytes, malformed) = case;
+            let (outcome, consumed) = parse(&bytes);
+            prop_assert!(
+                consumed <= MAX_HEAD_BYTES + MAX_BODY_BYTES as u64,
+                "read {consumed} bytes"
+            );
+            match outcome {
+                Ok(request) => {
+                    prop_assert!(!malformed, "accepted {request:?}");
+                    prop_assert!(request.path.starts_with('/'), "{request:?}");
+                }
+                Err(bad) => {
+                    let status = bad.response().status;
+                    prop_assert!((400..500).contains(&status), "{bad:?} -> {status}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_requests_get_their_status_over_the_wire() {
+        let server =
+            MetricsServer::bind("127.0.0.1:0", fixed_hooks(Arc::new(AtomicBool::new(false))))
+                .unwrap();
+        for (bytes, status) in [
+            (&b"\x00\xffnonsense\r\n\r\n"[..], "HTTP/1.1 400 Bad Request"),
+            (
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 999999\r\n\r\n",
+                "HTTP/1.1 413 Payload Too Large",
+            ),
+        ] {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            stream.write_all(bytes).unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            assert!(response.starts_with(status), "{response}");
+        }
+        server.shutdown();
     }
 
     #[test]
