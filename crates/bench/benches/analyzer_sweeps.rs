@@ -1,6 +1,7 @@
 //! Criterion benches for the analyzer's parallel sweep engine: the
 //! k-means k-sweep and the DBSCAN min-samples sweep measured at one
-//! worker and at four, and the (serial) PCA projection.
+//! worker and at four, the (serial) PCA projection, and the streaming
+//! analyzer's replay of a served job's records.
 //!
 //! Run with `cargo bench -p tpupoint-bench --bench analyzer_sweeps`.
 //! Set `TPUPOINT_BENCH_QUICK=1` to shrink the sample count to a CI-sized
@@ -9,7 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use tpupoint::analyzer::{dbscan, kmeans, pca, DbscanConfig, FeatureMatrix, KmeansConfig};
+use tpupoint::analyzer::{
+    dbscan, kmeans, pca, streaming, DbscanConfig, FeatureMatrix, KmeansConfig, StreamingConfig,
+};
 use tpupoint::prelude::*;
 use tpupoint_bench::Suite;
 
@@ -85,9 +88,40 @@ fn bench_pca_project(c: &mut Criterion) {
     });
 }
 
+/// The three job shapes perfbench's `fleet-live` workload serves (each
+/// model at three times its default simulated length), replayed through
+/// fresh streaming analyzers in `STREAM_CADENCE`-step chunks, as a
+/// served job's seal observer feeds them.
+fn bench_streaming_replay(c: &mut Criterion) {
+    let tp = TpuPoint::builder().analyzer(false).build();
+    let profiles: Vec<Profile> = [
+        (WorkloadId::ResnetImagenet, 0.024),
+        (WorkloadId::DcganMnist, 0.24),
+        (WorkloadId::BertMnli, 0.075),
+    ]
+    .into_iter()
+    .map(|(id, scale)| {
+        let options = BuildOptions {
+            scale,
+            ..BuildOptions::default()
+        };
+        tp.profile(build(id, TpuGeneration::V2, &options))
+            .expect("in-memory profiling cannot fail")
+            .profile
+    })
+    .collect();
+    c.bench_function("streaming_replay", |b| {
+        b.iter(|| {
+            for profile in &profiles {
+                black_box(streaming::replay(profile, StreamingConfig::default()));
+            }
+        })
+    });
+}
+
 criterion_group! {
     name = analyzer_sweeps;
     config = Criterion::default().sample_size(quick_or(10));
-    targets = bench_kmeans_sweep, bench_dbscan_sweep, bench_pca_project,
+    targets = bench_kmeans_sweep, bench_dbscan_sweep, bench_pca_project, bench_streaming_replay,
 }
 criterion_main!(analyzer_sweeps);
