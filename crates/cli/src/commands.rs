@@ -23,7 +23,8 @@ USAGE:
                    [--store-fault-prob F] [--store-fault-seed N]
                    [--store-format jsonl|binary] [--store-segment-kib N]
                    [--store-retain-mib N] [--paired-baseline]
-      Simulate and profile a training session; writes <DIR>/profile.json.
+      Simulate and profile a training session; writes <DIR>/records, the
+      record directory every other command reads.
       --store-retries bounds record-store retries before spilling to
       memory (default 3; 0 disables resilience). --store-fault-prob
       injects store failures with the given per-call probability
@@ -34,23 +35,25 @@ USAGE:
       fewer files); --store-retain-mib budgets the sealed bytes kept,
       retiring the oldest segments inline at each rotation with manifest
       accounting (0 = keep everything). jsonl writes human-readable JSON lines instead. Both
-      formats share the crash-recovery contract; `analyze --recover`
-      auto-detects whichever was written.
+      formats share the crash-recovery contract; `analyze` auto-detects
+      whichever was written.
       Records are written on the simulation thread; served jobs (see
       serve) queue theirs on the shared worker pool instead, with
       byte-identical output. --paired-baseline also runs an
       uninstrumented twin of the job and reports the *measured*
       instrumented-to-baseline wall ratio instead of the modeled bound.
 
-  tpupoint analyze <profile.json> [--algorithm ols|kmeans|dbscan]
+  tpupoint analyze <RECORDS> [--algorithm ols|kmeans|dbscan]
                    [--threshold F] [--k N] [--min-samples N] [--out DIR]
-                   [--threads N] [--recover] [--prefix-stable]
+                   [--threads N] [--prefix-stable]
       Detect phases and print coverage, top operators, and checkpoints.
+      <RECORDS> is a records directory: <out>/records of a profile run,
+      <out>/jobs/<id>/records of a served job. A sealed directory reads
+      back as exactly the profile the run produced; from a crashed run
+      the valid record prefix is salvaged past any torn tail, with the
+      losses reported. report, audit and compare read the same way.
       --threads sizes the analyzer worker pool (default: TPUPOINT_THREADS
-      or all cores); results are identical for any value. With --recover
-      the argument is a records directory (e.g. <out>/records) from a
-      possibly crashed run: the valid record prefix is salvaged past any
-      torn tail and analyzed, with the losses reported. --prefix-stable
+      or all cores); results are identical for any value. --prefix-stable
       replays the streaming analyzer over the profile and, once its phase
       assignments stabilize, analyzes only that prefix of the steps — a
       SeqPoint-style answer to \"how little of the run characterizes it\".
@@ -71,8 +74,8 @@ USAGE:
       With --workload it is a fleet of one: that job runs under its suite
       id (e.g. bert-mrpc) and the daemon exits once it settles. Without
       it the daemon starts empty and takes jobs over POST /jobs until
-      /quit. Each job records to <DIR>/jobs/<id>/ (records/, profile.json,
-      final metrics.prom) in its own metrics registry; DIR defaults to
+      /quit. Each job records to <DIR>/jobs/<id>/ (records/, final
+      metrics.prom) in its own metrics registry; DIR defaults to
       tpupoint-out with --workload, tpupoint-fleet without.
         GET    /metrics    every job's series labeled {job,tenant,
                            workload}, plus a merged job=\"fleet\" aggregate
@@ -107,13 +110,13 @@ USAGE:
                     [--naive]
       Run TPUPoint-Optimizer and print the tuning report.
 
-  tpupoint compare <a.json> <b.json> [--top N]
+  tpupoint compare <RECORDS_A> <RECORDS_B> [--top N]
       Compare two profiles op by op (v2 vs v3, naive vs tuned, ...).
 
-  tpupoint report <profile.json>
+  tpupoint report <RECORDS>
       Print a full characterization report (phases, operators, bottleneck).
 
-  tpupoint audit <profile.json>
+  tpupoint audit <RECORDS>
       Audit the profile's window stream for gaps, overlaps, and losses.
 
   tpupoint obs-report <metrics.json>
@@ -253,11 +256,6 @@ fn profile(argv: &[String]) -> Result<(), String> {
     let run = tp
         .profile(config)
         .map_err(|e| format!("profiling failed: {e}"))?;
-    std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
-    let path = out.join("profile.json");
-    run.profile
-        .save_json(File::create(&path).map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
     println!(
         "profiled {} ({}) on {:?}: {} steps, wall {:.1}s",
         run.profile.model,
@@ -286,7 +284,7 @@ fn profile(argv: &[String]) -> Result<(), String> {
             out.join("records").display()
         );
     }
-    println!("profile written to {}", path.display());
+    println!("records written to {}", out.join("records").display());
     session.finish()
 }
 
@@ -412,7 +410,7 @@ fn serve(argv: &[String]) -> Result<(), String> {
         );
     }
     println!(
-        "records, profile.json and metrics.prom per job under {}; final scrape at {}",
+        "records and metrics.prom per job under {}; final scrape at {}",
         out.join("jobs").display(),
         out.join("metrics.prom").display()
     );
@@ -438,15 +436,11 @@ fn parse_fault_prob(args: &Args) -> Result<f64, String> {
     Ok(fault_prob)
 }
 
-fn load_profile(path: &str) -> Result<Profile, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    Profile::load_json(file).map_err(|e| format!("cannot parse {path}: {e}"))
-}
-
-/// Salvages a profile from a (possibly crashed) record directory of
-/// either format — JSONL lines or binary segments, auto-detected — and
-/// reports what the recovery could and could not produce.
-fn recover_profile(dir: &str) -> Result<Profile, String> {
+/// Reads the profile of a record directory of either format — JSONL
+/// lines or binary segments, auto-detected — and reports what the
+/// recovery could and could not produce. A sealed directory reads back
+/// exactly; a crashed run's is salvaged past its torn tail.
+fn load_profile(dir: &str) -> Result<Profile, String> {
     let summary = tpupoint::profiler::recover_records(std::path::Path::new(dir))
         .map_err(|e| format!("cannot recover records from {dir}: {e}"))?;
     println!(
@@ -496,16 +490,10 @@ fn analyze(argv: &[String]) -> Result<(), String> {
             "out",
             "threads",
         ]),
-        &["recover", "prefix-stable"],
+        &["prefix-stable"],
     )?;
     let session = ObsSession::start(&args)?;
-    let mut profile = if args.flag("recover") {
-        let dir = args.positional0("records directory")?;
-        recover_profile(dir)?
-    } else {
-        let path = args.positional0("profile.json path")?;
-        load_profile(path)?
-    };
+    let mut profile = load_profile(args.positional0("records directory")?)?;
     if args.flag("prefix-stable") {
         profile = prefix_stable(profile);
     }
@@ -654,11 +642,11 @@ fn optimize(argv: &[String]) -> Result<(), String> {
 
 fn compare_cmd(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &["top"], &[])?;
-    let a = args.positional0("first profile path")?;
+    let a = args.positional0("first records directory")?;
     let b = args
         .positional
         .get(1)
-        .ok_or("missing second profile path")?;
+        .ok_or("missing second records directory")?;
     let pa = load_profile(a)?;
     let pb = load_profile(b)?;
     let cmp = tpupoint::analyzer::compare(&pa, &pb);
@@ -668,16 +656,14 @@ fn compare_cmd(argv: &[String]) -> Result<(), String> {
 
 fn report(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &[], &[])?;
-    let path = args.positional0("profile.json path")?;
-    let profile = load_profile(path)?;
+    let profile = load_profile(args.positional0("records directory")?)?;
     print!("{}", tpupoint::analyzer::characterize(&profile));
     Ok(())
 }
 
 fn audit(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &[], &[])?;
-    let path = args.positional0("profile.json path")?;
-    let profile = load_profile(path)?;
+    let profile = load_profile(args.positional0("records directory")?)?;
     let audit = audit_windows(&profile.windows, SimDuration::from_millis(1));
     println!(
         "windows {}  events {}  span {:.1}s",
@@ -742,9 +728,11 @@ mod tests {
             &out,
         ])
         .unwrap();
-        let profile_path = dir.join("profile.json");
-        assert!(profile_path.exists());
-        let p = profile_path.to_str().unwrap().to_owned();
+        assert!(
+            !dir.join("profile.json").exists(),
+            "the records are the profile"
+        );
+        let p = dir.join("records").to_str().unwrap().to_owned();
         let analysis = dir.join("analysis");
         run(&[
             "analyze",
@@ -793,7 +781,7 @@ mod tests {
             "binary runs must not write JSONL"
         );
         let recs = records.to_str().unwrap().to_owned();
-        run(&["analyze", &recs, "--recover", "--algorithm", "kmeans"]).unwrap();
+        run(&["analyze", &recs, "--algorithm", "kmeans"]).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -836,7 +824,7 @@ mod tests {
             recover_records(&records).expect("records").sealed_files,
             "sealed despite faults"
         );
-        run(&["analyze", records.to_str().unwrap(), "--recover"]).unwrap();
+        run(&["analyze", records.to_str().unwrap()]).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -855,8 +843,10 @@ mod tests {
 
     #[test]
     fn recover_on_missing_directory_is_a_clear_error() {
-        let err = run(&["analyze", "/definitely/not/here", "--recover"]).unwrap_err();
-        assert!(err.contains("cannot recover records"), "{err}");
+        for command in ["analyze", "report", "audit"] {
+            let err = run(&[command, "/definitely/not/here"]).unwrap_err();
+            assert!(err.contains("cannot recover records"), "{command}: {err}");
+        }
     }
 
     #[test]
@@ -902,7 +892,10 @@ mod tests {
         ])
         .unwrap();
         let job = dir.join("jobs/bert-mrpc");
-        assert!(job.join("profile.json").exists());
+        assert!(
+            !job.join("profile.json").exists(),
+            "the records are the profile"
+        );
         let records = recover_records(&job.join("records")).expect("records");
         assert!(records.sealed_files && !records.steps.is_empty());
         assert!(dir.join("metrics.prom").exists(), "fleet scrape flushed");

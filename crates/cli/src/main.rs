@@ -3,9 +3,9 @@
 //! ```text
 //! tpupoint workloads
 //! tpupoint profile  --workload dcgan-cifar10 --generation v2 --out out/
-//! tpupoint analyze  out/profile.json --threshold 0.7 --algorithm ols
+//! tpupoint analyze  out/records --threshold 0.7 --algorithm ols
 //! tpupoint optimize --workload qanet-squad --naive
-//! tpupoint audit    out/profile.json
+//! tpupoint audit    out/records
 //! ```
 
 mod args;

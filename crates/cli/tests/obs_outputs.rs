@@ -130,12 +130,12 @@ fn profile_run_emits_metrics_trace_and_obs_report() {
     assert!(text.contains("profiler overhead: 3.00%"), "{text}");
     assert!(text.contains("window pipeline:"), "{text}");
 
-    // An analyze run over the saved profile yields per-algorithm
+    // An analyze run over the run's records yields per-algorithm
     // runtimes in its own report.
     let analyze_metrics = dir.join("analyze-metrics.json");
     run_ok(tpupoint().args([
         "analyze",
-        dir.join("profile.json").to_str().unwrap(),
+        dir.join("records").to_str().unwrap(),
         "--algorithm",
         "kmeans",
         "--k",

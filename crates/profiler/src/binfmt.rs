@@ -2,7 +2,8 @@
 //!
 //! A segment is a self-describing byte stream: an 8-byte header (magic
 //! `TPSG`, format version, three reserved bytes) followed by frames. Each
-//! frame carries one [`StepRecord`] or [`WindowRecord`]:
+//! frame carries one [`StepRecord`] or [`WindowRecord`], or the stream's
+//! one [`RunRecord`], which the writer appends last:
 //!
 //! ```text
 //! +------+-------------+-------------+-----------------+
@@ -21,9 +22,11 @@
 //!
 //! The byte layout is locked by the golden test in
 //! `crates/profiler/tests/binary_golden.rs`; bump [`SEGMENT_VERSION`] on
-//! any change.
+//! a layout change. A new frame kind is not one: it leaves every existing
+//! frame as it was, and a reader that does not know the kind stops there
+//! as it would at a torn tail.
 
-use crate::record::{OpStats, StepRecord};
+use crate::record::{OpStats, RunRecord, StepRecord};
 use crate::window::WindowRecord;
 use std::collections::BTreeMap;
 use tpupoint_simcore::{OpId, SimDuration, SimTime};
@@ -38,6 +41,8 @@ pub const SEGMENT_HEADER_LEN: usize = 8;
 pub const KIND_STEP: u8 = 1;
 /// Frame kind byte of a [`WindowRecord`].
 pub const KIND_WINDOW: u8 = 2;
+/// Frame kind byte of a [`RunRecord`].
+pub const KIND_RUN: u8 = 3;
 /// Bytes of framing around each payload (kind + length + checksum).
 pub const FRAME_OVERHEAD: usize = 9;
 
@@ -190,6 +195,75 @@ pub fn decode_window(payload: &[u8]) -> Option<WindowRecord> {
     cursor.is_empty().then_some(record)
 }
 
+fn put_marks(out: &mut Vec<u8>, marks: &[(u64, SimTime)]) {
+    put_varint(out, marks.len() as u64);
+    for &(step, at) in marks {
+        put_varint(out, step);
+        put_varint(out, at.as_micros());
+    }
+}
+
+/// Reads a mark list. The count is bounded by the bytes left (a mark
+/// takes at least two), so a corrupt count can never size an allocation.
+fn get_marks(cursor: &mut &[u8]) -> Option<Vec<(u64, SimTime)>> {
+    let count = usize::try_from(get_varint(cursor)?).ok()?;
+    if count > cursor.len() / 2 {
+        return None;
+    }
+    let mut marks = Vec::with_capacity(count);
+    for _ in 0..count {
+        marks.push((
+            get_varint(cursor)?,
+            SimTime::from_micros(get_varint(cursor)?),
+        ));
+    }
+    Some(marks)
+}
+
+/// Encodes a run record payload (no framing) into `out`. The first store
+/// error, when there is one, is its byte length plus one, then its UTF-8
+/// bytes; `0` means none.
+pub fn encode_run(record: &RunRecord, out: &mut Vec<u8>) {
+    put_marks(out, &record.step_marks);
+    put_marks(out, &record.checkpoints);
+    put_varint(out, record.dropped_windows);
+    put_varint(out, record.lost_events);
+    put_varint(out, record.store_errors);
+    match &record.store_error {
+        Some(err) => {
+            put_varint(out, err.len() as u64 + 1);
+            out.extend_from_slice(err.as_bytes());
+        }
+        None => put_varint(out, 0),
+    }
+}
+
+/// Decodes a run record payload; strict like [`decode_step`].
+pub fn decode_run(payload: &[u8]) -> Option<RunRecord> {
+    let mut cursor = payload;
+    let step_marks = get_marks(&mut cursor)?;
+    let checkpoints = get_marks(&mut cursor)?;
+    let dropped_windows = get_varint(&mut cursor)?;
+    let lost_events = get_varint(&mut cursor)?;
+    let store_errors = get_varint(&mut cursor)?;
+    let store_error = match usize::try_from(get_varint(&mut cursor)?).ok()? {
+        0 => None,
+        len => {
+            let (bytes, rest) = cursor.split_at_checked(len - 1)?;
+            cursor = rest;
+            Some(String::from_utf8(bytes.to_vec()).ok()?)
+        }
+    };
+    cursor.is_empty().then_some(RunRecord {
+        step_marks,
+        checkpoints,
+        dropped_windows,
+        lost_events,
+        store_errors,
+        store_error,
+    })
+}
+
 /// Wraps an already-encoded payload in a frame (kind, length, checksum)
 /// and appends it to `out`.
 pub fn append_frame(kind: u8, payload: &[u8], out: &mut Vec<u8>) {
@@ -206,6 +280,8 @@ pub struct SegmentRead {
     pub steps: Vec<StepRecord>,
     /// Window records decoded, in stream order.
     pub windows: Vec<WindowRecord>,
+    /// The run record, when the segment holds one.
+    pub run: Option<RunRecord>,
     /// True when the stream ended exactly on a frame boundary; false on a
     /// torn tail, corrupt frame, or bad header.
     pub clean: bool,
@@ -258,6 +334,10 @@ pub fn read_segment(bytes: &[u8]) -> SegmentRead {
             },
             KIND_WINDOW => match decode_window(payload) {
                 Some(record) => read.windows.push(record),
+                None => break,
+            },
+            KIND_RUN => match decode_run(payload) {
+                Some(record) => read.run = Some(record),
                 None => break,
             },
             _ => break, // unknown kind: cannot resync past it safely
@@ -425,6 +505,108 @@ mod tests {
         assert!(!read.clean);
         assert_eq!(read.steps, steps, "valid prefix survives");
         assert_eq!(read.torn_kind, Some(KIND_STEP));
+    }
+
+    fn sample_run() -> RunRecord {
+        RunRecord {
+            step_marks: (1..=4).map(|s| (s, SimTime::from_micros(s * 97))).collect(),
+            checkpoints: vec![
+                (2, SimTime::from_micros(200)),
+                (4, SimTime::from_micros(401)),
+            ],
+            dropped_windows: 3,
+            lost_events: 1_234,
+            store_errors: 1,
+            store_error: Some("seal: disk full é".into()),
+        }
+    }
+
+    #[test]
+    fn run_frame_round_trips_and_any_damage_reads_as_torn() {
+        let steps: Vec<StepRecord> = (0..2).map(sample_step).collect();
+        let mut bytes = encode_segment(&steps, &[]);
+        let run_at = bytes.len();
+        let mut payload = Vec::new();
+        encode_run(&sample_run(), &mut payload);
+        append_frame(KIND_RUN, &payload, &mut bytes);
+        let read = read_segment(&bytes);
+        assert!(read.clean);
+        assert_eq!(read.run, Some(sample_run()));
+        assert_eq!(read.steps, steps);
+        // The payload layout, pinned byte for byte: marks, checkpoints,
+        // the three counts, then the store error's length plus one.
+        payload.clear();
+        encode_run(
+            &RunRecord {
+                step_marks: vec![
+                    (1, SimTime::from_micros(97)),
+                    (2, SimTime::from_micros(300)),
+                ],
+                checkpoints: vec![(2, SimTime::from_micros(301))],
+                dropped_windows: 1,
+                lost_events: 130,
+                store_errors: 1,
+                store_error: Some("e".into()),
+            },
+            &mut payload,
+        );
+        let pinned = [2, 1, 97, 2, 0xAC, 2, 1, 2, 0xAD, 2, 1, 0x82, 1, 1, 2, b'e'];
+        assert_eq!(payload, pinned);
+        // No store error round-trips as none, not as an empty string.
+        for store_error in [None, Some(String::new())] {
+            let run = RunRecord {
+                store_error,
+                ..RunRecord::default()
+            };
+            payload.clear();
+            encode_run(&run, &mut payload);
+            assert_eq!(decode_run(&payload), Some(run));
+        }
+
+        // Every cut and every flipped byte of the run frame reads torn,
+        // keeps the steps before it, and invents no run record.
+        for cut in run_at + 1..bytes.len() {
+            let read = read_segment(&bytes[..cut]);
+            assert!(!read.clean && read.run.is_none(), "cut at {cut}");
+            assert_eq!(read.steps, steps);
+        }
+        for i in run_at..bytes.len() {
+            let mut mangled = bytes.clone();
+            mangled[i] ^= 0x41;
+            let read = read_segment(&mangled);
+            assert!(!read.clean && read.run.is_none(), "flip at {i}");
+            assert_eq!(read.steps, steps);
+        }
+
+        // Garbage payloads framed with a valid checksum decode strictly:
+        // counts past the payload, a string past the payload, invalid
+        // UTF-8 and trailing bytes all read as torn.
+        let mut huge_count = Vec::new();
+        put_varint(&mut huge_count, u64::MAX);
+        let mut long_error = Vec::new();
+        for _ in 0..5 {
+            put_varint(&mut long_error, 0);
+        }
+        put_varint(&mut long_error, 1_000);
+        let mut trailing = payload.clone();
+        trailing.push(0);
+        for garbage in [
+            huge_count,
+            vec![0x80; 12],
+            vec![40, 1, 2],
+            long_error,
+            vec![0, 0, 0, 0, 0, 2, 0xFF],
+            trailing,
+            Vec::new(),
+        ] {
+            assert_eq!(decode_run(&garbage), None, "{garbage:?}");
+            let mut bytes = encode_segment(&steps, &[]);
+            append_frame(KIND_RUN, &garbage, &mut bytes);
+            let read = read_segment(&bytes);
+            assert!(!read.clean && read.run.is_none());
+            assert_eq!(read.torn_kind, Some(KIND_RUN));
+            assert_eq!(read.steps, steps);
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! that TPUPoint-Analyzer clusters into phases.
 //!
 //! Records can be buffered in memory (optimizer mode) or streamed to
-//! storage as JSON lines (analyzer mode) via [`store::RecordStore`].
+//! storage (analyzer mode) via [`store::RecordStore`]. In analyzer mode
+//! the record directory is the profile: the sink ends the stream with one
+//! [`record::RunRecord`], and [`recover_records`]`(dir).to_profile()`
+//! reads back the [`Profile`] the run returned.
 //!
 //! ```
 //! use tpupoint_runtime::{JobConfig, TrainingJob};
@@ -41,7 +44,7 @@ pub mod window;
 pub use audit::{audit_windows, WindowAudit};
 pub use pipeline::{PipelineConfig, SealPipeline};
 pub use profile::Profile;
-pub use record::{OpStats, StepRecord};
+pub use record::{OpStats, RunRecord, StepRecord};
 pub use resilience::{FaultConfig, FaultStore, RetryPolicy, RetryStore, ThrottledStore};
 pub use segstore::{BinaryStore, BinaryStoreConfig};
 pub use sink::{ProfilerOptions, ProfilerSink};

@@ -38,7 +38,7 @@
 //! task's `span.profiler.seal_drain` spans appearing in each worker's
 //! trace lane.
 
-use crate::record::StepRecord;
+use crate::record::{RunRecord, StepRecord};
 use crate::store::RecordStore;
 use crate::window::WindowRecord;
 use std::borrow::Cow;
@@ -72,6 +72,7 @@ enum SealTask<'a> {
         uses_mxu: Cow<'a, [bool]>,
         on_host: Cow<'a, [bool]>,
     },
+    Run(Cow<'a, RunRecord>),
     Flush,
     Seal,
 }
@@ -84,6 +85,7 @@ impl SealTask<'_> {
             SealTask::Step(_) => "put_step",
             SealTask::Meta(..) => "set_meta",
             SealTask::Catalog { .. } => "set_catalog",
+            SealTask::Run(_) => "put_run",
             SealTask::Flush => "flush",
             SealTask::Seal => "seal",
         }
@@ -107,6 +109,7 @@ impl SealTask<'_> {
                 uses_mxu: own(uses_mxu),
                 on_host: own(on_host),
             },
+            SealTask::Run(run) => SealTask::Run(own(run)),
             SealTask::Flush => SealTask::Flush,
             SealTask::Seal => SealTask::Seal,
         }
@@ -128,6 +131,7 @@ impl SealTask<'_> {
                 store.set_catalog(names, uses_mxu, on_host);
                 Ok(())
             }
+            SealTask::Run(run) => store.put_run(run),
             SealTask::Flush => store.flush(),
             SealTask::Seal => store.seal(),
         }
@@ -337,6 +341,11 @@ impl SealPipeline {
             uses_mxu: Cow::Borrowed(uses_mxu),
             on_host: Cow::Borrowed(on_host),
         });
+    }
+
+    /// Submits the run record.
+    pub fn put_run(&self, run: &RunRecord) {
+        self.submit(SealTask::Run(Cow::Borrowed(run)));
     }
 
     /// Submits a flush (the store's acknowledgement watermark advances

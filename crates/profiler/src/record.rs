@@ -111,6 +111,26 @@ impl StepRecord {
     }
 }
 
+/// What one run knows only once it ends: its step and checkpoint marks
+/// and its loss and store-error counts. The sink persists it once, at
+/// finish, as the last record of the stream, so a recovered record
+/// directory rebuilds the in-memory [`crate::Profile`] exactly.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct RunRecord {
+    /// `(step, time)` markers for every step completion.
+    pub step_marks: Vec<(u64, SimTime)>,
+    /// `(step, time)` markers for every checkpoint write.
+    pub checkpoints: Vec<(u64, SimTime)>,
+    /// Profile windows whose responses were lost.
+    pub dropped_windows: u64,
+    /// Events inside dropped windows.
+    pub lost_events: u64,
+    /// Store operations that had failed before this record was written.
+    pub store_errors: u64,
+    /// The first of those failures, for diagnostics.
+    pub store_error: Option<String>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,7 +33,7 @@
 //! operations), `profiler.store_retries` (retry attempts),
 //! `profiler.records_spilled`, and gauge `profiler.store_spill_depth`.
 
-use crate::record::StepRecord;
+use crate::record::{RunRecord, StepRecord};
 use crate::store::RecordStore;
 use crate::window::WindowRecord;
 use std::collections::VecDeque;
@@ -339,6 +339,13 @@ impl<S: RecordStore> RecordStore for RetryStore<S> {
         self.attempt(|inner| inner.seal())
     }
 
+    /// Delivers every spilled record first: the run record is the
+    /// stream's last.
+    fn put_run(&mut self, run: &RunRecord) -> io::Result<()> {
+        self.drain_with_retries()?;
+        self.attempt(|inner| inner.put_run(run))
+    }
+
     fn set_meta(&mut self, model: &str, dataset: &str) {
         self.inner.set_meta(model, dataset);
     }
@@ -491,9 +498,15 @@ impl<S: RecordStore> RecordStore for FaultStore<S> {
 
     // Metadata calls are not faulted (and not counted against the call
     // stream): they carry no record payload, so fault scenarios replay
-    // identically whether or not the writer labels its stream.
+    // identically whether or not the writer labels its stream. The run
+    // record is treated the same way, so the schedule of the record
+    // operations around it is the one it always was.
     fn set_catalog(&mut self, names: &[String], uses_mxu: &[bool], on_host: &[bool]) {
         self.inner.set_catalog(names, uses_mxu, on_host);
+    }
+
+    fn put_run(&mut self, run: &RunRecord) -> io::Result<()> {
+        self.inner.put_run(run)
     }
 
     fn use_registry(&mut self, metrics: &tpupoint_obs::Metrics) {
@@ -551,6 +564,11 @@ impl<S: RecordStore> RecordStore for ThrottledStore<S> {
     fn seal(&mut self) -> io::Result<()> {
         std::thread::sleep(self.delay);
         self.inner.seal()
+    }
+
+    fn put_run(&mut self, run: &RunRecord) -> io::Result<()> {
+        std::thread::sleep(self.delay);
+        self.inner.put_run(run)
     }
 
     fn set_meta(&mut self, model: &str, dataset: &str) {

@@ -38,13 +38,15 @@
 //! segments: their record counts move into the manifest's
 //! `steps_retired`/`windows_retired` **before** the file is deleted, so
 //! [`RecoverySummary::missing_acknowledged`] stays zero — a budgeted drop
-//! is accounted, never a loss.
+//! is accounted, never a loss. Once the run record is written, the newest
+//! sealed segment holds it (it is the stream's last frame), and retention
+//! never retires that segment.
 //!
 //! Observability: gauge `store.segments`, counters
 //! `store.bytes_reclaimed`, `store.bytes_written`, `store.records_retired`.
 
-use crate::binfmt::{self, KIND_STEP, KIND_WINDOW, SEGMENT_HEADER_LEN};
-use crate::record::StepRecord;
+use crate::binfmt::{self, KIND_RUN, KIND_STEP, KIND_WINDOW, SEGMENT_HEADER_LEN};
+use crate::record::{RunRecord, StepRecord};
 use crate::store::{
     part_path, RecordStore, RecoverySummary, SegmentMeta, StoreManifest, FORMAT_BINARY,
     MANIFEST_FILE, STEPS_FILE, WINDOWS_FILE,
@@ -119,6 +121,9 @@ pub struct BinaryStore {
     active_windows: u64,
     steps_written: u64,
     windows_written: u64,
+    /// Set once the run record is written; from then on the newest
+    /// segment holds it and retention keeps that segment.
+    run_written: bool,
     /// Reusable encode scratch, so the hot path allocates nothing.
     payload: Vec<u8>,
     frame: Vec<u8>,
@@ -186,6 +191,7 @@ impl BinaryStore {
             active_windows: 0,
             steps_written: 0,
             windows_written: 0,
+            run_written: false,
             payload: Vec::with_capacity(256),
             frame: Vec::with_capacity(256),
             obs: None,
@@ -289,11 +295,14 @@ impl BinaryStore {
     }
 
     /// Retires the oldest sealed segment while the retention budget is
-    /// exceeded. The manifest moves the records into the retired counts
-    /// *before* the file is unlinked, so a crash anywhere in between
-    /// still accounts for every acknowledged record.
+    /// exceeded, except the one that holds the run record. The manifest
+    /// moves the records into the retired counts *before* the file is
+    /// unlinked, so a crash anywhere in between still accounts for every
+    /// acknowledged record.
     fn retire_once(&mut self) -> io::Result<bool> {
-        if self.config.retention_bytes == 0 {
+        if self.config.retention_bytes == 0
+            || (self.run_written && self.manifest.segments.len() <= 1)
+        {
             return Ok(false);
         }
         let manifest = &self.manifest;
@@ -343,6 +352,7 @@ impl BinaryStore {
         // corrupt, so the tallies saturate instead of overflowing.
         let mut skipped_steps = 0u64;
         let mut skipped_windows = 0u64;
+        let mut run = None;
         let metas: Vec<SegmentMeta> = match &manifest {
             Some(m) => m.segments.clone(),
             // No manifest survived (a crash before the very first write
@@ -393,6 +403,7 @@ impl BinaryStore {
                         // mark the stream torn.
                         skipped_steps = skipped_steps.saturating_add(1);
                     }
+                    run = read.run.or(run);
                     steps.extend(read.steps);
                     windows.extend(read.windows);
                 }
@@ -422,6 +433,7 @@ impl BinaryStore {
                     skipped_steps = skipped_steps.saturating_add(1);
                 }
             }
+            run = read.run.or(run);
             steps.extend(read.steps);
             windows.extend(read.windows);
         }
@@ -441,6 +453,7 @@ impl BinaryStore {
             skipped_step_lines: usize::try_from(skipped_steps).unwrap_or(usize::MAX),
             skipped_window_lines: usize::try_from(skipped_windows).unwrap_or(usize::MAX),
             manifest,
+            run,
             sealed_files,
         };
         summary.steps.sort_by_key(|r| r.step);
@@ -475,7 +488,7 @@ impl RecordStore for BinaryStore {
 
     fn seal(&mut self) -> io::Result<()> {
         self.writer.flush()?;
-        if self.active_steps + self.active_windows > 0 {
+        if self.active_bytes > SEGMENT_HEADER_LEN as u64 {
             self.rotate(false)?;
         } else {
             let _ = std::fs::remove_file(&self.active_path);
@@ -501,6 +514,13 @@ impl RecordStore for BinaryStore {
         self.manifest.op_uses_mxu = uses_mxu.to_vec();
         self.manifest.op_on_host = on_host.to_vec();
         let _ = self.write_manifest();
+    }
+
+    fn put_run(&mut self, run: &RunRecord) -> io::Result<()> {
+        self.payload.clear();
+        binfmt::encode_run(run, &mut self.payload);
+        self.run_written = true;
+        self.put_frame(KIND_RUN)
     }
 
     fn use_registry(&mut self, metrics: &tpupoint_obs::Metrics) {
@@ -736,6 +756,42 @@ mod tests {
                 .unwrap_or(0)
                 > 0
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // A budget below one segment retires everything but the segment
+        // that holds the run record, so a profiled run's recovered
+        // profile keeps its marks, checkpoints and counts.
+        use crate::{ProfilerOptions, ProfilerSink};
+        use tpupoint_runtime::{JobConfig, TrainingJob};
+        let store = BinaryStore::with_config(
+            &dir,
+            BinaryStoreConfig {
+                retention_bytes: 1,
+                ..tiny_config()
+            },
+        )
+        .unwrap();
+        let job = TrainingJob::new(JobConfig::demo());
+        let options = ProfilerOptions {
+            window_max_events: 50,
+            drop_probability: 0.3,
+            ..ProfilerOptions::default()
+        };
+        let mut sink = ProfilerSink::with_store(job.catalog().clone(), options, Box::new(store));
+        job.run(&mut sink);
+        let profile = sink.finish();
+        assert!(!profile.checkpoints.is_empty() && profile.dropped_windows > 0);
+        let summary = BinaryStore::recover(&dir).unwrap();
+        let manifest = summary.manifest.clone().unwrap();
+        assert!(manifest.steps_retired > 0, "budget must have retired");
+        assert_eq!(manifest.segments.len(), 1, "the run record's segment stays");
+        assert_eq!(summary.missing_acknowledged(), (0, 0));
+        let recovered = summary.to_profile();
+        assert_eq!(recovered.step_marks, profile.step_marks);
+        assert_eq!(recovered.checkpoints, profile.checkpoints);
+        assert_eq!(recovered.dropped_windows, profile.dropped_windows);
+        assert_eq!(recovered.lost_events, profile.lost_events);
+        assert_eq!(recovered.store_errors, profile.store_errors);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,7 +2,7 @@
 
 use crate::pipeline::{PipelineConfig, SealPipeline};
 use crate::profile::Profile;
-use crate::record::{OpStats, StepRecord};
+use crate::record::{OpStats, RunRecord, StepRecord};
 use crate::store::RecordStore;
 use crate::window::WindowRecord;
 use std::collections::BTreeMap;
@@ -526,10 +526,10 @@ impl ProfilerSink {
     }
 
     /// Seals the final window and returns the finished profile, sorted by
-    /// step number. Also seals the store, if any; this is the drain
-    /// barrier — it returns only after every queued operation reached the
-    /// store, so the profile's error accounting is the same on either
-    /// lane.
+    /// step number. Also writes the run record to the store, if any, and
+    /// seals it. Both follow a drain barrier — every queued operation
+    /// has reached the store — so the run record, and the profile's error
+    /// accounting, are the same on either lane.
     pub fn finish(mut self) -> Profile {
         self.seal_window();
         for mut open in std::mem::take(&mut self.open) {
@@ -560,9 +560,24 @@ impl ProfilerSink {
             for record in zero.into_iter().chain(&steps[from..]) {
                 pipeline.put_step(record);
             }
+            pipeline.wait_idle();
+        }
+        self.note_store_errors();
+        let run = RunRecord {
+            step_marks: std::mem::take(&mut self.step_marks),
+            checkpoints: std::mem::take(&mut self.checkpoints),
+            dropped_windows: self.dropped_windows,
+            lost_events: self.lost_events,
+            store_errors: self.store_errors,
+            store_error: self.first_store_error.take(),
+        };
+        if let Some(pipeline) = &self.store {
+            pipeline.put_run(&run);
             pipeline.seal();
             pipeline.wait_idle();
         }
+        // Failures of the run record or the seal itself count in the
+        // profile but could not be written into the record.
         self.note_store_errors();
         Profile {
             model: self.model,
@@ -572,12 +587,12 @@ impl ProfilerSink {
             op_on_host,
             steps,
             windows: self.windows,
-            step_marks: self.step_marks,
-            checkpoints: self.checkpoints,
-            dropped_windows: self.dropped_windows,
-            lost_events: self.lost_events,
+            step_marks: run.step_marks,
+            checkpoints: run.checkpoints,
+            dropped_windows: run.dropped_windows,
+            lost_events: run.lost_events,
             store_errors: self.store_errors,
-            store_error: self.first_store_error,
+            store_error: run.store_error.or(self.first_store_error),
         }
     }
 }

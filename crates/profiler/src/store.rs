@@ -23,7 +23,7 @@
 //! spill-to-memory, fault injection) live in [`crate::resilience`].
 
 use crate::profile::Profile;
-use crate::record::StepRecord;
+use crate::record::{RunRecord, StepRecord};
 use crate::window::WindowRecord;
 use serde::{Deserialize, Serialize};
 use std::fs::File;
@@ -83,6 +83,17 @@ pub trait RecordStore {
     /// metadata.
     fn set_catalog(&mut self, _names: &[String], _uses_mxu: &[bool], _on_host: &[bool]) {}
 
+    /// Persists the run record: the sink sends it once, at finish, after
+    /// every step and window record and before [`RecordStore::seal`].
+    /// Defaults to a no-op for backends that keep no run record.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from the backing medium.
+    fn put_run(&mut self, _run: &RunRecord) -> io::Result<()> {
+        Ok(())
+    }
+
     /// Redirects this store's self-observability series into `metrics`
     /// instead of the process-wide registry. The fleet layer gives every
     /// job its own registry so degradations attribute to the tenant that
@@ -116,6 +127,10 @@ macro_rules! impl_record_store_for_box {
 
             fn set_catalog(&mut self, names: &[String], uses_mxu: &[bool], on_host: &[bool]) {
                 (**self).set_catalog(names, uses_mxu, on_host);
+            }
+
+            fn put_run(&mut self, run: &RunRecord) -> io::Result<()> {
+                (**self).put_run(run)
             }
 
             fn use_registry(&mut self, metrics: &tpupoint_obs::Metrics) {
@@ -284,6 +299,10 @@ pub struct StoreManifest {
     /// Acknowledged window records dropped by retention.
     #[serde(default)]
     pub windows_retired: u64,
+    /// The run record of a JSONL stream. Binary streams carry theirs as
+    /// the last segment frame instead and leave this empty.
+    #[serde(default)]
+    pub run: Option<RunRecord>,
 }
 
 /// One tolerant JSONL load: the valid record prefix plus how many trailing
@@ -310,6 +329,8 @@ pub struct RecoverySummary {
     pub skipped_window_lines: usize,
     /// The manifest, when one survived.
     pub manifest: Option<StoreManifest>,
+    /// The run record, when the writer got as far as persisting it.
+    pub run: Option<RunRecord>,
     /// True when the sealed (renamed) record files were found; false when
     /// recovery had to read the in-progress `.part` stream of a crashed
     /// writer.
@@ -345,8 +366,10 @@ impl RecoverySummary {
         self.skipped_step_lines > 0 || self.skipped_window_lines > 0 || ms > 0 || mw > 0
     }
 
-    /// Reconstructs a best-effort [`Profile`] from the recovered records,
-    /// good enough for the analyzer to cluster phases.
+    /// Reconstructs the [`Profile`] from the recovered records. For a
+    /// sealed directory with its run record it is exactly the profile the
+    /// run returned; for a torn one it is a best effort, good enough for
+    /// the analyzer to cluster phases.
     ///
     /// The op catalog comes from the manifest when the writer persisted
     /// one ([`RecordStore::set_catalog`]); for streams recorded before the
@@ -355,7 +378,9 @@ impl RecoverySummary {
     /// corrupt id must not size the op table: an id at or past the
     /// catalog, or past [`MAX_UNCATALOGED_OPS`] without one, is dropped
     /// from its step and its invocations are counted in `lost_events`.
-    /// Step marks are synthesized from the step records themselves (every
+    /// Marks, checkpoints and the loss and store-error counts come from
+    /// the run record. Without one, checkpoints and counts are zero, and
+    /// step marks are synthesized from the step records themselves (every
     /// step's last event end); when three or more records survive, the
     /// highest step is treated as the session-shutdown record, mirroring a
     /// live profile's shape.
@@ -383,17 +408,22 @@ impl RecoverySummary {
             .map(|op| op.0 as usize + 1)
             .max()
             .unwrap_or(0);
-        let shutdown_step = if self.steps.len() >= 3 {
-            self.steps.iter().map(|r| r.step).max().unwrap_or(0)
-        } else {
-            u64::MAX
-        };
-        let step_marks = self
-            .steps
-            .iter()
-            .filter(|r| r.step > 0 && r.step < shutdown_step)
-            .map(|r| (r.step, r.last_end))
-            .collect();
+        let run = self.run.clone().unwrap_or_else(|| {
+            let shutdown_step = if self.steps.len() >= 3 {
+                self.steps.iter().map(|r| r.step).max().unwrap_or(0)
+            } else {
+                u64::MAX
+            };
+            RunRecord {
+                step_marks: self
+                    .steps
+                    .iter()
+                    .filter(|r| r.step > 0 && r.step < shutdown_step)
+                    .map(|r| (r.step, r.last_end))
+                    .collect(),
+                ..RunRecord::default()
+            }
+        });
         let op_count = op_count.max(manifest.op_names.len());
         let mut op_names = manifest.op_names;
         for i in op_names.len()..op_count {
@@ -411,12 +441,12 @@ impl RecoverySummary {
             op_on_host,
             steps,
             windows: self.windows.clone(),
-            step_marks,
-            checkpoints: Vec::new(),
-            dropped_windows: 0,
-            lost_events,
-            store_errors: 0,
-            store_error: None,
+            step_marks: run.step_marks,
+            checkpoints: run.checkpoints,
+            dropped_windows: run.dropped_windows,
+            lost_events: run.lost_events.saturating_add(lost_events),
+            store_errors: run.store_errors,
+            store_error: run.store_error,
         }
     }
 }
@@ -558,12 +588,15 @@ impl JsonlStore {
                 skipped_lines: 0,
             },
         };
+        let mut manifest = Self::load_manifest(dir).unwrap_or(None);
+        let run = manifest.as_mut().and_then(|m| m.run.take());
         let mut summary = RecoverySummary {
             steps: steps.records,
             windows: windows.records,
             skipped_step_lines: steps.skipped_lines,
             skipped_window_lines: windows.skipped_lines,
-            manifest: Self::load_manifest(dir).unwrap_or(None),
+            manifest,
+            run,
             sealed_files,
         };
         summary.steps.sort_by_key(|r| r.step);
@@ -595,9 +628,9 @@ pub(crate) fn part_path(dir: &Path, name: &str) -> PathBuf {
 
 /// Recovers a record directory of either format, auto-detecting the
 /// encoding: the manifest's `format` field when one survived, else the
-/// presence of binary segment files, else JSONL. `analyze --recover` and
-/// the facade route through here so callers never need to know which
-/// format wrote the directory.
+/// presence of binary segment files, else JSONL. The CLI's `analyze`,
+/// `report`, `audit` and `compare` and the facade route through here, so
+/// callers never need to know which format wrote the directory.
 ///
 /// # Errors
 ///
@@ -729,6 +762,12 @@ impl RecordStore for JsonlStore {
         // Same best-effort persistence as set_meta: a crash at any later
         // point must still recover real operator names.
         let _ = self.write_manifest();
+    }
+
+    /// Kept in the manifest, which the seal rewrites next.
+    fn put_run(&mut self, run: &RunRecord) -> io::Result<()> {
+        self.manifest.run = Some(run.clone());
+        Ok(())
     }
 }
 

@@ -10,9 +10,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use tpupoint_par::ThreadPool;
 use tpupoint_profiler::{
-    record_files, recover_records, BinaryStore, BinaryStoreConfig, FaultConfig, FaultStore,
-    InMemoryStore, JsonlStore, PipelineConfig, RecordStore, RetryPolicy, RetryStore, SealPipeline,
-    StepRecord, StoreFormat, ThrottledStore, WindowRecord,
+    binfmt, record_files, recover_records, BinaryStore, BinaryStoreConfig, FaultConfig, FaultStore,
+    InMemoryStore, JsonlStore, PipelineConfig, RecordStore, RetryPolicy, RetryStore, RunRecord,
+    SealPipeline, StepRecord, StoreFormat, ThrottledStore, WindowRecord,
 };
 use tpupoint_simcore::{OpId, SimDuration, SimTime, Track};
 
@@ -693,6 +693,61 @@ proptest! {
     }
 }
 
+/// A run record no sink writes: marks out of order and checkpoints past
+/// the last recorded step.
+fn odd_run() -> RunRecord {
+    RunRecord {
+        step_marks: vec![
+            (9, SimTime::from_micros(90)),
+            (2, SimTime::from_micros(20)),
+            (u64::MAX, SimTime::from_micros(0)),
+        ],
+        checkpoints: vec![(1_000, SimTime::from_micros(5)), (u64::MAX, SimTime::ZERO)],
+        dropped_windows: u64::MAX,
+        lost_events: u64::MAX,
+        store_errors: 2,
+        store_error: Some("put_step: odd".to_owned()),
+    }
+}
+
+/// Run frames whose payload lies: each claims more marks than the
+/// payload holds, behind a valid checksum.
+fn lying_run_frames() -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for payload in [
+        &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2][..],
+        &[3, 1, 2, 3],
+        &[0, 9, 1],
+    ] {
+        binfmt::append_frame(binfmt::KIND_RUN, payload, &mut bytes);
+    }
+    bytes
+}
+
+/// Values spliced over a JSONL manifest's run summary.
+const GARBAGE_RUNS: [&str; 5] = [
+    "\"x\"",
+    "[1,2]",
+    "{\"step_marks\":[[1,2,3]],\"checkpoints\":\"no\"}",
+    "{\"step_marks\":[[18446744073709551616,1]],\"store_error\":7}",
+    "{\"checkpoints\":[[-1,0]],\"lost_events\":1e400}",
+];
+
+/// `manifest` with its `run` summary replaced by one of
+/// [`GARBAGE_RUNS`]. Keys render in order, so the summary runs from
+/// `"run":` to `,"sealed":`; a manifest without both comes back as it is.
+fn garbage_run_summary(manifest: &[u8], pick: usize) -> Vec<u8> {
+    let find = |needle: &[u8]| manifest.windows(needle.len()).position(|w| w == needle);
+    let (Some(start), Some(end)) = (find(b"\"run\":"), find(b",\"sealed\":")) else {
+        return manifest.to_vec();
+    };
+    if end < start {
+        return manifest.to_vec();
+    }
+    let garbage = GARBAGE_RUNS[pick % GARBAGE_RUNS.len()].as_bytes();
+    [&manifest[..start + 6], garbage, &manifest[end..]].concat()
+}
+
 /// The files of a small sealed record directory of `format`, by name:
 /// several binary segments, or the two sealed JSONL streams, plus the
 /// manifest.
@@ -710,6 +765,7 @@ fn sealed_dir_files(format: StoreFormat) -> Vec<(String, Vec<u8>)> {
             store.put_window(&window(i / 3)).unwrap();
         }
     }
+    store.put_run(&odd_run()).unwrap();
     store.seal().unwrap();
     drop(store);
     let files = record_files(&dir).unwrap().into_iter().collect();
@@ -758,15 +814,18 @@ fn odd_counts(manifest: &[u8], mask: u64, pick: usize) -> Vec<u8> {
 
 proptest! {
     /// Recovery of a record directory whose manifest is garbage, cut
-    /// short or carries impossible counts, and whose record files are
-    /// flipped, cut, replaced by garbage or gone, returns a summary or an
-    /// error and never panics; neither does the summary's accounting.
+    /// short, carries impossible counts or a garbage run summary, and
+    /// whose record files are flipped, cut, replaced by garbage, gone, or
+    /// end in run frames that claim more marks than they hold, returns a
+    /// summary or an error and never panics; neither does the summary's
+    /// accounting, nor the profile it rebuilds from a run record with
+    /// unsorted marks and checkpoints past the last step.
     #[test]
     fn garbage_manifests_and_records_never_panic_recovery(
-        manifest_mode in 0u32..5,
+        manifest_mode in 0u32..6,
         mask in any::<u64>(),
         at in any::<usize>(),
-        file_modes in proptest::collection::vec(0u32..5, 16usize..17),
+        file_modes in proptest::collection::vec(0u32..6, 16usize..17),
         garbage in proptest::collection::vec(0u32..256, 0usize..128),
     ) {
         let garbage: Vec<u8> = garbage.iter().map(|&b| b as u8).collect();
@@ -786,6 +845,7 @@ proptest! {
                         1 => Some(garbage.clone()),
                         2 => Some(bytes[..at].to_vec()),
                         3 => Some(odd_counts(bytes, mask, at)),
+                        4 => Some(garbage_run_summary(bytes, at)),
                         _ => None,
                     }
                 } else {
@@ -800,6 +860,7 @@ proptest! {
                         }
                         2 => Some(bytes[..at].to_vec()),
                         3 => Some(garbage.clone()),
+                        4 => Some([&bytes[..], &lying_run_frames()].concat()),
                         _ => None,
                     }
                 };
@@ -814,6 +875,11 @@ proptest! {
             if let Ok(summary) = recover_records(&dir) {
                 let _ = summary.missing_acknowledged();
                 let _ = summary.is_torn();
+                let profile = summary.to_profile();
+                let _ = profile.training_records();
+                let _ = profile.is_degraded();
+                let _ = profile.loss_fraction();
+                let _ = profile.prefix_through(at as u64);
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }

@@ -138,8 +138,9 @@ impl TpuPointBuilder {
     /// segments, each written once at rotation and retired inline by the
     /// retention budget ([`tpupoint_profiler::BinaryStore`], the default),
     /// or JSON lines, the human-readable opt-in. Both formats share the
-    /// manifest and crash-recovery contract; `analyze --recover`
-    /// auto-detects whichever was written.
+    /// manifest and crash-recovery contract, and
+    /// [`tpupoint_profiler::recover_records`] auto-detects whichever was
+    /// written.
     pub fn store_format(mut self, format: StoreFormat) -> Self {
         self.store_format = format;
         self

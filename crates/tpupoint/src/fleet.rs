@@ -52,11 +52,11 @@
 //!   `<root>/jobs/<id>/records` store through the same fault/retry chain
 //!   as batch [`TpuPoint::profile`] (always on the seal pipeline), and
 //!   its sealed output stays **byte-identical** to a solo
-//!   [`TpuPoint::profile`] run of the same configuration and seed. A
-//!   finished job leaves `profile.json` (the batch writer's bytes) and
-//!   its final labeled scrape, `metrics.prom`, beside its records. That
-//!   tail, through the final publish, is the `tpupoint.fleet_persist`
-//!   span of the self-trace.
+//!   [`TpuPoint::profile`] run of the same configuration and seed; the
+//!   records are the job's profile. A finished job leaves its final
+//!   labeled scrape, `metrics.prom`, beside them. That tail, from the
+//!   sink's finish through the final publish, is the
+//!   `tpupoint.fleet_persist` span of the self-trace.
 //!
 //! `POST /quit` (or Ctrl-C with [`TpuPointBuilder::serve_sigint`]) drains
 //! the whole fleet gracefully — pacing off, every record sealed — and
@@ -547,8 +547,8 @@ fn record_fleet_job(
     Ok((report, live.into_inner(), baseline_wall))
 }
 
-/// The persist tail: finishes the sink, then writes `profile.json` and
-/// the job's final labeled scrape beside its records.
+/// The persist tail: finishes the sink, which seals the job's records,
+/// then writes the job's final labeled scrape beside them.
 fn persist_fleet_job(
     shared: &FleetShared,
     spec: &JobSpec,
@@ -563,11 +563,6 @@ fn persist_fleet_job(
         .publish_run_gauges(&job_runtime.registry, report, &profile, baseline_wall);
     let dir = shared.root.join("jobs").join(&spec.id);
     std::fs::create_dir_all(&dir).map_err(|err| format!("output dir: {err}"))?;
-    let file =
-        std::fs::File::create(dir.join("profile.json")).map_err(|err| format!("profile: {err}"))?;
-    profile
-        .save_json(file)
-        .map_err(|err| format!("profile: {err}"))?;
     let scrape = to_prometheus_labeled(
         &job_runtime.registry.snapshot(),
         &[
@@ -1204,7 +1199,7 @@ mod tests {
         assert_eq!(headers, 1, "{scrape}");
         let records = recover_records(&root.join("jobs/demo-a/records")).expect("records");
         assert!(records.sealed_files && !records.steps.is_empty());
-        assert!(root.join("jobs/demo-a/profile.json").exists());
+        assert!(!root.join("jobs/demo-a/profile.json").exists());
 
         session.request_quit();
         let statuses = session.wait().expect("drains");

@@ -138,15 +138,18 @@ fn chrome_trace_is_valid_json_with_both_tracks() {
 }
 
 #[test]
-fn profile_serialization_round_trips_through_json() {
-    let tp = TpuPoint::builder().analyzer(false).build();
+fn profile_round_trips_through_its_records() {
+    let out = std::env::temp_dir().join(format!("tpupoint-full-records-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    let tp = TpuPoint::builder().analyzer(true).output_dir(&out).build();
     let run = tp.profile(small(WorkloadId::DcganMnist)).unwrap();
-    let mut buf = Vec::new();
-    run.profile.save_json(&mut buf).unwrap();
-    let loaded = Profile::load_json(buf.as_slice()).unwrap();
+    let loaded = tpupoint::profiler::recover_records(&out.join("records"))
+        .unwrap()
+        .to_profile();
     assert_eq!(loaded, run.profile);
     // The reloaded profile analyzes identically.
     let a = Analyzer::new(&run.profile).ols_phases(0.7);
     let b = Analyzer::new(&loaded).ols_phases(0.7);
     assert_eq!(a, b);
+    std::fs::remove_dir_all(&out).unwrap();
 }
