@@ -4,6 +4,7 @@ use crate::args::Args;
 use crate::obs::{obs_report_cmd, ObsSession, OBS_OPTIONS};
 use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::{fmt, io};
 use tpupoint::analyzer::PhaseSet;
 use tpupoint::optimizer::{TpuPointOptimizer, TrialOutcome};
 use tpupoint::prelude::*;
@@ -131,12 +132,52 @@ OBSERVABILITY (profile, serve, analyze, optimize):
   --obs-format json|prom Format for --metrics-out (default json).
 ";
 
+/// Why a command stopped.
+#[derive(Debug)]
+pub enum CliError {
+    /// A human-readable message for the user.
+    Message(String),
+    /// Writing to stdout failed, e.g. because its reader went away.
+    Output(io::Error),
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Message(message) => f.write_str(message),
+            CliError::Output(err) => write!(f, "cannot write output: {err}"),
+        }
+    }
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Message(message)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        CliError::Message(message.to_owned())
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(err: io::Error) -> Self {
+        CliError::Output(err)
+    }
+}
+
+/// What every command returns.
+pub type CliResult = Result<(), CliError>;
+
 /// Dispatches a parsed command line.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on any failure.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// Returns a human-readable message on any failure, or the output error
+/// when stdout could not be written.
+pub fn dispatch(argv: &[String]) -> CliResult {
     match argv.first().map(String::as_str) {
         Some("workloads") => workloads(),
         Some("profile") => profile(&argv[1..]),
@@ -148,10 +189,10 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         Some("audit") => audit(&argv[1..]),
         Some("obs-report") => obs_report_cmd(&argv[1..]),
         Some("--help") | Some("-h") | None => {
-            println!("{USAGE}");
+            outln!("{USAGE}")?;
             Ok(())
         }
-        Some(other) => Err(format!("unknown subcommand `{other}`\n\n{USAGE}")),
+        Some(other) => Err(format!("unknown subcommand `{other}`\n\n{USAGE}").into()),
     }
 }
 
@@ -186,14 +227,19 @@ fn build_from_args(args: &Args) -> Result<JobConfig, String> {
     Ok(build(id, generation, &opts))
 }
 
-fn workloads() -> Result<(), String> {
-    println!(
+fn workloads() -> CliResult {
+    outln!(
         "{:20} {:10} {:>7} {:>12} {:>12} {:>8}",
-        "id", "dataset", "batch", "train steps", "size (MiB)", "scale"
-    );
+        "id",
+        "dataset",
+        "batch",
+        "train steps",
+        "size (MiB)",
+        "scale"
+    )?;
     for id in WorkloadId::all() {
         let cfg = build(id, TpuGeneration::V2, &BuildOptions::default());
-        println!(
+        outln!(
             "{:20} {:10} {:>7} {:>12} {:>12.2} {:>8.3}",
             id.label().to_ascii_lowercase(),
             cfg.dataset.name,
@@ -201,7 +247,7 @@ fn workloads() -> Result<(), String> {
             cfg.train_steps,
             cfg.dataset.size_bytes as f64 / (1024.0 * 1024.0),
             id.default_sim_scale(),
-        );
+        )?;
     }
     Ok(())
 }
@@ -234,7 +280,7 @@ fn recording_builder(args: &Args, out: &Path) -> Result<tpupoint::TpuPointBuilde
     Ok(builder)
 }
 
-fn profile(argv: &[String]) -> Result<(), String> {
+fn profile(argv: &[String]) -> CliResult {
     let mut options = with_obs(&BUILD_OPTIONS);
     options.extend([
         "out",
@@ -256,21 +302,21 @@ fn profile(argv: &[String]) -> Result<(), String> {
     let run = tp
         .profile(config)
         .map_err(|e| format!("profiling failed: {e}"))?;
-    println!(
+    outln!(
         "profiled {} ({}) on {:?}: {} steps, wall {:.1}s",
         run.profile.model,
         run.profile.dataset,
         run.report.generation,
         run.report.steps_completed,
         run.report.session_wall.as_secs_f64()
-    );
-    println!(
+    )?;
+    outln!(
         "TPU idle {:.1}%  MXU util {:.1}%  windows {}  checkpoints {}",
         run.profile.steady_tpu_idle_fraction() * 100.0,
         run.profile.steady_mxu_utilization() * 100.0,
         run.profile.windows.len(),
         run.profile.checkpoints.len()
-    );
+    )?;
     if run.profile.store_errors > 0 {
         eprintln!(
             "warning: {} record-store error(s) surfaced past the retry layer{}; \
@@ -284,11 +330,11 @@ fn profile(argv: &[String]) -> Result<(), String> {
             out.join("records").display()
         );
     }
-    println!("records written to {}", out.join("records").display());
+    outln!("records written to {}", out.join("records").display())?;
     session.finish()
 }
 
-fn serve(argv: &[String]) -> Result<(), String> {
+fn serve(argv: &[String]) -> CliResult {
     let mut options = with_obs(&BUILD_OPTIONS);
     options.extend([
         "out",
@@ -344,7 +390,8 @@ fn serve(argv: &[String]) -> Result<(), String> {
                 return Err(format!(
                     "--{name} applies to the --workload job; jobs sent to POST /jobs \
                      take their settings in the request body"
-                ));
+                )
+                .into());
             }
             None
         }
@@ -384,19 +431,19 @@ fn serve(argv: &[String]) -> Result<(), String> {
         ),
         None => None,
     };
-    println!("serving on http://{}", fleet.addr());
-    println!(
+    outln!("serving on http://{}", fleet.addr())?;
+    outln!(
         "  GET /metrics  GET /healthz  GET /status  GET /phases  POST /quit  (Ctrl-C to stop)\n  \
          POST /jobs  GET /jobs[/<id>[/phases]]  DELETE /jobs/<id>"
-    );
+    )?;
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let outcome = fleet
         .wait_for(job_id.as_deref())
         .map_err(|e| format!("serve drain failed: {e}"))?;
-    println!("drained {} job(s)", outcome.jobs.len());
+    outln!("drained {} job(s)", outcome.jobs.len())?;
     for job in &outcome.jobs {
-        println!(
+        outln!(
             "  {:20} tenant {:10} {:9} {:>6} steps {:>4} checkpoints{}",
             job.id,
             job.tenant,
@@ -407,20 +454,21 @@ fn serve(argv: &[String]) -> Result<(), String> {
                 .as_deref()
                 .map(|e| format!("  error: {e}"))
                 .unwrap_or_default()
-        );
+        )?;
     }
-    println!(
+    outln!(
         "records and metrics.prom per job under {}; final scrape at {}",
         out.join("jobs").display(),
         out.join("metrics.prom").display()
-    );
+    )?;
     session.finish_with(&outcome.job_metrics)?;
     match outcome.jobs.iter().find(|j| Some(&j.id) == job_id.as_ref()) {
         Some(job) if job.phase == tpupoint::runtime::JobPhase::Failed => Err(format!(
             "job {} failed: {}",
             job.id,
             job.error.as_deref().unwrap_or("no error recorded")
-        )),
+        )
+        .into()),
         _ => Ok(()),
     }
 }
@@ -440,10 +488,10 @@ fn parse_fault_prob(args: &Args) -> Result<f64, String> {
 /// lines or binary segments, auto-detected — and reports what the
 /// recovery could and could not produce. A sealed directory reads back
 /// exactly; a crashed run's is salvaged past its torn tail.
-fn load_profile(dir: &str) -> Result<Profile, String> {
+fn load_profile(dir: &str) -> Result<Profile, CliError> {
     let summary = tpupoint::profiler::recover_records(std::path::Path::new(dir))
         .map_err(|e| format!("cannot recover records from {dir}: {e}"))?;
-    println!(
+    outln!(
         "recovered {} step record(s) and {} window(s) from {dir} ({})",
         summary.steps.len(),
         summary.windows.len(),
@@ -452,34 +500,36 @@ fn load_profile(dir: &str) -> Result<Profile, String> {
         } else {
             "unsealed .part stream of a crashed writer"
         }
-    );
+    )?;
     if let Some(manifest) = &summary.manifest {
         if manifest.steps_retired > 0 || manifest.windows_retired > 0 {
-            println!(
+            outln!(
                 "  retention retired {} step(s) and {} window(s) (accounted, not lost)",
-                manifest.steps_retired, manifest.windows_retired
-            );
+                manifest.steps_retired,
+                manifest.windows_retired
+            )?;
         }
     }
     if summary.skipped_step_lines > 0 || summary.skipped_window_lines > 0 {
-        println!(
+        outln!(
             "  skipped torn tail: {} step line(s), {} window line(s)",
-            summary.skipped_step_lines, summary.skipped_window_lines
-        );
+            summary.skipped_step_lines,
+            summary.skipped_window_lines
+        )?;
     }
     let (missing_steps, missing_windows) = summary.missing_acknowledged();
     if missing_steps > 0 || missing_windows > 0 {
-        println!(
+        outln!(
             "  WARNING: {missing_steps} acknowledged step(s) and \
              {missing_windows} acknowledged window(s) are missing"
-        );
+        )?;
     } else if summary.manifest.is_some() {
-        println!("  every acknowledged record survived");
+        outln!("  every acknowledged record survived")?;
     }
     Ok(summary.to_profile())
 }
 
-fn analyze(argv: &[String]) -> Result<(), String> {
+fn analyze(argv: &[String]) -> CliResult {
     let args = Args::parse(
         argv,
         &with_obs(&[
@@ -495,7 +545,7 @@ fn analyze(argv: &[String]) -> Result<(), String> {
     let session = ObsSession::start(&args)?;
     let mut profile = load_profile(args.positional0("records directory")?)?;
     if args.flag("prefix-stable") {
-        profile = prefix_stable(profile);
+        profile = prefix_stable(profile)?;
     }
     let analyzer = Analyzer::with_options(
         &profile,
@@ -510,32 +560,32 @@ fn analyze(argv: &[String]) -> Result<(), String> {
         "dbscan" => analyzer
             .dbscan_phases(args.get_or("min-samples", 30)?)
             .map_err(|e| e.to_string())?,
-        other => return Err(format!("unknown --algorithm `{other}`")),
+        other => return Err(format!("unknown --algorithm `{other}`").into()),
     };
-    println!(
+    outln!(
         "{} found {} phases; top 3 cover {:.1}% of execution time",
         algorithm,
         set.len(),
         set.coverage_top(3) * 100.0
-    );
+    )?;
     let checkpoints = analyzer.checkpoints_for(&set);
     for phase in set.by_time_desc().into_iter().take(5) {
         let share = phase.total_time.as_micros() as f64 / set.total_time.as_micros().max(1) as f64;
         let ckpt = checkpoints[phase.id]
             .map(|c| format!("ckpt@{}", c.checkpoint_step))
             .unwrap_or_else(|| "no ckpt".to_owned());
-        println!(
+        outln!(
             "  phase {:>3}{}: {:>6} steps, {:>5.1}% of time, {}",
             phase.id,
             if phase.is_noise { " (noise)" } else { "" },
             phase.steps.len(),
             share * 100.0,
             ckpt
-        );
+        )?;
     }
     if let Some(top) = analyzer.top_operators_of_longest(&set, 5) {
-        println!("top TPU ops:  {}", fmt_ops(&top.tpu));
-        println!("top host ops: {}", fmt_ops(&top.host));
+        outln!("top TPU ops:  {}", fmt_ops(&top.tpu))?;
+        outln!("top host ops: {}", fmt_ops(&top.host))?;
     }
     if let Some(dir) = args.get("out") {
         let dir = PathBuf::from(dir);
@@ -552,12 +602,12 @@ fn analyze(argv: &[String]) -> Result<(), String> {
         analyzer
             .write_step_csv(File::create(&steps).map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "wrote {}, {} and {}",
             trace.display(),
             csv.display(),
             steps.display()
-        );
+        )?;
     }
     session.finish()
 }
@@ -566,27 +616,27 @@ fn analyze(argv: &[String]) -> Result<(), String> {
 /// assignments stabilized, truncates the profile to that stable prefix
 /// (the `--prefix-stable` early-stop answer). Falls back to the full
 /// profile when the run never stabilized.
-fn prefix_stable(profile: Profile) -> Profile {
+fn prefix_stable(profile: Profile) -> Result<Profile, CliError> {
     use tpupoint::analyzer::{replay, StreamingConfig};
     let replayed = replay(&profile, StreamingConfig::default());
     match replayed.stable_at_step {
         Some(step) => {
             let prefix = profile.prefix_through(step);
-            println!(
+            outln!(
                 "streaming analyzer stable at step {step}; analyzing the \
                  {}-step prefix of {} recorded steps",
                 prefix.steps.len(),
                 profile.steps.len()
-            );
-            prefix
+            )?;
+            Ok(prefix)
         }
         None => {
-            println!(
+            outln!(
                 "streaming analyzer never stabilized over {} steps; \
                  analyzing the full profile",
                 profile.steps.len()
-            );
-            profile
+            )?;
+            Ok(profile)
         }
     }
 }
@@ -598,15 +648,15 @@ fn fmt_ops(rows: &[(String, SimDuration, u64)]) -> String {
         .join(", ")
 }
 
-fn optimize(argv: &[String]) -> Result<(), String> {
+fn optimize(argv: &[String]) -> CliResult {
     let args = Args::parse(argv, &with_obs(&BUILD_OPTIONS), &["naive"])?;
     let session = ObsSession::start(&args)?;
     let config = build_from_args(&args)?;
     let report = TpuPointOptimizer::new(config).optimize();
-    println!(
+    outln!(
         "critical phase detected: {}",
         report.critical_phase_detected
-    );
+    )?;
     for trial in &report.trials {
         let marker = match trial.outcome {
             TrialOutcome::Accepted => "accept",
@@ -614,15 +664,15 @@ fn optimize(argv: &[String]) -> Result<(), String> {
             TrialOutcome::OutputChanged => "guard!",
             TrialOutcome::Invalid => "error ",
         };
-        println!(
+        outln!(
             "  [{marker}] {:22} {:>6} -> {:<6} {:>9.2} steps/s",
             trial.param.to_string(),
             trial.from,
             trial.to,
             trial.steps_per_sec
-        );
+        )?;
     }
-    println!(
+    outln!(
         "throughput {:.2} -> {:.2} steps/s ({:.3}x), idle {:.1}% -> {:.1}%, mxu {:.1}% -> {:.1}%",
         report.baseline.throughput_steps_per_sec(),
         report.optimized.throughput_steps_per_sec(),
@@ -631,16 +681,16 @@ fn optimize(argv: &[String]) -> Result<(), String> {
         report.optimized.tpu_idle_fraction() * 100.0,
         report.baseline.mxu_utilization() * 100.0,
         report.optimized.mxu_utilization() * 100.0,
-    );
-    println!(
+    )?;
+    outln!(
         "output preserved: {}; online tuning overhead {}",
         report.output_preserved(),
         report.tuning_overhead
-    );
+    )?;
     session.finish()
 }
 
-fn compare_cmd(argv: &[String]) -> Result<(), String> {
+fn compare_cmd(argv: &[String]) -> CliResult {
     let args = Args::parse(argv, &["top"], &[])?;
     let a = args.positional0("first records directory")?;
     let b = args
@@ -650,44 +700,44 @@ fn compare_cmd(argv: &[String]) -> Result<(), String> {
     let pa = load_profile(a)?;
     let pb = load_profile(b)?;
     let cmp = tpupoint::analyzer::compare(&pa, &pb);
-    print!("{}", cmp.render(args.get_or("top", 10)?));
+    out!("{}", cmp.render(args.get_or("top", 10)?))?;
     Ok(())
 }
 
-fn report(argv: &[String]) -> Result<(), String> {
+fn report(argv: &[String]) -> CliResult {
     let args = Args::parse(argv, &[], &[])?;
     let profile = load_profile(args.positional0("records directory")?)?;
-    print!("{}", tpupoint::analyzer::characterize(&profile));
+    out!("{}", tpupoint::analyzer::characterize(&profile))?;
     Ok(())
 }
 
-fn audit(argv: &[String]) -> Result<(), String> {
+fn audit(argv: &[String]) -> CliResult {
     let args = Args::parse(argv, &[], &[])?;
     let profile = load_profile(args.positional0("records directory")?)?;
     let audit = audit_windows(&profile.windows, SimDuration::from_millis(1));
-    println!(
+    outln!(
         "windows {}  events {}  span {:.1}s",
         audit.windows,
         audit.events,
         audit.covered_span.as_secs_f64()
-    );
-    println!(
+    )?;
+    outln!(
         "gaps {} ({:.2}% unobserved)  overlaps {}",
         audit.gaps.len(),
         audit.unobserved_fraction() * 100.0,
         audit.overlaps.len()
-    );
-    println!(
+    )?;
+    outln!(
         "max window: {} events, {:.1}s span (caps: 1,000,000 / 60s)",
         audit.max_window_events,
         audit.max_window_span.as_secs_f64()
-    );
-    println!(
+    )?;
+    outln!(
         "dropped responses: {} windows, {} events ({:.2}% loss)",
         profile.dropped_windows,
         profile.lost_events,
         profile.loss_fraction() * 100.0
-    );
+    )?;
     Ok(())
 }
 
@@ -698,7 +748,7 @@ mod tests {
 
     fn run(parts: &[&str]) -> Result<(), String> {
         let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        dispatch(&argv)
+        dispatch(&argv).map_err(|err| err.to_string())
     }
 
     #[test]

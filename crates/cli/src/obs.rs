@@ -8,6 +8,7 @@
 //! of the spans it recorded.
 
 use crate::args::Args;
+use crate::commands::CliResult;
 use std::path::PathBuf;
 use tpupoint::obs::{self, MetricsSnapshot, ObsReport};
 
@@ -21,13 +22,19 @@ enum Format {
     Prometheus,
 }
 
-/// Scoped observability capture for one CLI command.
+/// Scoped observability capture for one CLI command. The requested files
+/// are written on every exit path: by [`ObsSession::finish`] on success,
+/// and on drop when the command ends early with an error or a closed
+/// stdout.
 #[derive(Debug)]
 pub struct ObsSession {
     before: MetricsSnapshot,
     metrics_out: Option<PathBuf>,
     self_trace: Option<PathBuf>,
     format: Format,
+    /// Set once the files are written, so a finished session does not
+    /// write them again on drop.
+    exported: bool,
 }
 
 impl ObsSession {
@@ -52,16 +59,17 @@ impl ObsSession {
             metrics_out: args.get("metrics-out").map(PathBuf::from),
             self_trace,
             format,
+            exported: false,
         })
     }
 
-    /// Writes the requested artifacts and prints a summary of the
-    /// command's own behavior when metrics were exported.
+    /// Writes the requested artifacts and prints where they went.
     ///
     /// # Errors
     ///
-    /// Returns a message when an output file cannot be written.
-    pub fn finish(self) -> Result<(), String> {
+    /// Returns a message when an output file cannot be written, or the
+    /// error writing to stdout.
+    pub fn finish(self) -> CliResult {
         self.finish_with(&MetricsSnapshot::default())
     }
 
@@ -71,8 +79,25 @@ impl ObsSession {
     ///
     /// # Errors
     ///
-    /// Returns a message when an output file cannot be written.
-    pub fn finish_with(self, jobs: &MetricsSnapshot) -> Result<(), String> {
+    /// Returns a message when an output file cannot be written, or the
+    /// error writing to stdout.
+    pub fn finish_with(mut self, jobs: &MetricsSnapshot) -> CliResult {
+        self.export(jobs)?;
+        if let Some(path) = &self.metrics_out {
+            outln!("metrics written to {}", path.display())?;
+        }
+        if let Some(path) = &self.self_trace {
+            outln!(
+                "self-trace written to {} (chrome://tracing)",
+                path.display()
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Writes the metrics diff and the self-trace, once.
+    fn export(&mut self, jobs: &MetricsSnapshot) -> Result<(), String> {
+        self.exported = true;
         let mut snapshot = obs::metrics().snapshot().since(&self.before);
         snapshot.merge(jobs);
         if let Some(path) = &self.metrics_out {
@@ -81,19 +106,24 @@ impl ObsSession {
                 Format::Prometheus => obs::to_prometheus(&snapshot),
             };
             write(path, &text)?;
-            println!("metrics written to {}", path.display());
         }
         if let Some(path) = &self.self_trace {
             let tracer = obs::tracer();
             tracer.disable();
             write(path, &tracer.to_chrome_json())?;
             tracer.drain();
-            println!(
-                "self-trace written to {} (chrome://tracing)",
-                path.display()
-            );
         }
         Ok(())
+    }
+}
+
+impl Drop for ObsSession {
+    fn drop(&mut self) {
+        if !self.exported {
+            // The command is already failing or its reader is gone; the
+            // files are best effort and their error would mask its own.
+            let _ = self.export(&MetricsSnapshot::default());
+        }
     }
 }
 
@@ -110,12 +140,12 @@ fn write(path: &PathBuf, text: &str) -> Result<(), String> {
 /// # Errors
 ///
 /// Returns a message when the file is missing or not a metrics document.
-pub fn obs_report_cmd(argv: &[String]) -> Result<(), String> {
+pub fn obs_report_cmd(argv: &[String]) -> CliResult {
     let args = Args::parse(argv, &[], &[])?;
     let path = args.positional0("metrics.json path (from --metrics-out)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let snapshot = parse_metrics_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    print!("{}", ObsReport::from_snapshot(&snapshot).render());
+    out!("{}", ObsReport::from_snapshot(&snapshot).render())?;
     Ok(())
 }
 

@@ -3,7 +3,7 @@
 //! `obs-report` must summarize them.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn tpupoint() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tpupoint"))
@@ -186,4 +186,50 @@ fn unknown_cli_option_fails_with_a_hint() {
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(err.contains("unknown option `--metrics-uot`"), "{err}");
     assert!(err.contains("did you mean `--metrics-out`?"), "{err}");
+}
+
+#[test]
+fn a_closed_stdout_ends_reading_commands_quietly() {
+    let dir = scratch_dir("pipe");
+    let out = dir.to_str().unwrap();
+    run_ok(
+        tpupoint()
+            .args(["profile", "--workload", "bert-mrpc", "--scale", "0.05"])
+            .args(["--out", out]),
+    );
+    let (trace, metrics) = (dir.join("t.json"), dir.join("m.prom"));
+    for command in ["analyze", "report", "audit"] {
+        let mut cmd = tpupoint();
+        cmd.arg(command).arg(dir.join("records"));
+        if command == "analyze" {
+            cmd.arg("--self-trace")
+                .arg(&trace)
+                .arg("--metrics-out")
+                .arg(&metrics);
+        }
+        let mut child = cmd
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // The reader leaves before the first line, as `| head -0` would.
+        drop(child.stdout.take());
+        let done = child.wait_with_output().expect("wait for tpupoint");
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert!(
+            done.status.success(),
+            "{command}: {:?}\n{stderr}",
+            done.status
+        );
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    }
+    assert!(
+        trace.exists(),
+        "the self-trace is written past the closed pipe"
+    );
+    assert!(
+        metrics.exists(),
+        "the metrics are written past the closed pipe"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -32,7 +32,7 @@ pub use export::{
     prom_escape_help, prom_escape_label, to_json, to_prometheus, to_prometheus_labeled,
     to_prometheus_multi_ref, LabeledSnapshotRef,
 };
-pub use http::{Health, MetricsServer, Request, Response, ServeHooks};
+pub use http::{Health, MetricsServer, Request, Response};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use phases::{PhaseStat, PhaseTransition, PhasesReport};
 pub use report::{

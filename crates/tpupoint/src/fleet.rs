@@ -73,7 +73,7 @@ use std::time::Duration;
 use tpupoint_analyzer::{StreamingAnalyzer, StreamingConfig, STREAM_CADENCE};
 use tpupoint_obs::{
     to_prometheus_labeled, to_prometheus_multi_ref, Gauge, Health, LabeledSnapshotRef, Metrics,
-    MetricsServer, MetricsSnapshot, PhasesReport, Request, Response, ServeHooks,
+    MetricsServer, MetricsSnapshot, PhasesReport, Request, Response,
 };
 use tpupoint_profiler::{PipelineConfig, ProfilerSink};
 use tpupoint_runtime::{
@@ -278,13 +278,15 @@ struct AggregateCache {
     value: Arc<MetricsSnapshot>,
 }
 
-/// State shared between the HTTP hooks, the job runner, and the session.
+/// State shared between the HTTP routes, the job runner, and the session.
 struct FleetShared {
     options: TpuPointBuilder,
     root: PathBuf,
     jobs: Mutex<BTreeMap<String, Arc<JobRuntime>>>,
     auto_id: AtomicU64,
     aggregate: Mutex<Option<AggregateCache>>,
+    /// Set by `POST /quit`, [`FleetSession::request_quit`] or Ctrl-C.
+    quit: AtomicBool,
 }
 
 impl FleetShared {
@@ -604,7 +606,6 @@ pub struct FleetSession {
     server: MetricsServer,
     fleet: Arc<Fleet>,
     shared: Arc<FleetShared>,
-    quit: Arc<AtomicBool>,
     sigint: bool,
     publisher_stop: Arc<AtomicBool>,
     publisher: Option<std::thread::JoinHandle<()>>,
@@ -674,7 +675,7 @@ impl FleetSession {
 
     /// Requests fleet shutdown, exactly like `POST /quit`.
     pub fn request_quit(&self) {
-        self.quit.store(true, Ordering::SeqCst);
+        self.shared.quit.store(true, Ordering::SeqCst);
     }
 
     /// Blocks until shutdown is requested (`POST /quit`,
@@ -700,9 +701,9 @@ impl FleetSession {
     /// Returns an error if the final scrape cannot be written.
     pub fn wait_for(mut self, job: Option<&str>) -> io::Result<FleetOutcome> {
         let settled = |id: &str| self.fleet.status(id).is_none_or(|s| s.phase.is_terminal());
-        while !self.quit.load(Ordering::SeqCst) && !job.is_some_and(settled) {
+        while !self.shared.quit.load(Ordering::SeqCst) && !job.is_some_and(settled) {
             if self.sigint && sigint::hit() {
-                self.quit.store(true, Ordering::SeqCst);
+                self.request_quit();
             }
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -930,8 +931,52 @@ fn parse_job_request(body: &str) -> Result<FleetJobRequest, String> {
     Ok(request)
 }
 
-/// Routes the `/jobs` control API; returns `None` for paths the built-in
-/// table should keep handling.
+/// The fleet's whole HTTP route table: the scrape plane (`/metrics`,
+/// `/healthz`, `/status`, `/phases`), `/quit`, and the `/jobs` control
+/// API; anything else is a 404.
+fn route(shared: &Arc<FleetShared>, fleet: &Arc<Fleet>, request: &Request) -> Response {
+    match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/metrics") => Response {
+            status: 200,
+            content_type: "text/plain; version=0.0.4; charset=utf-8".to_owned(),
+            body: shared.render_metrics(),
+        },
+        ("GET", "/healthz") => {
+            let health = shared.render_health();
+            let status = if health.is_healthy() { 200 } else { 503 };
+            Response::text(status, health.body())
+        }
+        ("GET", "/status") => Response::json(fleet_status_json(&fleet.list())),
+        ("GET", "/phases") => Response::json(shared.render_phases()),
+        ("POST" | "GET", "/quit") => {
+            shared.quit.store(true, Ordering::SeqCst);
+            Response::text(200, "quitting\n")
+        }
+        (method, path) => route_jobs(shared, fleet, request)
+            .unwrap_or_else(|| Response::text(404, format!("no route for {method} {path}\n"))),
+    }
+}
+
+/// The `GET /status` body: job counts per lifecycle phase.
+fn fleet_status_json(statuses: &[JobStatus]) -> String {
+    let count = |phase: JobPhase| statuses.iter().filter(|s| s.phase == phase).count();
+    format!(
+        concat!(
+            "{{\"jobs\": {}, \"queued\": {}, \"running\": {}, ",
+            "\"draining\": {}, \"completed\": {}, \"failed\": {}, ",
+            "\"cancelled\": {}}}\n"
+        ),
+        statuses.len(),
+        count(JobPhase::Queued),
+        count(JobPhase::Running),
+        count(JobPhase::Draining),
+        count(JobPhase::Completed),
+        count(JobPhase::Failed),
+        count(JobPhase::Cancelled),
+    )
+}
+
+/// Routes the `/jobs` control API; `None` for any other path.
 fn route_jobs(
     shared: &Arc<FleetShared>,
     fleet: &Arc<Fleet>,
@@ -1032,6 +1077,7 @@ impl TpuPoint {
             jobs: Mutex::new(BTreeMap::new()),
             auto_id: AtomicU64::new(0),
             aggregate: Mutex::new(None),
+            quit: AtomicBool::new(false),
         });
         // Coarse-cadence publisher: refreshes every recording job's
         // published metrics between seal points, so slow-sealing jobs
@@ -1063,52 +1109,15 @@ impl TpuPoint {
                 run_fleet_job(&runner_shared, spec, ctl)
             }),
         ));
-        let quit = Arc::new(AtomicBool::new(false));
-
-        let metrics_shared = Arc::clone(&shared);
-        let health_shared = Arc::clone(&shared);
-        let phases_shared = Arc::clone(&shared);
-        let status_fleet = Arc::clone(&fleet);
-        let route_shared = Arc::clone(&shared);
-        let route_fleet = Arc::clone(&fleet);
-        let hook_quit = Arc::clone(&quit);
-        let server = MetricsServer::bind(
-            &listen,
-            ServeHooks {
-                metrics: Box::new(move || metrics_shared.render_metrics()),
-                health: Box::new(move || health_shared.render_health()),
-                status: Box::new(move || {
-                    let statuses = status_fleet.list();
-                    let count =
-                        |phase: JobPhase| statuses.iter().filter(|s| s.phase == phase).count();
-                    format!(
-                        concat!(
-                            "{{\"jobs\": {}, \"queued\": {}, \"running\": {}, ",
-                            "\"draining\": {}, \"completed\": {}, \"failed\": {}, ",
-                            "\"cancelled\": {}}}\n"
-                        ),
-                        statuses.len(),
-                        count(JobPhase::Queued),
-                        count(JobPhase::Running),
-                        count(JobPhase::Draining),
-                        count(JobPhase::Completed),
-                        count(JobPhase::Failed),
-                        count(JobPhase::Cancelled),
-                    )
-                }),
-                phases: Box::new(move || phases_shared.render_phases()),
-                quit: Box::new(move || hook_quit.store(true, Ordering::SeqCst)),
-                route: Some(Box::new(move |request: &Request| {
-                    route_jobs(&route_shared, &route_fleet, request)
-                })),
-            },
-        )?;
+        let (route_shared, route_fleet) = (Arc::clone(&shared), Arc::clone(&fleet));
+        let server = MetricsServer::bind(&listen, move |request: &Request| {
+            route(&route_shared, &route_fleet, request)
+        })?;
 
         Ok(FleetSession {
             server,
             fleet,
             shared,
-            quit,
             sigint: options.serve_sigint,
             publisher_stop,
             publisher: Some(publisher),
@@ -1165,6 +1174,59 @@ mod tests {
 
     fn get(addr: SocketAddr, path: &str) -> String {
         http(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
+    }
+
+    #[test]
+    fn routes_serve_the_fleet() {
+        let root = temp_root("routes");
+        let _ = std::fs::remove_dir_all(&root);
+        let session = fleet_at(&root);
+        // One request: its status line and `Content-Type`, and its body.
+        let call = |line: &str| {
+            let request = format!("{line} HTTP/1.1\r\nHost: t\r\n\r\n");
+            let response = http(session.addr(), &request);
+            let (head, body) = response.split_once("\r\n\r\n").expect("full response");
+            let mut head = head.lines();
+            let status = head.next().unwrap_or_default().to_owned();
+            let kind = head.find_map(|l| l.strip_prefix("Content-Type: "));
+            (status + "; " + kind.unwrap_or_default(), body.to_owned())
+        };
+        let (text, json) = ("text/plain; charset=utf-8", "application/json");
+        let ok = |kind: &str| format!("HTTP/1.1 200 OK; {kind}");
+        // Prometheus scrape configs append query params; they must not 404.
+        for line in ["GET /metrics", "GET /metrics?job=x&instance=y"] {
+            let (head, body) = call(line);
+            assert_eq!(head, ok("text/plain; version=0.0.4; charset=utf-8"));
+            assert!(body.contains("tpupoint_fleet_jobs_running"), "{body}");
+        }
+        // Parallel tests fault the process-global registry, so the fleet
+        // may be degraded; either way the verdict is well formed.
+        for line in ["GET /healthz", "GET /healthz?verbose=1"] {
+            match call(line) {
+                (head, body) if head == ok(text) => assert_eq!(body, "ok\n"),
+                (head, body) => {
+                    assert_eq!(head, format!("HTTP/1.1 503 Service Unavailable; {text}"));
+                    assert!(body.starts_with("degraded\n"), "{body}");
+                }
+            }
+        }
+        let idle = concat!(
+            "{\"jobs\": 0, \"queued\": 0, \"running\": 0, \"draining\": 0, ",
+            "\"completed\": 0, \"failed\": 0, \"cancelled\": 0}\n"
+        );
+        assert_eq!(call("GET /status"), (ok(json), idle.to_owned()));
+        assert_eq!(call("GET /phases?view=1"), (ok(json), "{}\n".to_owned()));
+        let no_jobs = "{\"jobs\": []}\n".to_owned();
+        assert_eq!(call("GET /jobs?tenant=a"), (ok(json), no_jobs));
+        for line in ["GET /nowhere", "DELETE /metrics"] {
+            let head = format!("HTTP/1.1 404 Not Found; {text}");
+            assert_eq!(call(line), (head, format!("no route for {line}\n")));
+        }
+        for line in ["GET /quit", "POST /quit"] {
+            assert_eq!(call(line), (ok(text), "quitting\n".to_owned()));
+        }
+        session.wait().expect("the quit drains the fleet");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

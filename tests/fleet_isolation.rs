@@ -1,20 +1,17 @@
-//! Fleet-mode tenant isolation: one tenant's store faults must neither
-//! poison a healthy neighbour's `/healthz` attribution nor perturb its
-//! recorded profile.
+//! Fleet-mode tenant isolation: one tenant's store faults must not poison
+//! a healthy neighbour's `/healthz` attribution.
 //!
 //! Two jobs run concurrently in one fleet — `noisy` writes through a
 //! seeded fault-injecting store, `steady` runs clean. The fleet must:
 //!
 //! * attribute every degradation to `noisy` and its tenant alone;
-//! * keep `steady`'s per-job series at zero errors on the shared scrape;
-//! * record `steady`'s JSONL byte-identical to a solo batch
-//!   [`TpuPoint::profile`] of the same workload, scale, and seed.
+//! * keep `steady`'s per-job series at zero errors on the shared scrape.
+//!
+//! That `steady` still records the bytes of a solo batch run is checked by
+//! the mode harness (`tests/modes.rs`, runner `fleet-beside-faulty`).
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::path::Path;
 use tpupoint::prelude::*;
-use tpupoint::profiler::record_files;
 use tpupoint::workloads::{build, BuildOptions, WorkloadId};
 use tpupoint::FleetJobRequest;
 
@@ -38,16 +35,6 @@ fn get(addr: std::net::SocketAddr, path: &str) -> String {
     response
 }
 
-fn read_records(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    let files = record_files(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
-    assert!(
-        files.contains_key("manifest.json") && files.len() > 1,
-        "{}: no records beside the manifest",
-        dir.display()
-    );
-    files
-}
-
 /// The value of `series` on the scrape line carrying `label`, if any.
 fn series_value(scrape: &str, series: &str, label: &str) -> Option<f64> {
     scrape
@@ -61,20 +48,10 @@ fn series_value(scrape: &str, series: &str, label: &str) -> Option<f64> {
 fn faulty_tenant_never_degrades_its_neighbour() {
     let base = std::env::temp_dir().join(format!("tpupoint-fleet-iso-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let solo_dir = base.join("solo");
     let fleet_dir = base.join("fleet");
 
-    // The reference: a solo batch profile of the clean workload.
-    let solo = TpuPoint::builder()
-        .analyzer(true)
-        .output_dir(&solo_dir)
-        .build()
-        .profile(steady_config())
-        .expect("solo profile");
-    assert_eq!(solo.profile.store_errors, 0);
-
-    // The fleet: the same clean job next to a fault-injected neighbour,
-    // running concurrently at batch speed.
+    // A clean job next to a fault-injected copy of it, running
+    // concurrently at batch speed.
     let session = TpuPoint::builder()
         .analyzer(true)
         .output_dir(&fleet_dir)
@@ -143,16 +120,6 @@ fn faulty_tenant_never_degrades_its_neighbour() {
     assert_eq!(errors("job=\"steady\""), 0.0);
     assert!(errors("job=\"noisy\"") > 0.0);
     assert!(errors("job=\"fleet\"") > 0.0, "aggregate sums the errors");
-
-    // The healthy job's sharded records are byte-identical to the solo
-    // batch run: concurrency and the neighbour's faults are invisible.
-    let steady_records = fleet_dir.join("jobs/steady/records");
-    let solo_records = solo_dir.join("records");
-    assert_eq!(
-        read_records(&solo_records),
-        read_records(&steady_records),
-        "records must be byte-identical to the solo run"
-    );
 
     session.request_quit();
     session.wait().expect("drains");

@@ -1,13 +1,13 @@
 //! Serve-mode loopback integration: scrape a live served job — a fleet
-//! of one, as `tpupoint serve --workload` runs it — over real TCP, shut
-//! it down gracefully, and prove the recorded JSONL is byte-identical to
-//! a batch run of the same seed.
+//! of one, as `tpupoint serve --workload` runs it — over real TCP and shut
+//! it down gracefully, leaving only sealed records behind. That a served
+//! job records the bytes of a batch run of the same seed is checked by the
+//! mode harness (`tests/modes.rs`).
 
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use tpupoint::prelude::*;
-use tpupoint::profiler::record_files;
 use tpupoint::workloads::{build, BuildOptions, WorkloadId};
 use tpupoint::FleetJobRequest;
 
@@ -46,7 +46,7 @@ fn json_u64(body: &str, key: &str) -> Option<u64> {
 }
 
 #[test]
-fn serve_scrapes_live_and_shutdown_matches_batch_byte_for_byte() {
+fn serve_scrapes_live_and_shuts_down_sealed() {
     let base = std::env::temp_dir().join(format!("tpupoint-serve-loop-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let serve_dir = base.join("serve");
@@ -187,28 +187,6 @@ fn serve_scrapes_live_and_shutdown_matches_batch_byte_for_byte() {
         serve_dir.join("metrics.prom").exists(),
         "final fleet scrape flushed"
     );
-
-    // The wall-clock lane only adds pacing and (optionally) backoff
-    // sleeps; the recorded profile must be byte-identical to a batch
-    // run of the same configuration and seed.
-    let batch_dir = base.join("batch");
-    let batch = TpuPoint::builder()
-        .analyzer(true)
-        .output_dir(&batch_dir)
-        .build();
-    let batch_run = batch.profile(config()).expect("batch run");
-    assert_eq!(
-        jobs[0].checkpoints,
-        batch_run.profile.checkpoints.len() as u64,
-        "live checkpoint count"
-    );
-    let served = record_files(&records).expect("served records");
-    let batched = record_files(&batch_dir.join("records")).expect("batch records");
-    assert!(
-        served.contains_key("manifest.json") && served.len() > 1,
-        "no records beside the manifest"
-    );
-    assert_eq!(served, batched, "records diverged between serve and batch");
 
     std::fs::remove_dir_all(&base).unwrap();
 }
