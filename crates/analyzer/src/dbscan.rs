@@ -10,9 +10,10 @@
 //! max_points`] reproduces that operational limit explicitly.
 
 use crate::elbow::elbow_index;
-use crate::features::{dist2, FeatureMatrix};
+use crate::features::{dist2, dist2_rows, FeatureMatrix, LANES};
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 
 /// Label DBSCAN gives to unclustered points.
 pub const NOISE: isize = -1;
@@ -22,55 +23,104 @@ pub const NOISE: isize = -1;
 /// `analyze-sweep` (2-core host) ran at 0.68x and lost 3 of 3 pairs.
 const PAR_NEIGHBOR_MIN_ROWS: usize = 128;
 
+/// Rows measured together against each group of candidates, so a group
+/// is read from memory once per tile rather than once per row. On a
+/// 57k-row profile the matrix outgrows the core's caches: per-row scans
+/// waited on memory, and tiles cut the build from 31.9 to 23.1 s.
+const TILE_ROWS: usize = 16;
+
+/// Seeds one [`dist2_rows`] call measures against a group of candidates.
+/// Four seeds keep eight independent addition chains in flight, where one
+/// seed's chains would leave the core waiting on addition latency: on a
+/// 57k-row profile that cut the build by a fifth.
+const SEEDS_PER_CALL: usize = 4;
+
+/// Rows whose upper halves one pool round scans before they are appended
+/// to the shared buffer, so the per-row vectors never all live at once.
+/// A multiple of [`TILE_ROWS`].
+const BUILD_BATCH_ROWS: usize = 4096;
+
 /// Pairwise eps-neighborhoods of a matrix, computed once and shared by
 /// every DBSCAN run over it — a sweep varies only `min_samples`, so
 /// recomputing the O(n²) neighbor scan per run is pure waste.
 ///
-/// Each list keeps ascending row order (the same order the previous
-/// inline `(0..n).filter` scan produced), so BFS expansion and therefore
-/// the cluster labels are bit-identical to the uncached implementation.
+/// The lists are one CSR: row i's neighbors are
+/// `entries[offsets[i]..offsets[i + 1]]`, as `u32` row indices, so an
+/// entry takes 4 bytes and no row has an allocation of its own. Each list
+/// keeps ascending row order (the same order the previous inline
+/// `(0..n).filter` scan produced), so BFS expansion and therefore the
+/// cluster labels are bit-identical to the uncached implementation.
 #[derive(Debug, Clone)]
 pub struct NeighborCache {
     eps: f64,
-    lists: Vec<Vec<usize>>,
+    offsets: Vec<usize>,
+    entries: Vec<u32>,
 }
 
 impl NeighborCache {
     /// Builds the cache for `matrix` at radius `eps`, measuring each
-    /// pair once. Row i scans only j ≥ i, fanned out over the pool for
-    /// large matrices; the lower half is then mirrored from it, since
-    /// [`dist2`] is symmetric bit for bit. The diagonal is still
-    /// measured, so a row whose self-distance is NaN stays out of its own
-    /// list, as in a full scan. Mirroring walks rows in ascending order,
-    /// so every list comes out ascending and identical to a full scan at
-    /// any thread count.
+    /// pair once and only as far as its decision needs. Row i scans only
+    /// j ≥ i, with the other rows of its tile of [`TILE_ROWS`] (see
+    /// [`scan_within`]); tiles fan out over the pool for large matrices.
+    /// The lower half is then mirrored from the upper one in place (see
+    /// [`mirror`]), since [`dist2`] is symmetric bit for bit. The
+    /// diagonal is still measured, so a row whose self-distance is NaN
+    /// stays out of its own list, as in a full scan. Every list comes out
+    /// ascending and identical to a full scan at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `matrix` has more rows than `u32` can index.
     pub fn build(matrix: &FeatureMatrix, eps: f64) -> Self {
         let _span = tpupoint_obs::span!("dbscan.neighbor_cache");
         let n = matrix.len();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "{n} rows overflow u32 row indices"
+        );
         let eps2 = eps * eps;
-        let upper_half = |i: usize| -> Vec<usize> {
-            let row = &matrix.rows[i];
-            (i..n)
-                .filter(|&j| dist2(row, &matrix.rows[j]) <= eps2)
-                .collect()
+        let rows = &matrix.rows;
+        // Upper halves of the rows of tile t: each row measures the
+        // tile's rows from itself on, then the tile's rows together
+        // measure every later row.
+        let tile = |t: usize| -> Vec<Vec<u32>> {
+            let seeds = t * TILE_ROWS..n.min((t + 1) * TILE_ROWS);
+            let mut upper = vec![Vec::new(); seeds.len()];
+            let mut push = |s: usize, j: usize, _| {
+                upper[s].push(j as u32);
+                eps2
+            };
+            for (s, i) in seeds.clone().enumerate() {
+                scan_within(rows, &[&rows[i]], i..seeds.end, &mut [eps2], |_, j, d| {
+                    push(s, j, d)
+                });
+            }
+            let xs: Vec<&[f64]> = rows[seeds.clone()].iter().map(Vec::as_slice).collect();
+            scan_within(rows, &xs, seeds.end..n, &mut vec![eps2; xs.len()], push);
+            upper
         };
         let pool = tpupoint_par::pool();
-        let upper = if n >= PAR_NEIGHBOR_MIN_ROWS && pool.size() > 1 {
-            pool.par_map_index(n, upper_half)
-        } else {
-            (0..n).map(upper_half).collect()
-        };
-        // By the time row i is reached, every lower neighbor h < i has
-        // already been pushed in ascending order; its own upper half,
-        // all ≥ i, follows.
-        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, up) in upper.iter().enumerate() {
-            lists[i].extend_from_slice(up);
-            for &j in up.iter().filter(|&&j| j > i) {
-                lists[j].push(i);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut entries = Vec::new();
+        for batch in (0..n).step_by(BUILD_BATCH_ROWS) {
+            let tiles = batch / TILE_ROWS..n.min(batch + BUILD_BATCH_ROWS).div_ceil(TILE_ROWS);
+            let upper = if n >= PAR_NEIGHBOR_MIN_ROWS && pool.size() > 1 {
+                pool.par_map_index(tiles.len(), |k| tile(tiles.start + k))
+            } else {
+                tiles.map(tile).collect()
+            };
+            for up in upper.iter().flatten() {
+                entries.extend_from_slice(up);
+                offsets.push(entries.len());
             }
         }
-        NeighborCache { eps, lists }
+        mirror(&mut offsets, &mut entries);
+        NeighborCache {
+            eps,
+            offsets,
+            entries,
+        }
     }
 
     /// The radius the cache was built for.
@@ -80,17 +130,129 @@ impl NeighborCache {
 
     /// Rows covered by the cache.
     pub fn len(&self) -> usize {
-        self.lists.len()
+        self.offsets.len() - 1
     }
 
     /// Whether the cache covers zero rows.
     pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
+        self.len() == 0
     }
 
     /// Neighbors of row `i` (including `i` itself), ascending.
-    pub fn neighbors(&self, i: usize) -> &[usize] {
-        &self.lists[i]
+    pub fn neighbors(&self, i: usize) -> &[u32] {
+        &self.entries[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
+/// Calls `visit(s, j, dist2(xs[s], row j))` for each seed s of `xs` and
+/// each row j of `candidates`, in order, whose distance is at most s's
+/// bound in force: `bounds[s]` at first, then whatever the latest visit
+/// for s returned, which must never be larger. `bounds` ends holding the
+/// bounds in force.
+///
+/// Candidates are measured [`LANES`] at a time by [`dist2_rows`], each
+/// group against all the seeds, [`SEEDS_PER_CALL`] at a time, while it is
+/// hot in cache. A call runs under each seed's bound in force when it
+/// starts and stops early once all its partial sums are past their
+/// bounds. The rest, fewer than [`LANES`], are measured by [`dist2`]. A
+/// visited distance is exact.
+fn scan_within(
+    rows: &[Vec<f64>],
+    xs: &[&[f64]],
+    candidates: Range<usize>,
+    bounds: &mut [f64],
+    mut visit: impl FnMut(usize, usize, f64) -> f64,
+) {
+    let (groups, rest) = rows[candidates.clone()].as_chunks::<LANES>();
+    for (g, group) in groups.iter().enumerate() {
+        let group = group.each_ref().map(Vec::as_slice);
+        let j0 = candidates.start + g * LANES;
+        let (fulls, odd) = xs.as_chunks::<SEEDS_PER_CALL>();
+        for (c, &seeds) in fulls.iter().enumerate() {
+            let s0 = c * SEEDS_PER_CALL;
+            let d = dist2_rows(group, seeds, std::array::from_fn(|k| bounds[s0 + k]));
+            take(s0, j0, &d, bounds, &mut visit);
+        }
+        let s0 = xs.len() - odd.len();
+        for (s, &x) in (s0..).zip(odd) {
+            take(
+                s,
+                j0,
+                &dist2_rows(group, [x], [bounds[s]]),
+                bounds,
+                &mut visit,
+            );
+        }
+    }
+    let j0 = candidates.end - rest.len();
+    for (j, row) in (j0..).zip(rest) {
+        for (s, (x, bound)) in xs.iter().zip(bounds.iter_mut()).enumerate() {
+            let d = dist2(row, x);
+            if d <= *bound {
+                *bound = visit(s, j, d);
+            }
+        }
+    }
+}
+
+/// Visits lane l of `d[k]`, seed `s0 + k`'s distance to row `j0 + l`, when
+/// it is within the seed's bound, for [`scan_within`].
+fn take(
+    s0: usize,
+    j0: usize,
+    d: &[[f64; LANES]],
+    bounds: &mut [f64],
+    visit: &mut impl FnMut(usize, usize, f64) -> f64,
+) {
+    for (s, d) in (s0..).zip(d) {
+        for (l, &d) in d.iter().enumerate() {
+            if d <= bounds[s] {
+                bounds[s] = visit(s, j0 + l, d);
+            }
+        }
+    }
+}
+
+/// Turns the upper halves `entries[offsets[i]..offsets[i + 1]]` (row i's
+/// neighbors j ≥ i, ascending) into the full lists in place: row i's list
+/// becomes its lower neighbors h < i, ascending, then its upper half.
+/// The buffer grows once, to the full size. The upper halves move up to
+/// their final places last row first, so none overwrites a half not yet
+/// moved; the lower parts are then written walking the rows in ascending
+/// order, so each comes out ascending.
+fn mirror(offsets: &mut [usize], entries: &mut Vec<u32>) {
+    let n = offsets.len() - 1;
+    // Row j's count of lower neighbors, then its next free lower slot.
+    let mut cursor = vec![0usize; n];
+    for i in 0..n {
+        for &j in &entries[offsets[i]..offsets[i + 1]] {
+            if j as usize > i {
+                cursor[j as usize] += 1;
+            }
+        }
+    }
+    let total = entries.len() + cursor.iter().sum::<usize>();
+    entries.reserve_exact(total - entries.len());
+    entries.resize(total, 0);
+    let mut end = total;
+    for i in (0..n).rev() {
+        let start = end - (offsets[i + 1] - offsets[i]);
+        entries.copy_within(offsets[i]..offsets[i + 1], start);
+        offsets[i + 1] = end;
+        end = start - cursor[i];
+        cursor[i] = end;
+    }
+    debug_assert_eq!(end, 0);
+    for i in 0..n {
+        // Every h < i has been walked, so row i's cursor sits at its
+        // upper half.
+        for k in cursor[i]..offsets[i + 1] {
+            let j = entries[k] as usize;
+            if j > i {
+                entries[cursor[j]] = i as u32;
+                cursor[j] += 1;
+            }
+        }
     }
 }
 
@@ -191,31 +353,77 @@ impl DbscanResult {
 /// the sample inflates eps and (time-weighted) phase coverage degrades as
 /// dense step clusters get merged across real boundaries.
 ///
+/// Each seed's scan abandons a candidate as soon as it cannot be among
+/// the seed's 4 nearest ([`kth_nearest`]), which leaves eps the bits a
+/// selection over every distance gives. A matrix holding a non-finite
+/// value keeps that selection ([`kth_nearest_by_selection`]).
+///
 /// The seeds' scans are independent and fan out over the pool; their
 /// distances come back in seed order, so eps is bit-identical at any
 /// thread count. The pool pays end to end: with serial scans, perfbench
 /// `analyze-sweep` (2-core host) ran at 0.78x and lost 3 of 3 pairs.
 pub fn auto_eps(matrix: &FeatureMatrix) -> f64 {
+    let _span = tpupoint_obs::span!("dbscan.auto_eps");
     let n = matrix.len();
     if n < 2 {
         return 1.0;
     }
     let stride = n.div_ceil(512);
     let sample: Vec<usize> = (0..n).step_by(stride).collect();
+    let k = 3.min(n - 2);
+    let finite = matrix.rows.iter().flatten().all(|x| x.is_finite());
     let mut knn = tpupoint_par::pool().par_map(&sample, |_, &i| {
-        let mut d: Vec<f64> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| matrix.dist2(i, j))
-            .collect();
-        let k = 3.min(d.len() - 1);
-        d.select_nth_unstable_by(k, |a, b| {
-            a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        d[k].sqrt()
+        let d = if finite {
+            kth_nearest(&matrix.rows, i, k)
+        } else {
+            kth_nearest_by_selection(matrix, i, k)
+        };
+        d.sqrt()
     });
     knn.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let median = knn[knn.len() / 2];
     (1.5 * median).max(1e-9)
+}
+
+/// The k-th smallest (from 0) [`dist2`] from row `i` to the other rows of
+/// a matrix whose values are all finite, for `k < 4` and `k + 2 <= n`.
+///
+/// It keeps the k + 1 smallest distances seen so far and abandons a
+/// candidate once its partial sum is above the largest of them (see
+/// [`scan_within`]). Such a candidate could not change the k-th order
+/// statistic, so it comes out the same bits as a selection over every
+/// distance. Finite values give distances in `[0, +inf]`, never NaN, so
+/// the order is total. The scan starts at the rows after `i`, which tend
+/// to be the nearest in a profile and tighten the bound soonest.
+fn kth_nearest(rows: &[Vec<f64>], i: usize, k: usize) -> f64 {
+    let mut smallest = [f64::INFINITY; 4];
+    let smallest = &mut smallest[..=k];
+    let mut visit = |_, _, d: f64| {
+        if d < smallest[k] {
+            smallest[k] = d;
+            smallest.sort_by(f64::total_cmp);
+        }
+        smallest[k]
+    };
+    let (x, bound) = (&[rows[i].as_slice()], &mut [f64::INFINITY]);
+    scan_within(rows, x, i + 1..rows.len(), bound, &mut visit);
+    scan_within(rows, x, 0..i, bound, &mut visit);
+    smallest[k]
+}
+
+/// The k-th smallest [`dist2`] from row `i` to the other rows by
+/// selection over all of them. A NaN distance compares equal to every
+/// other here, so where one can occur only this selection gives eps its
+/// value.
+fn kth_nearest_by_selection(matrix: &FeatureMatrix, i: usize, k: usize) -> f64 {
+    let mut d: Vec<f64> = (0..matrix.len())
+        .filter(|&j| j != i)
+        .map(|j| matrix.dist2(i, j))
+        .collect();
+    d.select_nth_unstable_by(k, |a, b| {
+        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+    });
+    d[k]
 }
 
 /// Runs DBSCAN.
@@ -248,8 +456,9 @@ pub fn run_with_cache(cache: &NeighborCache, min_samples: usize) -> DbscanResult
             continue;
         }
         labels[i] = cluster;
-        let mut queue: VecDeque<usize> = nbrs.iter().copied().collect();
+        let mut queue: VecDeque<u32> = nbrs.iter().copied().collect();
         while let Some(j) = queue.pop_front() {
+            let j = j as usize;
             if labels[j] == NOISE {
                 labels[j] = cluster; // border point adopted by the cluster
             }
@@ -511,16 +720,71 @@ mod tests {
 
     /// The full scan the half scan replaced: row i measured against
     /// every row j, self included.
-    fn full_scan(matrix: &FeatureMatrix, eps: f64) -> Vec<Vec<usize>> {
+    fn full_scan(matrix: &FeatureMatrix, eps: f64) -> Vec<Vec<u32>> {
         let n = matrix.len();
         let eps2 = eps * eps;
         (0..n)
             .map(|i| {
                 (0..n)
                     .filter(|&j| dist2(&matrix.rows[i], &matrix.rows[j]) <= eps2)
+                    .map(|j| j as u32)
                     .collect()
             })
             .collect()
+    }
+
+    /// The estimate [`auto_eps`] replaced: each seed's distances to every
+    /// other row collected, then a selection.
+    fn auto_eps_by_selection(matrix: &FeatureMatrix) -> f64 {
+        use std::cmp::Ordering;
+        let n = matrix.len();
+        if n < 2 {
+            return 1.0;
+        }
+        let mut knn: Vec<f64> = (0..n)
+            .step_by(n.div_ceil(512))
+            .map(|i| {
+                let mut d: Vec<f64> = (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| matrix.dist2(i, j))
+                    .collect();
+                let k = 3.min(d.len() - 1);
+                d.select_nth_unstable_by(k, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
+                d[k].sqrt()
+            })
+            .collect();
+        knn.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
+        (1.5 * knn[knn.len() / 2]).max(1e-9)
+    }
+
+    /// Entries a scan must survive: NaN, both infinities, and finite
+    /// values whose squared differences overflow to infinity.
+    fn special_f64() -> impl Strategy<Value = f64> {
+        proptest::prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::MAX),
+            Just(-f64::MAX),
+        ]
+    }
+
+    /// [`mixed_rows`] with row `b` overwritten by row `a` for each
+    /// `(a, b)` of `dups`, then entry `(r, c)` set to `x` for each
+    /// `(r, c, x)` of `specials`; indices wrap around the shape.
+    fn edge_rows(
+        (n, dims, seed): (usize, usize, u64),
+        dups: &[(usize, usize)],
+        specials: &[(usize, usize, f64)],
+    ) -> FeatureMatrix {
+        let mut m = mixed_rows(n, dims, seed);
+        for &(a, b) in dups {
+            m.rows[b % n] = m.rows[a % n].clone();
+        }
+        for &(r, c, x) in specials.iter().filter(|_| dims > 0) {
+            m.rows[r % n][c % dims] = x;
+        }
+        m
     }
 
     /// `n` rows of `dims` columns. Coarse-grid rows repeat one another
@@ -579,6 +843,84 @@ mod tests {
             for (i, expected) in reference.iter().enumerate() {
                 proptest::prop_assert_eq!(cache.neighbors(i), expected.as_slice(), "row {}", i);
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The lane scan, which abandons a group of candidates once all
+        /// are past `eps²`, equals the full scan list for list: at 1–9
+        /// and 76–78 dimensions, at row counts on every side of a multiple
+        /// of [`LANES`] and of `PAR_NEIGHBOR_MIN_ROWS`, at 1 and 4
+        /// threads, with duplicate rows, NaN and infinite entries,
+        /// `eps = 0`, and an `eps²` a pair's distance meets exactly.
+        #[test]
+        fn lane_scan_matches_the_full_scan(
+            shape in (
+                1usize..2 * PAR_NEIGHBOR_MIN_ROWS,
+                proptest::prop_oneof![1usize..10, 76usize..79],
+                0u64..1_000,
+            ),
+            dups in proptest::collection::vec((0usize..1_000, 0usize..1_000), 0..4),
+            specials in proptest::collection::vec((0usize..1_000, 0usize..100, special_f64()), 0..4),
+            eps_pick in (0usize..3, 0.0f64..1.5, (0usize..1_000, 0usize..1_000, 0usize..100, -2.0f64..2.0)),
+            threads in proptest::prop_oneof![Just(1usize), Just(4usize)],
+        ) {
+            let (n, dims, _) = shape;
+            let mut m = edge_rows(shape, &dups, &[]);
+            let (mode, scale, (a, b, c, delta)) = eps_pick;
+            let eps = match mode {
+                0 => 0.0,
+                1 => scale * (dims as f64).sqrt(),
+                _ => {
+                    // Row b is row a moved along one coordinate, so their
+                    // distance is that move squared: eps² exactly.
+                    let (a, b, c) = (a % n, b % n, c % dims);
+                    let mut moved = m.rows[a].clone();
+                    moved[c] += delta;
+                    m.rows[b] = moved;
+                    (m.rows[b][c] - m.rows[a][c]).abs()
+                }
+            };
+            for &(r, c, x) in &specials {
+                m.rows[r % n][c % dims] = x;
+            }
+            tpupoint_par::set_threads(threads);
+            let cache = NeighborCache::build(&m, eps);
+            let reference = full_scan(&m, eps);
+            proptest::prop_assert_eq!(cache.len(), n);
+            for (i, expected) in reference.iter().enumerate() {
+                proptest::prop_assert_eq!(cache.neighbors(i), expected.as_slice(), "row {}", i);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// [`auto_eps`] keeps the selection estimate's bits: with
+        /// duplicate rows, with distances that overflow to infinity, over
+        /// a strided sample of seeds, and with NaN or infinite entries,
+        /// which take the selection path itself. There a NaN distance can
+        /// make the selection's comparison inconsistent, which the sort
+        /// may detect and panic on; the outcome must then be the same
+        /// panic.
+        #[test]
+        fn auto_eps_matches_the_selection_estimate(
+            shape in (
+                proptest::prop_oneof![2usize..64, 500usize..700],
+                proptest::prop_oneof![0usize..10, 76usize..79],
+                0u64..1_000,
+            ),
+            dups in proptest::collection::vec((0usize..1_000, 0usize..1_000), 0..8),
+            specials in proptest::collection::vec((0usize..1_000, 0usize..100, special_f64()), 0..3),
+        ) {
+            let m = edge_rows(shape, &dups, &specials);
+            let outcome = |estimate: fn(&FeatureMatrix) -> f64| {
+                std::panic::catch_unwind(|| estimate(&m).to_bits()).ok()
+            };
+            proptest::prop_assert_eq!(outcome(auto_eps), outcome(auto_eps_by_selection));
         }
     }
 

@@ -107,9 +107,82 @@ impl FeatureMatrix {
 }
 
 /// Squared Euclidean distance between two equal-length vectors.
+///
+/// A NaN sum comes out as [`f64::NAN`]: which NaN an addition yields
+/// depends on the operand order the compiler picks at each call site, so
+/// one NaN keeps every caller, the lane kernels included, equal bit for
+/// bit.
 pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    let sum: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+    if sum.is_nan() {
+        f64::NAN
+    } else {
+        sum
+    }
+}
+
+/// Lanes of the interleaved distance kernels.
+pub(crate) const LANES: usize = 4;
+
+/// Dimensions [`dist2_rows`] sums between two tests of its bounds.
+const BOUND_EVERY: usize = 8;
+
+/// [`dist2`] of each of `S` rows `xs` to each of [`LANES`] rows at once,
+/// bit for bit, measured only as far as `bounds` need: `d[s][j]` is
+/// `dist2(rows[j], xs[s])`, tested against `bounds[s]`.
+///
+/// Each lane sums its squared differences in dimension order from
+/// `-0.0`, exactly as `Iterator::sum` does, so interleaving only overlaps
+/// independent addition chains (Rust never contracts them to FMA). A NaN
+/// lane comes out as [`f64::NAN`], as in [`dist2`].
+///
+/// Every [`BOUND_EVERY`] dimensions the scan stops once every lane's
+/// partial sum is above its bound, and returns those partial sums. A test
+/// against the bound reads the same on them as on the full sums: under
+/// round-to-nearest, adding a non-negative square never makes a sum
+/// smaller, so a full sum is above the bound too, or NaN, which passes no
+/// comparison. A NaN partial sum is never above a bound, so its lane runs
+/// to the end. With infinite bounds every lane is measured in full.
+#[inline]
+pub(crate) fn dist2_rows<const S: usize>(
+    rows: [&[f64]; LANES],
+    xs: [&[f64]; S],
+    bounds: [f64; S],
+) -> [[f64; LANES]; S] {
+    let d = rows[0].len();
+    debug_assert!(rows.iter().chain(&xs).all(|row| row.len() == d));
+    let mut acc = [[-0.0f64; LANES]; S];
+    let mut start = 0;
+    while start < d {
+        let end = (start + BOUND_EVERY).min(d);
+        let [r0, r1, r2, r3] = rows.map(|row| &row[start..end]);
+        let ys = xs.map(|x| &x[start..end]);
+        for t in 0..end - start {
+            let r = [r0[t], r1[t], r2[t], r3[t]];
+            for (acc, y) in acc.iter_mut().zip(ys) {
+                let y = y[t];
+                for j in 0..LANES {
+                    let e = r[j] - y;
+                    acc[j] += e * e;
+                }
+            }
+        }
+        if acc
+            .iter()
+            .zip(bounds)
+            .all(|(acc, bound)| acc.iter().all(|&a| a > bound))
+        {
+            return acc;
+        }
+        start = end;
+    }
+    for a in acc.iter_mut().flatten() {
+        if a.is_nan() {
+            *a = f64::NAN;
+        }
+    }
+    acc
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //!   against a transposed block of four centroids (a row's full
 //!   assignment pass). Each lane sums in dimension order from `-0.0`,
 //!   exactly as [`dist2`] does, so the lanes only overlap independent
-//!   addition chains; empty rows and NaN lanes fall back to [`dist2`];
+//!   addition chains; a NaN lane comes out as `f64::NAN`, as in [`dist2`];
 //! * the rows that still need a full pass fan out over the pool when
 //!   there are enough of them (each row's nearest centroid is
 //!   independent);
@@ -36,7 +36,7 @@
 //!   one [`run`] each.
 
 use crate::elbow::elbow_index;
-use crate::features::{dist2, FeatureMatrix};
+use crate::features::{dist2, dist2_rows, FeatureMatrix, LANES};
 use tpupoint_simcore::SimRng;
 
 /// Count of rows needing a full distance pass below which the assignment
@@ -230,34 +230,6 @@ fn separation(centroids: &[Vec<f64>]) -> Vec<f64> {
         .collect()
 }
 
-/// Lanes of the interleaved distance kernels.
-const LANES: usize = 4;
-
-/// [`dist2`] of [`LANES`] rows to one centroid at once, bit for bit.
-/// Each lane sums its squared differences in dimension order from
-/// `-0.0`, exactly as `Iterator::sum` does, so interleaving only overlaps
-/// independent addition chains (Rust never contracts them to FMA). Empty
-/// rows and NaN lanes, whose payload an interleaved order need not keep,
-/// are recomputed by [`dist2`] itself.
-fn dist2_rows(rows: [&[f64]; LANES], centroid: &[f64]) -> [f64; LANES] {
-    let d = centroid.len();
-    debug_assert!(rows.iter().all(|row| row.len() == d));
-    let [r0, r1, r2, r3] = rows.map(|row| &row[..d]);
-    let mut acc = [-0.0f64; LANES];
-    for (t, &y) in centroid.iter().enumerate() {
-        let e = [r0[t] - y, r1[t] - y, r2[t] - y, r3[t] - y];
-        for j in 0..LANES {
-            acc[j] += e[j] * e[j];
-        }
-    }
-    for j in 0..LANES {
-        if d == 0 || acc[j].is_nan() {
-            acc[j] = dist2(rows[j], centroid);
-        }
-    }
-    acc
-}
-
 /// Calls `f(i, dist2(points.row(i), centroid))` for each `i` of `rows`,
 /// [`LANES`] rows at a time.
 fn each_row_dist2(
@@ -268,7 +240,7 @@ fn each_row_dist2(
 ) {
     let (groups, rest) = rows.as_chunks::<LANES>();
     for group in groups {
-        let d = dist2_rows(group.map(|i| points.row(i)), centroid);
+        let [d] = dist2_rows(group.map(|i| points.row(i)), [centroid], [f64::INFINITY]);
         for (&i, d) in group.iter().zip(d) {
             f(i, d);
         }
@@ -331,13 +303,8 @@ impl<'a> CentroidBlocks<'a> {
                     acc[j] += e * e;
                 }
             }
-            for (j, centroid) in centroids.iter().enumerate() {
-                let d = if self.dims == 0 || acc[j].is_nan() {
-                    dist2(row, centroid)
-                } else {
-                    acc[j]
-                };
-                f(c0 * LANES + j, d);
+            for (j, &d) in acc.iter().take(centroids.len()).enumerate() {
+                f(c0 * LANES + j, if d.is_nan() { f64::NAN } else { d });
             }
         }
     }
@@ -1410,10 +1377,24 @@ mod tests {
             let rows: Vec<Vec<f64>> = (0..LANES).map(|_| vector()).collect();
             let centroids: Vec<Vec<f64>> = (0..k).map(|_| vector()).collect();
             let bits = |x: f64| x.to_bits();
+            let lane_rows: [&[f64]; LANES] = std::array::from_fn(|j| rows[j].as_slice());
             for centroid in &centroids {
-                let lanes = dist2_rows(std::array::from_fn(|j| rows[j].as_slice()), centroid);
+                let [lanes] = dist2_rows(lane_rows, [centroid], [f64::INFINITY]);
                 for (j, row) in rows.iter().enumerate() {
                     prop_assert_eq!(bits(lanes[j]), bits(dist2(row, centroid)), "d {}, lane {}", d, j);
+                }
+                // Under a finite bound, including one a lane meets
+                // exactly, a lane is its full sum or lies above the bound
+                // as its full sum does (or that is NaN).
+                for bound in lanes.into_iter().chain([0.0, 1.5]) {
+                    let [cut] = dist2_rows(lane_rows, [centroid], [bound]);
+                    for (j, row) in rows.iter().enumerate() {
+                        let full = dist2(row, centroid);
+                        prop_assert!(
+                            bits(cut[j]) == bits(full) || (cut[j] > bound && (full > bound || full.is_nan())),
+                            "d {}, lane {}, bound {}: {} vs {}", d, j, bound, cut[j], full
+                        );
+                    }
                 }
             }
             let blocks = CentroidBlocks::new(&centroids, d);

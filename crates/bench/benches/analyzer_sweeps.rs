@@ -1,7 +1,9 @@
 //! Criterion benches for the analyzer's parallel sweep engine: the
 //! k-means k-sweep and the DBSCAN min-samples sweep measured at one
-//! worker and at four, the (serial) PCA projection, and the streaming
-//! analyzer's replay of a served job's records.
+//! worker and at four, DBSCAN's two O(n²) scans (the neighbor-list build
+//! and the eps estimate) on perfbench's `analyze-sweep` profile shapes,
+//! the (serial) PCA projection, and the streaming analyzer's replay of a
+//! served job's records.
 //!
 //! Run with `cargo bench -p tpupoint-bench --bench analyzer_sweeps`.
 //! Set `TPUPOINT_BENCH_QUICK=1` to shrink the sample count to a CI-sized
@@ -11,7 +13,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tpupoint::analyzer::{
-    dbscan, kmeans, pca, streaming, DbscanConfig, FeatureMatrix, KmeansConfig, StreamingConfig,
+    dbscan, kmeans, pca, streaming, DbscanConfig, FeatureMatrix, KmeansConfig, NeighborCache,
+    StreamingConfig,
 };
 use tpupoint::prelude::*;
 use tpupoint_bench::Suite;
@@ -81,6 +84,45 @@ fn bench_dbscan_sweep(c: &mut Criterion) {
     });
 }
 
+/// The three profiles perfbench's `analyze-sweep` workload sweeps (each
+/// model at its default simulated length, 1.2k–1.8k steps of 76–78
+/// dimensions), PCA-reduced as the analyzer reduces them.
+fn analyze_sweep_features() -> Vec<(WorkloadId, FeatureMatrix)> {
+    let tp = TpuPoint::builder().analyzer(false).build();
+    [
+        WorkloadId::ResnetImagenet,
+        WorkloadId::DcganMnist,
+        WorkloadId::BertMnli,
+    ]
+    .into_iter()
+    .map(|id| {
+        let options = BuildOptions {
+            scale: id.default_sim_scale(),
+            ..BuildOptions::default()
+        };
+        let profile = tp
+            .profile(build(id, TpuGeneration::V2, &options))
+            .expect("in-memory profiling cannot fail")
+            .profile;
+        (id, Analyzer::new(&profile).features().clone())
+    })
+    .collect()
+}
+
+/// DBSCAN's two O(n²) scans at the default pool size: the neighbor-list
+/// build at the eps the analyzer picks, and that eps estimate.
+fn bench_dbscan_scans(c: &mut Criterion) {
+    for (id, features) in analyze_sweep_features() {
+        let eps = dbscan::auto_eps(&features);
+        c.bench_function(&format!("dbscan_neighbor_cache/{id}"), |b| {
+            b.iter(|| black_box(NeighborCache::build(&features, eps)))
+        });
+        c.bench_function(&format!("auto_eps/{id}"), |b| {
+            b.iter(|| black_box(dbscan::auto_eps(&features)))
+        });
+    }
+}
+
 fn bench_pca_project(c: &mut Criterion) {
     let (raw, _) = features_of(WorkloadId::DcganCifar10);
     c.bench_function("pca_project", |b| {
@@ -122,6 +164,7 @@ fn bench_streaming_replay(c: &mut Criterion) {
 criterion_group! {
     name = analyzer_sweeps;
     config = Criterion::default().sample_size(quick_or(10));
-    targets = bench_kmeans_sweep, bench_dbscan_sweep, bench_pca_project, bench_streaming_replay,
+    targets = bench_kmeans_sweep, bench_dbscan_sweep, bench_dbscan_scans, bench_pca_project,
+        bench_streaming_replay,
 }
 criterion_main!(analyzer_sweeps);

@@ -152,6 +152,55 @@ fn profile_run_emits_metrics_trace_and_obs_report() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A DBSCAN analyze run times its eps estimate and its neighbor-list
+/// build as two spans, in the self-trace and in the metrics document, so
+/// either can be read apart from the other.
+#[test]
+fn dbscan_analyze_splits_eps_from_the_neighbor_lists() {
+    let dir = scratch_dir("dbscan");
+    let (metrics_path, trace_path) = (dir.join("metrics.json"), dir.join("trace.json"));
+    run_ok(tpupoint().args([
+        "profile",
+        "--workload",
+        "dcgan-cifar10",
+        "--scale",
+        "0.01",
+        "--out",
+        dir.to_str().unwrap(),
+    ]));
+    run_ok(tpupoint().args([
+        "analyze",
+        dir.join("records").to_str().unwrap(),
+        "--algorithm",
+        "dbscan",
+        "--metrics-out",
+        metrics_path.to_str().unwrap(),
+        "--self-trace",
+        trace_path.to_str().unwrap(),
+    ]));
+    let trace = read_json(&trace_path);
+    let names: Vec<&str> = trace["traceEvents"]
+        .as_array()
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e["ph"] == "X")
+        .filter_map(|e| e["name"].as_str())
+        .collect();
+    let histograms = read_json(&metrics_path)["histograms"].clone();
+    for span in ["dbscan.auto_eps", "dbscan.neighbor_cache"] {
+        assert_eq!(
+            names.iter().filter(|&&name| name == span).count(),
+            1,
+            "{span} once in {names:?}"
+        );
+        assert!(
+            histograms.get(format!("span.{span}").as_str()).is_some(),
+            "span.{span} in {histograms}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn prometheus_format_exports_typed_series() {
     let dir = scratch_dir("prom");
