@@ -355,8 +355,10 @@ impl DbscanResult {
 ///
 /// Each seed's scan abandons a candidate as soon as it cannot be among
 /// the seed's 4 nearest ([`kth_nearest`]), which leaves eps the bits a
-/// selection over every distance gives. A matrix holding a non-finite
-/// value keeps that selection ([`kth_nearest_by_selection`]).
+/// selection over every distance gives. A NaN distance is never among
+/// them, so on a matrix holding NaN or infinite values eps comes from
+/// the 4th-smallest non-NaN distances, the same rule that makes a NaN
+/// row nobody's neighbor.
 ///
 /// The seeds' scans are independent and fan out over the pool; their
 /// distances come back in seed order, so eps is bit-identical at any
@@ -371,29 +373,24 @@ pub fn auto_eps(matrix: &FeatureMatrix) -> f64 {
     let stride = n.div_ceil(512);
     let sample: Vec<usize> = (0..n).step_by(stride).collect();
     let k = 3.min(n - 2);
-    let finite = matrix.rows.iter().flatten().all(|x| x.is_finite());
-    let mut knn = tpupoint_par::pool().par_map(&sample, |_, &i| {
-        let d = if finite {
-            kth_nearest(&matrix.rows, i, k)
-        } else {
-            kth_nearest_by_selection(matrix, i, k)
-        };
-        d.sqrt()
-    });
-    knn.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let mut knn =
+        tpupoint_par::pool().par_map(&sample, |_, &i| kth_nearest(&matrix.rows, i, k).sqrt());
+    knn.sort_by(f64::total_cmp);
     let median = knn[knn.len() / 2];
     (1.5 * median).max(1e-9)
 }
 
-/// The k-th smallest (from 0) [`dist2`] from row `i` to the other rows of
-/// a matrix whose values are all finite, for `k < 4` and `k + 2 <= n`.
+/// The k-th smallest (from 0) non-NaN [`dist2`] from row `i` to the
+/// other rows, or `+inf` if fewer than k + 1 exist, for `k < 4` and
+/// `k + 2 <= n`.
 ///
 /// It keeps the k + 1 smallest distances seen so far and abandons a
 /// candidate once its partial sum is above the largest of them (see
 /// [`scan_within`]). Such a candidate could not change the k-th order
 /// statistic, so it comes out the same bits as a selection over every
-/// distance. Finite values give distances in `[0, +inf]`, never NaN, so
-/// the order is total. The scan starts at the rows after `i`, which tend
+/// distance. A NaN distance fails `d < smallest[k]` and is never kept,
+/// so the kept distances lie in `[0, +inf]` and their order is total.
+/// The scan starts at the rows after `i`, which tend
 /// to be the nearest in a profile and tighten the bound soonest.
 fn kth_nearest(rows: &[Vec<f64>], i: usize, k: usize) -> f64 {
     let mut smallest = [f64::INFINITY; 4];
@@ -409,21 +406,6 @@ fn kth_nearest(rows: &[Vec<f64>], i: usize, k: usize) -> f64 {
     scan_within(rows, x, i + 1..rows.len(), bound, &mut visit);
     scan_within(rows, x, 0..i, bound, &mut visit);
     smallest[k]
-}
-
-/// The k-th smallest [`dist2`] from row `i` to the other rows by
-/// selection over all of them. A NaN distance compares equal to every
-/// other here, so where one can occur only this selection gives eps its
-/// value.
-fn kth_nearest_by_selection(matrix: &FeatureMatrix, i: usize, k: usize) -> f64 {
-    let mut d: Vec<f64> = (0..matrix.len())
-        .filter(|&j| j != i)
-        .map(|j| matrix.dist2(i, j))
-        .collect();
-    d.select_nth_unstable_by(k, |a, b| {
-        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    d[k]
 }
 
 /// Runs DBSCAN.
@@ -757,6 +739,31 @@ mod tests {
         (1.5 * knn[knn.len() / 2]).max(1e-9)
     }
 
+    /// What [`auto_eps`] must give a matrix holding NaN or infinite
+    /// entries: each seed's k-th smallest non-NaN distance by a full sort,
+    /// `+inf` when fewer than k + 1 exist.
+    fn auto_eps_skipping_nan(matrix: &FeatureMatrix) -> f64 {
+        let n = matrix.len();
+        if n < 2 {
+            return 1.0;
+        }
+        let k = 3.min(n - 2);
+        let mut knn: Vec<f64> = (0..n)
+            .step_by(n.div_ceil(512))
+            .map(|i| {
+                let mut d: Vec<f64> = (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| matrix.dist2(i, j))
+                    .filter(|d| !d.is_nan())
+                    .collect();
+                d.sort_by(f64::total_cmp);
+                d.get(k).copied().unwrap_or(f64::INFINITY).sqrt()
+            })
+            .collect();
+        knn.sort_by(f64::total_cmp);
+        (1.5 * knn[knn.len() / 2]).max(1e-9)
+    }
+
     /// Entries a scan must survive: NaN, both infinities, and finite
     /// values whose squared differences overflow to infinity.
     fn special_f64() -> impl Strategy<Value = f64> {
@@ -899,13 +906,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// [`auto_eps`] keeps the selection estimate's bits: with
-        /// duplicate rows, with distances that overflow to infinity, over
-        /// a strided sample of seeds, and with NaN or infinite entries,
-        /// which take the selection path itself. There a NaN distance can
-        /// make the selection's comparison inconsistent, which the sort
-        /// may detect and panic on; the outcome must then be the same
-        /// panic.
+        /// [`auto_eps`] keeps the selection estimate's bits on finite
+        /// matrices: with duplicate rows, with distances that overflow to
+        /// infinity, and over a strided sample of seeds. With NaN or
+        /// infinite entries it must not panic and gives the k-th smallest
+        /// non-NaN distances' estimate.
         #[test]
         fn auto_eps_matches_the_selection_estimate(
             shape in (
@@ -917,10 +922,12 @@ mod tests {
             specials in proptest::collection::vec((0usize..1_000, 0usize..100, special_f64()), 0..3),
         ) {
             let m = edge_rows(shape, &dups, &specials);
-            let outcome = |estimate: fn(&FeatureMatrix) -> f64| {
-                std::panic::catch_unwind(|| estimate(&m).to_bits()).ok()
+            let oracle = if m.rows.iter().flatten().all(|x| x.is_finite()) {
+                auto_eps_by_selection(&m)
+            } else {
+                auto_eps_skipping_nan(&m)
             };
-            proptest::prop_assert_eq!(outcome(auto_eps), outcome(auto_eps_by_selection));
+            proptest::prop_assert_eq!(auto_eps(&m).to_bits(), oracle.to_bits());
         }
     }
 

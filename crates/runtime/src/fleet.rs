@@ -22,6 +22,11 @@
 //!   the live pacing — the run rushes to completion at batch speed and
 //!   seals its store, so a cancelled job's records are still complete.
 //!
+//! * **One job table.** Each entry holds the job's spec, phase, control
+//!   handles and a caller-defined state `T` (the serving layer's registry
+//!   and published snapshots). [`Fleet::submit`] admits both under one
+//!   lock, so a refused job is never visible in [`Fleet::jobs`].
+//!
 //! The fleet knows nothing about profilers or stores: jobs are executed
 //! by a caller-supplied [`JobRunner`], keeping this crate free of
 //! profiler dependencies (the dependency arrow points the other way).
@@ -190,21 +195,24 @@ pub struct JobStatus {
 /// Executes one admitted job. Implementations run on a dedicated
 /// `tpupoint-job-<id>` thread and must honor `ctl.quit` as a graceful
 /// drain request. Returns the number of steps completed.
-pub trait JobRunner: Send + Sync + 'static {
-    /// Runs `spec` to completion (or drained cancellation).
+pub trait JobRunner<T>: Send + Sync + 'static {
+    /// Runs `spec` to completion (or drained cancellation). `state` is
+    /// the job's entry in the fleet's table, as passed to
+    /// [`Fleet::submit`]; it comes as an `Arc` so the runner can hand it
+    /// to callbacks that outlive this borrow.
     ///
     /// # Errors
     ///
     /// A human-readable description of why the job failed.
-    fn run(&self, spec: &JobSpec, ctl: &JobControl) -> Result<u64, String>;
+    fn run(&self, spec: &JobSpec, ctl: &JobControl, state: &Arc<T>) -> Result<u64, String>;
 }
 
-impl<F> JobRunner for F
+impl<T, F> JobRunner<T> for F
 where
-    F: Fn(&JobSpec, &JobControl) -> Result<u64, String> + Send + Sync + 'static,
+    F: Fn(&JobSpec, &JobControl, &Arc<T>) -> Result<u64, String> + Send + Sync + 'static,
 {
-    fn run(&self, spec: &JobSpec, ctl: &JobControl) -> Result<u64, String> {
-        self(spec, ctl)
+    fn run(&self, spec: &JobSpec, ctl: &JobControl, state: &Arc<T>) -> Result<u64, String> {
+        self(spec, ctl, state)
     }
 }
 
@@ -281,15 +289,16 @@ pub fn valid_job_id(id: &str) -> bool {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || matches!(c, '-' | '_' | '.'))
 }
 
-struct JobEntry {
+struct JobEntry<T> {
     spec: JobSpec,
     phase: JobPhase,
     ctl: JobControl,
+    state: Arc<T>,
     steps_completed: u64,
     error: Option<String>,
 }
 
-impl JobEntry {
+impl<T> JobEntry<T> {
     fn status(&self) -> JobStatus {
         let live = &self.ctl.status;
         JobStatus {
@@ -307,8 +316,8 @@ impl JobEntry {
     }
 }
 
-struct FleetState {
-    jobs: BTreeMap<String, JobEntry>,
+struct FleetState<T> {
+    jobs: BTreeMap<String, JobEntry<T>>,
     /// Admitted, not yet dispatched, FIFO.
     queue: VecDeque<String>,
     running: usize,
@@ -316,32 +325,23 @@ struct FleetState {
     handles: Vec<JoinHandle<()>>,
 }
 
-struct FleetInner {
+struct FleetInner<T> {
     limits: FleetLimits,
-    runner: Box<dyn JobRunner>,
-    state: Mutex<FleetState>,
+    runner: Box<dyn JobRunner<T>>,
+    state: Mutex<FleetState<T>>,
     /// Signalled on every terminal transition (and queue removal).
     settled: Condvar,
 }
 
-impl FleetInner {
+impl<T> FleetInner<T> {
     /// Locks the fleet state, recovering from poisoning: a panic inside a
     /// holder (a buggy runner unwinding through `settle`, say) must not
     /// take the whole control API down with it — every field the lock
     /// guards is kept valid at each await point, so the recovered view is
     /// safe to keep serving. Each recovery is counted on the process-wide
     /// `fleet.poisoned` counter.
-    fn state(&self) -> MutexGuard<'_, FleetState> {
+    fn state(&self) -> MutexGuard<'_, FleetState<T>> {
         self.state.lock().unwrap_or_else(|poisoned| {
-            tpupoint_obs::metrics().counter("fleet.poisoned").inc();
-            poisoned.into_inner()
-        })
-    }
-
-    /// [`Condvar::wait`] with the same poisoning recovery as
-    /// [`FleetInner::state`].
-    fn wait_settled<'a>(&self, guard: MutexGuard<'a, FleetState>) -> MutexGuard<'a, FleetState> {
-        self.settled.wait(guard).unwrap_or_else(|poisoned| {
             tpupoint_obs::metrics().counter("fleet.poisoned").inc();
             poisoned.into_inner()
         })
@@ -358,12 +358,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// The job orchestrator; see the module docs.
-pub struct Fleet {
-    inner: Arc<FleetInner>,
+/// The job orchestrator; see the module docs. `T` is the per-job state
+/// each entry of the job table carries.
+pub struct Fleet<T> {
+    inner: Arc<FleetInner<T>>,
 }
 
-impl fmt::Debug for Fleet {
+impl<T> fmt::Debug for Fleet<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let state = self.inner.state();
         f.debug_struct("Fleet")
@@ -375,9 +376,9 @@ impl fmt::Debug for Fleet {
     }
 }
 
-impl Fleet {
+impl<T: Send + Sync + 'static> Fleet<T> {
     /// Creates a fleet executing jobs through `runner`.
-    pub fn new(limits: FleetLimits, runner: Box<dyn JobRunner>) -> Fleet {
+    pub fn new(limits: FleetLimits, runner: Box<dyn JobRunner<T>>) -> Fleet<T> {
         let fleet = Fleet {
             inner: Arc::new(FleetInner {
                 limits,
@@ -400,13 +401,16 @@ impl Fleet {
         fleet
     }
 
-    /// Admits `spec`, queueing it for dispatch.
+    /// Admits `spec` with its per-job state `job`, queueing it for
+    /// dispatch.
+    /// Both enter the job table together under the state lock, so a
+    /// refused submission never appears in [`Fleet::jobs`].
     ///
     /// # Errors
     ///
     /// Refuses over-quota, duplicate, invalid, or post-drain submissions;
     /// see [`AdmitError`].
-    pub fn submit(&self, spec: JobSpec) -> Result<(), AdmitError> {
+    pub fn submit(&self, spec: JobSpec, job: T) -> Result<(), AdmitError> {
         let mut state = self.inner.state();
         if state.closed {
             return Err(AdmitError::Closed);
@@ -455,6 +459,7 @@ impl Fleet {
                 spec,
                 phase: JobPhase::Queued,
                 ctl: JobControl::new(),
+                state: Arc::new(job),
                 steps_completed: 0,
                 error: None,
             },
@@ -500,6 +505,17 @@ impl Fleet {
         state.jobs.values().map(JobEntry::status).collect()
     }
 
+    /// Every job's id, phase and state, in id order. The state lock is
+    /// held only for the clone, never across per-job work.
+    pub fn jobs(&self) -> Vec<(String, JobPhase, Arc<T>)> {
+        let state = self.inner.state();
+        state
+            .jobs
+            .iter()
+            .map(|(id, job)| (id.clone(), job.phase, Arc::clone(&job.state)))
+            .collect()
+    }
+
     /// Active (non-terminal) jobs.
     pub fn active_count(&self) -> usize {
         let state = self.inner.state();
@@ -514,7 +530,11 @@ impl Fleet {
     pub fn wait_idle(&self) {
         let mut state = self.inner.state();
         while state.jobs.values().any(|j| !j.phase.is_terminal()) {
-            state = self.inner.wait_settled(state);
+            // The same poisoning recovery as `FleetInner::state`.
+            state = self.inner.settled.wait(state).unwrap_or_else(|poisoned| {
+                tpupoint_obs::metrics().counter("fleet.poisoned").inc();
+                poisoned.into_inner()
+            });
         }
         let handles = std::mem::take(&mut state.handles);
         drop(state);
@@ -539,7 +559,7 @@ impl Fleet {
 
     /// Dispatches queued jobs into free running slots. Caller holds the
     /// state lock.
-    fn pump(&self, state: &mut FleetState) {
+    fn pump(&self, state: &mut FleetState<T>) {
         while state.running < self.inner.limits.max_running {
             let Some(id) = state.queue.pop_front() else {
                 break;
@@ -553,6 +573,7 @@ impl Fleet {
             state.running += 1;
             let spec = entry.spec.clone();
             let ctl = entry.ctl.clone();
+            let job_state = Arc::clone(&entry.state);
             let inner = Arc::clone(&self.inner);
             let spawned = std::thread::Builder::new()
                 .name(format!("tpupoint-job-{id}"))
@@ -563,7 +584,7 @@ impl Fleet {
                     // scope: the unwind is caught here and settled as a
                     // plain job failure.
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        inner.runner.run(&spec, &ctl)
+                        inner.runner.run(&spec, &ctl, &job_state)
                     }))
                     .unwrap_or_else(|payload| {
                         Err(format!("panicked: {}", panic_message(payload.as_ref())))
@@ -587,7 +608,7 @@ impl Fleet {
     /// Publishes fleet-level occupancy gauges into the process-wide
     /// registry (fleet series are fleet-scoped by design; per-job series
     /// live in each job's own registry).
-    fn publish_gauges(&self, state: &FleetState) {
+    fn publish_gauges(&self, state: &FleetState<T>) {
         let metrics = tpupoint_obs::metrics();
         metrics
             .gauge("fleet.jobs_running")
@@ -612,7 +633,7 @@ impl Fleet {
     }
 }
 
-impl FleetInner {
+impl<T: Send + Sync + 'static> FleetInner<T> {
     /// Records a finished run and dispatches the next queued job.
     fn settle(self: &Arc<Self>, id: &str, result: Result<u64, String>) {
         let mut state = self.state();
@@ -666,8 +687,8 @@ mod tests {
         peak: AtomicUsize,
     }
 
-    impl JobRunner for Arc<ParkingRunner> {
-        fn run(&self, _spec: &JobSpec, ctl: &JobControl) -> Result<u64, String> {
+    impl JobRunner<()> for Arc<ParkingRunner> {
+        fn run(&self, _spec: &JobSpec, ctl: &JobControl, _: &Arc<()>) -> Result<u64, String> {
             let now = self.concurrent.fetch_add(1, Ordering::SeqCst) + 1;
             self.peak.fetch_max(now, Ordering::SeqCst);
             for _ in 0..2000 {
@@ -690,29 +711,29 @@ mod tests {
                 per_tenant_active: 2,
                 ..FleetLimits::default()
             },
-            Box::new(|_: &JobSpec, _: &JobControl| Ok(0u64)),
+            Box::new(|_: &JobSpec, _: &JobControl, _: &Arc<()>| Ok(0u64)),
         );
         assert!(matches!(
-            fleet.submit(spec("", "a")),
+            fleet.submit(spec("", "a"), ()),
             Err(AdmitError::InvalidId(_))
         ));
         assert!(matches!(
-            fleet.submit(spec("Bad/Id", "a")),
+            fleet.submit(spec("Bad/Id", "a"), ()),
             Err(AdmitError::InvalidId(_))
         ));
         assert!(matches!(
-            fleet.submit(spec(AGGREGATE_JOB_ID, "a")),
+            fleet.submit(spec(AGGREGATE_JOB_ID, "a"), ()),
             Err(AdmitError::InvalidId(_))
         ));
-        fleet.submit(spec("job-1", "a")).unwrap();
+        fleet.submit(spec("job-1", "a"), ()).unwrap();
         assert!(matches!(
-            fleet.submit(spec("job-1", "b")),
+            fleet.submit(spec("job-1", "b"), ()),
             Err(AdmitError::Duplicate(_))
         ));
         fleet.wait_idle();
         // Quota counts only *active* jobs: finished ones free the slot.
-        fleet.submit(spec("job-2", "a")).unwrap();
-        fleet.submit(spec("job-3", "a")).unwrap();
+        fleet.submit(spec("job-2", "a"), ()).unwrap();
+        fleet.submit(spec("job-3", "a"), ()).unwrap();
         fleet.wait_idle();
         assert_eq!(fleet.list().len(), 3);
         assert!(fleet.list().iter().all(|j| j.phase == JobPhase::Completed));
@@ -733,17 +754,17 @@ mod tests {
             },
             Box::new(Arc::clone(&runner)),
         );
-        fleet.submit(spec("a-1", "a")).unwrap();
-        fleet.submit(spec("a-2", "a")).unwrap();
+        fleet.submit(spec("a-1", "a"), ()).unwrap();
+        fleet.submit(spec("a-2", "a"), ()).unwrap();
         assert!(matches!(
-            fleet.submit(spec("a-3", "a")),
+            fleet.submit(spec("a-3", "a"), ()),
             Err(AdmitError::TenantQuota { .. })
         ));
         // Another tenant is unaffected.
-        fleet.submit(spec("b-1", "b")).unwrap();
+        fleet.submit(spec("b-1", "b"), ()).unwrap();
         fleet.drain();
         assert!(matches!(
-            fleet.submit(spec("late", "a")),
+            fleet.submit(spec("late", "a"), ()),
             Err(AdmitError::Closed)
         ));
     }
@@ -764,7 +785,7 @@ mod tests {
             Box::new(Arc::clone(&runner)),
         );
         for i in 0..4 {
-            fleet.submit(spec(&format!("job-{i}"), "t")).unwrap();
+            fleet.submit(spec(&format!("job-{i}"), "t"), ()).unwrap();
         }
         // Two dispatch, two queue.
         assert_eq!(fleet.status("job-2").unwrap().phase, JobPhase::Queued);
@@ -791,7 +812,7 @@ mod tests {
                 max_running: 1,
                 ..FleetLimits::default()
             },
-            Box::new(|_: &JobSpec, _: &JobControl| Ok(3u64)),
+            Box::new(|_: &JobSpec, _: &JobControl, _: &Arc<()>| Ok(3u64)),
         );
         {
             let mut state = fleet.inner.state();
@@ -802,7 +823,7 @@ mod tests {
             assert!(!state.jobs.contains_key("ghost"));
         }
         // The stale id cost no running slot: the next job still runs.
-        fleet.submit(spec("real", "t")).unwrap();
+        fleet.submit(spec("real", "t"), ()).unwrap();
         fleet.wait_idle();
         let real = fleet.status("real").unwrap();
         assert_eq!(real.phase, JobPhase::Completed);
@@ -814,7 +835,7 @@ mod tests {
     fn failed_runner_surfaces_its_error() {
         let fleet = Fleet::new(
             FleetLimits::default(),
-            Box::new(|spec: &JobSpec, _: &JobControl| {
+            Box::new(|spec: &JobSpec, _: &JobControl, _: &Arc<()>| {
                 if spec.id.contains("bad") {
                     Err("boom".to_owned())
                 } else {
@@ -822,8 +843,8 @@ mod tests {
                 }
             }),
         );
-        fleet.submit(spec("good", "t")).unwrap();
-        fleet.submit(spec("bad-job", "t")).unwrap();
+        fleet.submit(spec("good", "t"), ()).unwrap();
+        fleet.submit(spec("bad-job", "t"), ()).unwrap();
         fleet.wait_idle();
         assert_eq!(fleet.status("good").unwrap().phase, JobPhase::Completed);
         let bad = fleet.status("bad-job").unwrap();
@@ -840,15 +861,15 @@ mod tests {
                 per_tenant_active: 8,
                 ..FleetLimits::default()
             },
-            Box::new(|spec: &JobSpec, _: &JobControl| {
+            Box::new(|spec: &JobSpec, _: &JobControl, _: &Arc<()>| {
                 if spec.id.contains("panic") {
                     panic!("runner exploded");
                 }
                 Ok(3)
             }),
         );
-        fleet.submit(spec("panic-job", "t")).unwrap();
-        fleet.submit(spec("after", "t")).unwrap();
+        fleet.submit(spec("panic-job", "t"), ()).unwrap();
+        fleet.submit(spec("after", "t"), ()).unwrap();
         // With max_running = 1, `after` only ever dispatches if the
         // panicking job settled and released its running slot.
         fleet.wait_idle();
@@ -865,7 +886,7 @@ mod tests {
         );
         assert_eq!(fleet.status("after").unwrap().phase, JobPhase::Completed);
         // The control API is still alive for new work.
-        fleet.submit(spec("next", "t")).unwrap();
+        fleet.submit(spec("next", "t"), ()).unwrap();
         fleet.wait_idle();
         assert_eq!(fleet.status("next").unwrap().phase, JobPhase::Completed);
     }
@@ -874,9 +895,9 @@ mod tests {
     fn poisoned_state_lock_recovers_and_counts() {
         let fleet = Fleet::new(
             FleetLimits::default(),
-            Box::new(|_: &JobSpec, _: &JobControl| Ok(0u64)),
+            Box::new(|_: &JobSpec, _: &JobControl, _: &Arc<()>| Ok(0u64)),
         );
-        fleet.submit(spec("before", "t")).unwrap();
+        fleet.submit(spec("before", "t"), ()).unwrap();
         fleet.wait_idle();
         // Poison the state mutex the hard way: panic while holding it.
         let inner = Arc::clone(&fleet.inner);
@@ -888,7 +909,7 @@ mod tests {
         // Every lifecycle call keeps working on the recovered state.
         assert_eq!(fleet.list().len(), 1);
         assert_eq!(fleet.status("before").unwrap().phase, JobPhase::Completed);
-        fleet.submit(spec("after-poison", "t")).unwrap();
+        fleet.submit(spec("after-poison", "t"), ()).unwrap();
         fleet.wait_idle();
         assert_eq!(
             fleet.status("after-poison").unwrap().phase,
@@ -918,9 +939,9 @@ mod tests {
             },
             Box::new(Arc::clone(&runner)),
         );
-        fleet.submit(spec("m-1", "t")).unwrap();
-        fleet.submit(spec("m-2", "t")).unwrap();
-        let err = fleet.submit(spec("m-3", "t")).unwrap_err();
+        fleet.submit(spec("m-1", "t"), ()).unwrap();
+        fleet.submit(spec("m-2", "t"), ()).unwrap();
+        let err = fleet.submit(spec("m-3", "t"), ()).unwrap_err();
         assert!(
             matches!(err, AdmitError::MemoryBudget { active: 2, .. }),
             "{err:?}"
@@ -935,7 +956,7 @@ mod tests {
         // A settled fleet frees its quota: a fresh fleet under the same
         // budget admits again (terminal jobs release their share).
         assert!(matches!(
-            fleet.submit(spec("late", "t")),
+            fleet.submit(spec("late", "t"), ()),
             Err(AdmitError::Closed)
         ));
     }

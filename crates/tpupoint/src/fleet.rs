@@ -12,8 +12,9 @@
 //!   ([`TpuPointBuilder::serve_pace_us`]) and actually sleeping the
 //!   recorded retry-backoff schedule
 //!   ([`TpuPointBuilder::serve_real_backoff`]). Its streaming analyzer
-//!   rides the profiler's seal observer, and the live sink tracks the
-//!   paper's online OLS phase; `GET /jobs/<id>` shows both. With
+//!   lives inside the profiler's seal observer, which owns it outright:
+//!   nothing else holds or locks it. The live sink tracks the paper's
+//!   online OLS phase; `GET /jobs/<id>` shows both. With
 //!   [`TpuPointBuilder::stop_on_stable`] a job stops pacing once its
 //!   phases hold stable (SeqPoint-style early stop) and still ends
 //!   `completed`; with [`TpuPointBuilder::paired_baseline`] it also runs
@@ -26,13 +27,18 @@
 //!   process-wide series (unlabeled) and a merged fleet aggregate under
 //!   `job="fleet"` — one `HELP`/`TYPE` header per family across all of
 //!   them. Jobs publish into per-job snapshot slots at seal points (and
-//!   a ~200 ms cadence publisher refreshes the jobs still recording
-//!   between seals), so a scrape never takes a job's registry or
-//!   streaming-analyzer lock: one wedged tenant cannot stall `/metrics`,
+//!   a ~200 ms cadence publisher refreshes the `running` and `draining`
+//!   jobs between seals), so a scrape never takes a job's registry or
+//!   reaches its analyzer: one wedged tenant cannot stall `/metrics`,
 //!   `/healthz`, or `/phases` for its neighbours. A finished job stops
 //!   republishing, so the merged aggregate stays cached once every job
 //!   has settled. Phase reports are published unrendered and rendered to
 //!   JSON once, on their first `/phases` read.
+//! * **One job table.** The runtime [`Fleet`] keeps each job's serve
+//!   state (its registry and published slots) beside its spec and phase.
+//!   Admission inserts both under one lock, so a refused submission never
+//!   shows on any route, and every route reads the same table through
+//!   `Fleet::jobs`.
 //! * **A fleet memory budget.** `FleetLimits::memory_budget_bytes`
 //!   (CLI: `--fleet-memory-mib`) sheds admissions with 429 once one
 //!   more job would overrun the budget, sizes each admitted job's
@@ -62,10 +68,9 @@
 //! the whole fleet gracefully — pacing off, every record sealed — and
 //! flushes a final multi-job scrape to `<root>/metrics.prom`.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -169,19 +174,20 @@ impl PublishedPhases {
     }
 }
 
-/// Per-job state the scrape plane reads: the job's own metrics registry,
-/// its streaming analyzer, the store knobs its runner applies, and the
+/// Per-job serve state, kept in the fleet's job table: the job's own
+/// metrics registry, the store knobs its runner applies, and the
 /// *published* snapshot slots the scrape plane actually serves from.
 ///
-/// Scrapes never touch `registry` or `streaming` directly — they read
+/// Scrapes never touch `registry` directly — they read
 /// `published_metrics`/`published_phases`, which the job's own threads
 /// swap at seal points (and a coarse-cadence publisher refreshes between
-/// seals). A job wedged mid-update can therefore never stall `/metrics`.
+/// seals). The job's streaming analyzer is not here at all: its seal
+/// observer owns it. A job wedged mid-update can therefore never stall
+/// `/metrics`.
 struct JobRuntime {
     registry: Metrics,
     tenant: String,
     workload: String,
-    streaming: Arc<Mutex<StreamingAnalyzer>>,
     /// Store fault-injection probability and seed.
     store_fault: (f64, u64),
     /// Seal-queue backpressure threshold, sized from the fleet memory
@@ -195,12 +201,6 @@ struct JobRuntime {
     published_phases: Mutex<Arc<PublishedPhases>>,
     /// Bumped once per metrics publish; the aggregate cache keys off it.
     publish_version: AtomicU64,
-    /// True while the job's runner records into `registry`, from its
-    /// start to its final publish. The cadence publisher refreshes only
-    /// these jobs: a queued or settled job's registry does not change, so
-    /// republishing it would only bump its version and miss the
-    /// aggregate cache.
-    recording: AtomicBool,
 }
 
 impl JobRuntime {
@@ -229,20 +229,6 @@ impl JobRuntime {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner()) =
             Arc::new(PublishedPhases::new(report));
-    }
-
-    /// The final publish, once the registry is quiescent: from here on
-    /// every scrape of this job serves its settled end state, and the
-    /// cadence publisher leaves it alone.
-    fn settle(&self) {
-        let report = self
-            .streaming
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .report();
-        self.publish_phases(report);
-        self.publish_metrics();
-        self.recording.store(false, Ordering::SeqCst);
     }
 
     /// The published registry view (cheap: one Arc clone under a lock
@@ -278,11 +264,13 @@ struct AggregateCache {
     value: Arc<MetricsSnapshot>,
 }
 
-/// State shared between the HTTP routes, the job runner, and the session.
+/// State shared between the HTTP routes, the cadence publisher, and the
+/// session.
 struct FleetShared {
+    /// The one job table: each entry carries the job's [`JobRuntime`].
+    fleet: Fleet<JobRuntime>,
     options: TpuPointBuilder,
     root: PathBuf,
-    jobs: Mutex<BTreeMap<String, Arc<JobRuntime>>>,
     auto_id: AtomicU64,
     aggregate: Mutex<Option<AggregateCache>>,
     /// Set by `POST /quit`, [`FleetSession::request_quit`] or Ctrl-C.
@@ -290,25 +278,13 @@ struct FleetShared {
 }
 
 impl FleetShared {
-    /// The current job table as an owned list of Arcs. The `jobs` lock is
-    /// held only for this clone — never across per-job work — so a wedged
-    /// job cannot serialize scrapes behind it.
-    fn job_list(&self) -> Vec<(String, Arc<JobRuntime>)> {
-        let jobs = self
-            .jobs
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        jobs.iter()
-            .map(|(id, job)| (id.clone(), Arc::clone(job)))
-            .collect()
-    }
-
     /// Every job's published snapshot with its publish version. No
-    /// per-job registry or streaming lock is taken.
+    /// per-job registry lock is taken.
     fn published(&self) -> Vec<Published> {
-        self.job_list()
+        self.fleet
+            .jobs()
             .into_iter()
-            .map(|(id, job)| {
+            .map(|(id, _, job)| {
                 let version = job.publish_version.load(Ordering::Acquire);
                 let snapshot = job.metrics_view();
                 (id, job, version, snapshot)
@@ -383,7 +359,7 @@ impl FleetShared {
     fn render_health(&self) -> Health {
         let mut degradations =
             Health::from_snapshot(&tpupoint_obs::metrics().snapshot()).degradations;
-        for (id, job) in self.job_list() {
+        for (id, _, job) in self.fleet.jobs() {
             for line in Health::from_snapshot(&job.metrics_view()).degradations {
                 degradations.push(format!("job {id} (tenant {}): {line}", job.tenant));
             }
@@ -392,16 +368,15 @@ impl FleetShared {
     }
 
     /// The published streaming-phase reports of every job, as one JSON
-    /// object keyed by job id. Reads only published slots — no streaming
-    /// lock.
+    /// object keyed by job id. Reads only published slots.
     fn render_phases(&self) -> String {
         let mut body = String::from("{");
-        for (i, (id, job)) in self.job_list().into_iter().enumerate() {
+        for (i, (id, _, job)) in self.fleet.jobs().into_iter().enumerate() {
             if i > 0 {
                 body.push_str(", ");
             }
             let report = job.phases_view();
-            body.push_str(&format!("{:?}: {}", id, report.json().trim_end()));
+            body.push_str(&format!("{}: {}", json_str(&id), report.json().trim_end()));
         }
         body.push_str("}\n");
         body
@@ -410,37 +385,47 @@ impl FleetShared {
 
 /// Executes one admitted fleet job on its `tpupoint-job-<id>` thread:
 /// the wall-clock recording lane, writing to the job's own sharded store
-/// and its own metrics registry, then the persist tail under a
-/// `tpupoint.fleet_persist` span, which ends with the job's final publish.
-fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Result<u64, String> {
-    let job_runtime = shared
-        .jobs
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .get(&spec.id)
-        .cloned()
-        .ok_or_else(|| format!("job {:?} has no runtime entry", spec.id))?;
-    job_runtime.recording.store(true, Ordering::SeqCst);
-    let recorded = record_fleet_job(shared, spec, ctl, &job_runtime);
+/// under `<root>/jobs/<id>/` and its own metrics registry, then the
+/// persist tail under a `tpupoint.fleet_persist` span, which ends with the
+/// job's final publish.
+fn run_fleet_job(
+    options: &TpuPointBuilder,
+    root: &Path,
+    spec: &JobSpec,
+    ctl: &JobControl,
+    job_runtime: &Arc<JobRuntime>,
+) -> Result<u64, String> {
+    let dir = root.join("jobs").join(&spec.id);
+    let recorded = record_fleet_job(options, &dir, spec, ctl, job_runtime);
     let _persist = tpupoint_obs::span!("tpupoint.fleet_persist");
     let persisted = recorded.and_then(|(report, sink, baseline_wall)| {
-        persist_fleet_job(shared, spec, &job_runtime, &report, sink, baseline_wall)?;
+        persist_fleet_job(
+            options,
+            &dir,
+            spec,
+            job_runtime,
+            &report,
+            sink,
+            baseline_wall,
+        )?;
         Ok(report.steps_completed)
     });
-    job_runtime.settle();
+    // The final publish, once the registry is quiescent. The last phases
+    // report is already published: `finish` delivered the tail through
+    // the seal observer.
+    job_runtime.publish_metrics();
     persisted
 }
 
 /// The recording lane: runs the job against its store and streaming
 /// analyzer, returning the run report and the still-open sink.
 fn record_fleet_job(
-    shared: &FleetShared,
+    options: &TpuPointBuilder,
+    dir: &Path,
     spec: &JobSpec,
     ctl: &JobControl,
     job_runtime: &Arc<JobRuntime>,
 ) -> Result<(RunReport, ProfilerSink, Option<SimDuration>), String> {
-    let options = &shared.options;
-
     // Same twin and overhead charge as profile(): the recorded JSONL stays
     // byte-identical to a solo run of the same configuration and seed.
     let baseline_wall = options.baseline_wall(&spec.config);
@@ -448,7 +433,6 @@ fn record_fleet_job(
     config.host_overhead_frac += options.profiling_overhead_frac;
     let job = tpupoint_runtime::TrainingJob::new(config);
 
-    let dir = shared.root.join("jobs").join(&spec.id);
     let store = options
         .build_store(
             &dir.join("records"),
@@ -473,12 +457,14 @@ fn record_fleet_job(
     sink.use_registry(&job_runtime.registry);
     sink.set_source(&job.config().model, &job.config().dataset.name);
 
-    // The streaming analyzer rides the seal observer: completed step
-    // records arrive on this thread (at seals and every STREAM_CADENCE
-    // step marks), the phase structure re-clusters incrementally, and the
-    // fresh state is published to the job's gauges and status. The
-    // observer only reads records, so the sealed output is unchanged.
-    let observer_runtime = Arc::clone(job_runtime);
+    // The streaming analyzer lives in the seal observer, its only owner:
+    // completed step records arrive on this thread (at seals and every
+    // STREAM_CADENCE step marks), the phase structure re-clusters
+    // incrementally, and the fresh state is published to the job's gauges
+    // and status. The observer only reads records, so the sealed output is
+    // unchanged.
+    let mut analyzer = StreamingAnalyzer::new(StreamingConfig::default());
+    let runtime = Arc::clone(job_runtime);
     let observer_ctl = ctl.clone();
     let stop_on_stable = options.stop_on_stable;
     let n_ops = job.catalog().len();
@@ -493,12 +479,7 @@ fn record_fleet_job(
     let mut occupancy_gauges: Vec<Gauge> = Vec::new();
     sink.set_seal_observer(
         Box::new(move |records| {
-            let runtime = &observer_runtime;
             let registry = &runtime.registry;
-            let mut analyzer = runtime
-                .streaming
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
             analyzer.observe_seal(records, n_ops);
             let stable_windows = analyzer.stable_windows();
             stability_gauge.set(analyzer.stability());
@@ -528,11 +509,10 @@ fn record_fleet_job(
             if stop_on_stable.is_some_and(|k| stable_windows >= k) {
                 observer_ctl.quit.store(true, Ordering::SeqCst);
             }
-            // Publish while the analyzer lock is still held so phase
-            // reports from successive seals can never swap out of order.
-            // The report renders only if a `/phases` request reads it.
+            // Only this thread publishes phases, so successive reports
+            // land in order. The report renders only if a `/phases`
+            // request reads it.
             runtime.publish_phases(report);
-            drop(analyzer);
             runtime.publish_metrics();
         }),
         STREAM_CADENCE as u64,
@@ -552,7 +532,8 @@ fn record_fleet_job(
 /// The persist tail: finishes the sink, which seals the job's records,
 /// then writes the job's final labeled scrape beside them.
 fn persist_fleet_job(
-    shared: &FleetShared,
+    options: &TpuPointBuilder,
+    dir: &Path,
     spec: &JobSpec,
     job_runtime: &JobRuntime,
     report: &RunReport,
@@ -560,11 +541,8 @@ fn persist_fleet_job(
     baseline_wall: Option<SimDuration>,
 ) -> Result<(), String> {
     let profile = sink.finish();
-    shared
-        .options
-        .publish_run_gauges(&job_runtime.registry, report, &profile, baseline_wall);
-    let dir = shared.root.join("jobs").join(&spec.id);
-    std::fs::create_dir_all(&dir).map_err(|err| format!("output dir: {err}"))?;
+    options.publish_run_gauges(&job_runtime.registry, report, &profile, baseline_wall);
+    std::fs::create_dir_all(dir).map_err(|err| format!("output dir: {err}"))?;
     let scrape = to_prometheus_labeled(
         &job_runtime.registry.snapshot(),
         &[
@@ -604,7 +582,6 @@ fn derive_job_caps(budget_bytes: u64, admitted_jobs: usize) -> (usize, usize) {
 /// until shutdown.
 pub struct FleetSession {
     server: MetricsServer,
-    fleet: Arc<Fleet>,
     shared: Arc<FleetShared>,
     sigint: bool,
     publisher_stop: Arc<AtomicBool>,
@@ -615,7 +592,7 @@ impl std::fmt::Debug for FleetSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetSession")
             .field("addr", &self.server.local_addr())
-            .field("fleet", &self.fleet)
+            .field("fleet", &self.shared.fleet)
             .finish()
     }
 }
@@ -633,34 +610,34 @@ impl FleetSession {
     /// Refuses over-quota, duplicate, invalid, or post-drain submissions;
     /// see [`AdmitError`].
     pub fn submit(&self, request: FleetJobRequest) -> Result<String, AdmitError> {
-        submit_job(&self.shared, &self.fleet, request)
+        submit_job(&self.shared, request)
     }
 
     /// The current view of one job.
     pub fn status(&self, id: &str) -> Option<JobStatus> {
-        self.fleet.status(id)
+        self.shared.fleet.status(id)
     }
 
     /// All jobs, in id order.
     pub fn list(&self) -> Vec<JobStatus> {
-        self.fleet.list()
+        self.shared.fleet.list()
     }
 
     /// Requests cancellation: a queued job exits immediately, a running
     /// one drains gracefully. Returns the phase after the request.
     pub fn cancel(&self, id: &str) -> Option<JobPhase> {
-        self.fleet.cancel(id)
+        self.shared.fleet.cancel(id)
     }
 
     /// Active (queued or running) jobs.
     pub fn active_count(&self) -> usize {
-        self.fleet.active_count()
+        self.shared.fleet.active_count()
     }
 
     /// Blocks until every admitted job settles, without shutting the
     /// scrape plane down — new submissions are still admitted after.
     pub fn wait_jobs_idle(&self) {
-        self.fleet.wait_idle();
+        self.shared.fleet.wait_idle();
     }
 
     /// One fleet-wide Prometheus scrape, identical to `GET /metrics`.
@@ -700,14 +677,16 @@ impl FleetSession {
     ///
     /// Returns an error if the final scrape cannot be written.
     pub fn wait_for(mut self, job: Option<&str>) -> io::Result<FleetOutcome> {
-        let settled = |id: &str| self.fleet.status(id).is_none_or(|s| s.phase.is_terminal());
-        while !self.shared.quit.load(Ordering::SeqCst) && !job.is_some_and(settled) {
+        let shared = Arc::clone(&self.shared);
+        let fleet = &shared.fleet;
+        let settled = |id: &str| fleet.status(id).is_none_or(|s| s.phase.is_terminal());
+        while !shared.quit.load(Ordering::SeqCst) && !job.is_some_and(settled) {
             if self.sigint && sigint::hit() {
                 self.request_quit();
             }
             std::thread::sleep(Duration::from_millis(20));
         }
-        self.fleet.drain();
+        fleet.drain();
         // Stop the cadence publisher before the final scrape: every job
         // already published its settled end state from its own thread.
         self.publisher_stop.store(true, Ordering::SeqCst);
@@ -715,18 +694,17 @@ impl FleetSession {
             handle.thread().unpark();
             let _ = handle.join();
         }
-        let scrape = self.shared.render_metrics();
-        std::fs::create_dir_all(&self.shared.root)?;
-        std::fs::write(self.shared.root.join("metrics.prom"), scrape)?;
+        let scrape = shared.render_metrics();
+        std::fs::create_dir_all(&shared.root)?;
+        std::fs::write(shared.root.join("metrics.prom"), scrape)?;
         // The scrape just cached this merge; nothing republishes after a
         // drain, so this is a cache hit.
-        let job_metrics = self
-            .shared
-            .fleet_aggregate(&self.shared.published())
+        let job_metrics = shared
+            .fleet_aggregate(&shared.published())
             .map(|merged| (*merged).clone())
             .unwrap_or_default();
         Ok(FleetOutcome {
-            jobs: self.fleet.list(),
+            jobs: fleet.list(),
             job_metrics,
         })
     }
@@ -742,25 +720,16 @@ pub struct FleetOutcome {
     pub job_metrics: MetricsSnapshot,
 }
 
-/// Creates the per-job registry + runtime entry, then admits the spec.
-/// The side entry is inserted first (the runner may start instantly) and
-/// rolled back if admission refuses.
-fn submit_job(
-    shared: &Arc<FleetShared>,
-    fleet: &Fleet,
-    request: FleetJobRequest,
-) -> Result<String, AdmitError> {
+/// Creates the per-job registry and runtime, then admits them with the
+/// spec into the fleet's job table.
+fn submit_job(shared: &FleetShared, request: FleetJobRequest) -> Result<String, AdmitError> {
+    let fleet = &shared.fleet;
     let id = match request.id {
         Some(id) => id,
         None => loop {
             let n = shared.auto_id.fetch_add(1, Ordering::SeqCst);
             let candidate = format!("job-{n}");
-            if !shared
-                .jobs
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .contains_key(&candidate)
-            {
+            if fleet.status(&candidate).is_none() {
                 break candidate;
             }
         },
@@ -771,49 +740,26 @@ fn submit_job(
         shared.options.fleet_limits.memory_budget_bytes,
         fleet.active_count() + 1,
     );
-    let streaming = StreamingAnalyzer::new(StreamingConfig::default());
-    let runtime = Arc::new(JobRuntime {
+    let runtime = JobRuntime {
         published_metrics: Mutex::new(Arc::new(registry.snapshot())),
-        published_phases: Mutex::new(Arc::new(PublishedPhases::new(streaming.report()))),
+        // What a fresh streaming analyzer reports.
+        published_phases: Mutex::new(Arc::new(PublishedPhases::new(PhasesReport::default()))),
         publish_version: AtomicU64::new(0),
-        recording: AtomicBool::new(false),
         registry,
         tenant: request.tenant.clone(),
         workload: request.config.model.clone(),
-        streaming: Arc::new(Mutex::new(streaming)),
         store_fault: (request.store_fault_prob, request.store_fault_seed),
         high_water,
         max_spill,
-    });
-    {
-        // Checked here, under the side-table lock, so a duplicate id can
-        // never overwrite (and then roll back) the original's runtime.
-        let mut jobs = shared
-            .jobs
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if jobs.contains_key(&id) {
-            return Err(AdmitError::Duplicate(id));
-        }
-        jobs.insert(id.clone(), runtime);
-    }
+    };
     let spec = JobSpec {
         id: id.clone(),
         tenant: request.tenant,
         config: request.config,
         pace_us: request.pace_us.unwrap_or(shared.options.serve_pace_us),
     };
-    match fleet.submit(spec) {
-        Ok(()) => Ok(id),
-        Err(err) => {
-            shared
-                .jobs
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .remove(&id);
-            Err(err)
-        }
-    }
+    fleet.submit(spec, runtime)?;
+    Ok(id)
 }
 
 /// Maps an admission refusal to its HTTP status: client mistakes are
@@ -830,17 +776,28 @@ fn admit_status(err: &AdmitError) -> u16 {
     }
 }
 
+/// `s` as a JSON string literal. Every string in a fleet JSON body goes
+/// through here: Rust's `{:?}` escapes are not JSON's.
+fn json_str(s: &str) -> String {
+    serde_json::Value::String(s.to_owned()).to_string()
+}
+
+/// The `{"error": ...}` body of a refused request.
+fn error_json(message: &str) -> String {
+    format!("{{\"error\": {}}}\n", json_str(message))
+}
+
 fn job_status_json(status: &JobStatus) -> String {
     format!(
         concat!(
-            "{{\"id\": {:?}, \"tenant\": {:?}, \"phase\": {:?}, ",
+            "{{\"id\": {}, \"tenant\": {}, \"phase\": {}, ",
             "\"step\": {}, \"ols_phase\": {}, \"checkpoints\": {}, ",
             "\"stream_phases\": {}, \"stream_stable_for\": {}, ",
             "\"steps_completed\": {}, \"error\": {}}}"
         ),
-        status.id,
-        status.tenant,
-        status.phase.as_str(),
+        json_str(&status.id),
+        json_str(&status.tenant),
+        json_str(status.phase.as_str()),
         status.step,
         status.ols_phase,
         status.checkpoints,
@@ -850,7 +807,7 @@ fn job_status_json(status: &JobStatus) -> String {
         status
             .error
             .as_deref()
-            .map(|e| format!("{e:?}"))
+            .map(json_str)
             .unwrap_or_else(|| "null".to_owned()),
     )
 }
@@ -934,7 +891,7 @@ fn parse_job_request(body: &str) -> Result<FleetJobRequest, String> {
 /// The fleet's whole HTTP route table: the scrape plane (`/metrics`,
 /// `/healthz`, `/status`, `/phases`), `/quit`, and the `/jobs` control
 /// API; anything else is a 404.
-fn route(shared: &Arc<FleetShared>, fleet: &Arc<Fleet>, request: &Request) -> Response {
+fn route(shared: &FleetShared, request: &Request) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/metrics") => Response {
             status: 200,
@@ -946,13 +903,13 @@ fn route(shared: &Arc<FleetShared>, fleet: &Arc<Fleet>, request: &Request) -> Re
             let status = if health.is_healthy() { 200 } else { 503 };
             Response::text(status, health.body())
         }
-        ("GET", "/status") => Response::json(fleet_status_json(&fleet.list())),
+        ("GET", "/status") => Response::json(fleet_status_json(&shared.fleet.list())),
         ("GET", "/phases") => Response::json(shared.render_phases()),
         ("POST" | "GET", "/quit") => {
             shared.quit.store(true, Ordering::SeqCst);
             Response::text(200, "quitting\n")
         }
-        (method, path) => route_jobs(shared, fleet, request)
+        (method, path) => route_jobs(shared, request)
             .unwrap_or_else(|| Response::text(404, format!("no route for {method} {path}\n"))),
     }
 }
@@ -977,26 +934,23 @@ fn fleet_status_json(statuses: &[JobStatus]) -> String {
 }
 
 /// Routes the `/jobs` control API; `None` for any other path.
-fn route_jobs(
-    shared: &Arc<FleetShared>,
-    fleet: &Arc<Fleet>,
-    request: &Request,
-) -> Option<Response> {
+fn route_jobs(shared: &FleetShared, request: &Request) -> Option<Response> {
+    let fleet = &shared.fleet;
+    let no_job = |id: &str| Response::json_status(404, error_json(&format!("no job {id:?}")));
     if request.path == "/jobs" {
         return Some(match request.method.as_str() {
             "GET" => Response::json(jobs_json(&fleet.list())),
             "POST" => match parse_job_request(&request.body) {
-                Ok(job) => match submit_job(shared, fleet, job) {
+                Ok(job) => match submit_job(shared, job) {
                     Ok(id) => Response::json_status(
                         201,
-                        format!("{{\"id\": {id:?}, \"phase\": \"queued\"}}\n"),
+                        format!("{{\"id\": {}, \"phase\": \"queued\"}}\n", json_str(&id)),
                     ),
-                    Err(err) => Response::json_status(
-                        admit_status(&err),
-                        format!("{{\"error\": {:?}}}\n", err.to_string()),
-                    ),
+                    Err(err) => {
+                        Response::json_status(admit_status(&err), error_json(&err.to_string()))
+                    }
                 },
-                Err(err) => Response::json_status(400, format!("{{\"error\": {err:?}}}\n")),
+                Err(err) => Response::json_status(400, error_json(&err)),
             },
             _ => Response::text(405, "method not allowed\n"),
         });
@@ -1004,28 +958,24 @@ fn route_jobs(
     let id = request.path.strip_prefix("/jobs/")?;
     if let Some(id) = id.strip_suffix("/phases") {
         // Published slot only: a wedged analyzer cannot stall this route.
-        let job = shared
-            .jobs
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(id)
-            .cloned();
+        let job = fleet.jobs().into_iter().find(|(job, _, _)| job == id);
         return Some(match job {
-            Some(job) => Response::json(job.phases_view().json().to_owned()),
-            None => Response::json_status(404, format!("{{\"error\": \"no job {id:?}\"}}\n")),
+            Some((_, _, job)) => Response::json(job.phases_view().json().to_owned()),
+            None => no_job(id),
         });
     }
     Some(match request.method.as_str() {
         "GET" => match fleet.status(id) {
             Some(status) => Response::json(format!("{}\n", job_status_json(&status))),
-            None => Response::json_status(404, format!("{{\"error\": \"no job {id:?}\"}}\n")),
+            None => no_job(id),
         },
         "DELETE" => match fleet.cancel(id) {
             Some(phase) => Response::json(format!(
-                "{{\"id\": {id:?}, \"phase\": {:?}}}\n",
-                phase.as_str()
+                "{{\"id\": {}, \"phase\": {}}}\n",
+                json_str(id),
+                json_str(phase.as_str())
             )),
-            None => Response::json_status(404, format!("{{\"error\": \"no job {id:?}\"}}\n")),
+            None => no_job(id),
         },
         _ => Response::text(405, "method not allowed\n"),
     })
@@ -1071,19 +1021,32 @@ impl TpuPoint {
             sigint::install();
         }
 
+        let fleet = {
+            let (options, root) = (options.clone(), root.clone());
+            Fleet::new(
+                options.fleet_limits,
+                Box::new(
+                    move |spec: &JobSpec, ctl: &JobControl, job: &Arc<JobRuntime>| {
+                        run_fleet_job(&options, &root, spec, ctl, job)
+                    },
+                ),
+            )
+        };
         let shared = Arc::new(FleetShared {
+            fleet,
             options: options.clone(),
             root,
-            jobs: Mutex::new(BTreeMap::new()),
             auto_id: AtomicU64::new(0),
             aggregate: Mutex::new(None),
             quit: AtomicBool::new(false),
         });
-        // Coarse-cadence publisher: refreshes every recording job's
-        // published metrics between seal points, so slow-sealing jobs
-        // still converge on /metrics within ~200 ms. Queued and settled
-        // jobs are skipped (see `JobRuntime::recording`). Phases
-        // republish only at seals (the analyzer state only changes there).
+        // Coarse-cadence publisher: refreshes the published metrics of
+        // every running or draining job between seal points, so
+        // slow-sealing jobs still converge on /metrics within ~200 ms. A
+        // queued or settled job's registry does not change, so
+        // republishing it would only bump its version and miss the
+        // aggregate cache. Phases republish only at seals (the analyzer
+        // state only changes there).
         let publisher_stop = Arc::new(AtomicBool::new(false));
         let publisher = {
             let shared = Arc::clone(&shared);
@@ -1094,29 +1057,21 @@ impl TpuPoint {
                     while !stop.load(Ordering::SeqCst) {
                         // Parked, not slept: shutdown unparks it at once.
                         std::thread::park_timeout(Duration::from_millis(200));
-                        for (_, job) in shared.job_list() {
-                            if job.recording.load(Ordering::SeqCst) {
+                        for (_, phase, job) in shared.fleet.jobs() {
+                            if matches!(phase, JobPhase::Running | JobPhase::Draining) {
                                 job.publish_metrics();
                             }
                         }
                     }
                 })?
         };
-        let runner_shared = Arc::clone(&shared);
-        let fleet = Arc::new(Fleet::new(
-            options.fleet_limits,
-            Box::new(move |spec: &JobSpec, ctl: &JobControl| {
-                run_fleet_job(&runner_shared, spec, ctl)
-            }),
-        ));
-        let (route_shared, route_fleet) = (Arc::clone(&shared), Arc::clone(&fleet));
+        let route_shared = Arc::clone(&shared);
         let server = MetricsServer::bind(&listen, move |request: &Request| {
-            route(&route_shared, &route_fleet, request)
+            route(&route_shared, request)
         })?;
 
         Ok(FleetSession {
             server,
-            fleet,
             shared,
             sigint: options.serve_sigint,
             publisher_stop,
@@ -1344,8 +1299,8 @@ mod tests {
             assert!(response.starts_with("HTTP/1.1 400"), "{response}");
             assert!(response.contains("{\"error\": "), "{response}");
         }
-        // A refused submission leaves no runtime entry behind.
-        assert_eq!(session.shared.jobs.lock().unwrap().len(), 1);
+        // A refused submission leaves no job behind.
+        assert_eq!(session.list().len(), 1);
         session.request_quit();
         session.wait().expect("drains");
         std::fs::remove_dir_all(&root).unwrap();
@@ -1517,31 +1472,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let session = fleet_at(&root);
         let addr = session.addr();
-        let id = session
-            .submit(FleetJobRequest::new(JobConfig::demo()).id("wedge"))
+        // Half a second per step holds the job mid-run on its recording
+        // thread, between two of its seal-observer updates, for the
+        // whole check.
+        session
+            .submit(
+                FleetJobRequest::new(JobConfig::demo())
+                    .id("wedge")
+                    .pace_us(500_000),
+            )
             .expect("admits");
-        session.wait_jobs_idle();
-
-        // Wedge the job's analyzer: a thread grabs its streaming lock and
-        // sits on it, as if an observe_seal were stuck mid-update.
-        let job = Arc::clone(session.shared.jobs.lock().unwrap().get(&id).unwrap());
-        let release = Arc::new(AtomicBool::new(false));
-        let wedge = {
-            let job = Arc::clone(&job);
-            let release = Arc::clone(&release);
-            std::thread::spawn(move || {
-                let _guard = job.streaming.lock().unwrap();
-                while !release.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            })
-        };
-        while job.streaming.try_lock().is_ok() {
+        while session.status("wedge").unwrap().step == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
 
         // Every scrape-plane route must answer from published snapshots,
-        // far faster than any wedge-release path could explain.
+        // far faster than the job could reach its next step.
         let bound = Duration::from_secs(2);
         for path in ["/metrics", "/healthz", "/phases", "/jobs/wedge/phases"] {
             let start = std::time::Instant::now();
@@ -1549,7 +1495,7 @@ mod tests {
             let elapsed = start.elapsed();
             assert!(
                 elapsed < bound,
-                "{path} took {elapsed:?} with a wedged streaming lock"
+                "{path} took {elapsed:?} with a job held mid-run"
             );
             if path == "/healthz" {
                 // Parallel tests fault the process-global registry, so
@@ -1562,62 +1508,153 @@ mod tests {
         }
         let scrape = get(addr, "/metrics");
         assert!(scrape.contains("job=\"wedge\""), "{scrape}");
+        assert_eq!(session.status("wedge").unwrap().phase, JobPhase::Running);
 
-        release.store(true, Ordering::SeqCst);
-        wedge.join().unwrap();
+        assert_eq!(session.cancel("wedge"), Some(JobPhase::Draining));
         session.request_quit();
         session.wait().expect("drains");
         std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
-    fn a_poisoned_streaming_lock_still_serves_phases() {
-        let root = temp_root("poisoned");
+    fn refused_submissions_never_show_on_the_scrape_plane() {
+        let root = temp_root("refused");
         let _ = std::fs::remove_dir_all(&root);
-        // One running slot: "victim" waits in the queue behind "blocker",
-        // so its streaming lock is poisoned before its first update.
         let session = builder_at(&root)
             .fleet_limits(tpupoint_runtime::FleetLimits {
-                max_running: 1,
+                per_tenant_active: 1,
                 ..tpupoint_runtime::FleetLimits::default()
             })
             .build()
             .serve_fleet()
             .expect("fleet starts");
+        // Tenant "busy" holds its one active slot for the whole race.
         session
             .submit(
                 FleetJobRequest::new(JobConfig::demo())
-                    .id("blocker")
-                    .pace_us(100_000),
+                    .id("holder")
+                    .tenant("busy")
+                    .pace_us(200_000),
             )
-            .expect("admits blocker");
-        session
-            .submit(FleetJobRequest::new(bert_mrpc()).id("victim"))
-            .expect("admits victim");
-        assert_eq!(session.status("victim").unwrap().phase, JobPhase::Queued);
-        let victim = Arc::clone(session.shared.jobs.lock().unwrap().get("victim").unwrap());
-        let holder = Arc::clone(&victim.streaming);
-        let panicked = std::thread::spawn(move || {
-            let _guard = holder.lock().unwrap();
-            panic!("update panicked mid-way");
-        })
-        .join();
-        assert!(panicked.is_err());
-        assert!(victim.streaming.is_poisoned());
-        session.cancel("blocker");
-        session.wait_jobs_idle();
-
-        let status = session.status("victim").unwrap();
-        assert_eq!(status.phase, JobPhase::Completed, "{:?}", status.error);
-        assert!(status.stream_phases > 0, "updates ran past the poison");
-        for path in ["/phases", "/jobs/victim/phases"] {
-            let response = get(session.addr(), path);
-            assert!(response.starts_with("HTTP/1.1 200"), "{path}: {response}");
-            assert!(response.contains("\"id\": 0"), "{path}: {response}");
-        }
+            .expect("admits");
+        // Names only a refused submission carries: an invalid id, a
+        // duplicate's tenant, and over-quota ids.
+        let refused = ["NOT VALID", "dup-tenant", "over-quota"];
+        let done = AtomicBool::new(false);
+        let (leak, scrapes) = std::thread::scope(|scope| {
+            let scraper = scope.spawn(|| {
+                let mut scrapes = 0u64;
+                while !done.load(Ordering::SeqCst) {
+                    // The `/metrics` and `/phases` bodies, in process.
+                    for body in [session.scrape(), session.shared.render_phases()] {
+                        if refused.iter().any(|name| body.contains(name)) {
+                            return (Some(body), scrapes);
+                        }
+                    }
+                    scrapes += 1;
+                }
+                (None, scrapes)
+            });
+            for i in 0..300 {
+                let demo = || FleetJobRequest::new(JobConfig::demo());
+                let invalid = session.submit(demo().id("NOT VALID").tenant("t"));
+                assert!(matches!(invalid, Err(AdmitError::InvalidId(_))));
+                let duplicate = session.submit(demo().id("holder").tenant("dup-tenant"));
+                assert!(matches!(duplicate, Err(AdmitError::Duplicate(_))));
+                let over = session.submit(demo().id(format!("over-quota-{i}")).tenant("busy"));
+                assert!(matches!(over, Err(AdmitError::TenantQuota { .. })));
+            }
+            done.store(true, Ordering::SeqCst);
+            scraper.join().expect("scraper ran")
+        });
+        assert!(leak.is_none(), "a refused job was scraped:\n{leak:?}");
+        assert!(scrapes > 0);
+        assert_eq!(session.list().len(), 1);
+        session.cancel("holder");
         session.request_quit();
         session.wait().expect("drains");
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn every_fleet_json_body_parses() {
+        let root = temp_root("json");
+        let _ = std::fs::remove_dir_all(&root);
+        let session = fleet_at(&root);
+        let addr = session.addr();
+        // Control characters, a quote, a backslash, U+0085 and U+2028.
+        let odd = "a\u{1}\u{1f}\"q\\b\u{85}c\u{2028}d";
+        let post = |fields: &[(&str, serde_json::Value)]| {
+            let mut body = serde_json::Map::new();
+            for (key, value) in fields {
+                body.insert((*key).to_owned(), value.clone());
+            }
+            let body = serde_json::Value::Object(body).to_string();
+            let request = format!(
+                "POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            http(addr, &request)
+        };
+        let text = |s: &str| serde_json::Value::String(s.to_owned());
+        let workload = ("workload", text("bert-mrpc"));
+        let scale = ("scale", serde_json::json!(0.05));
+        let mut responses = vec![
+            post(&[
+                workload.clone(),
+                ("id", text("odd")),
+                ("tenant", text(odd)),
+                scale.clone(),
+            ]),
+            post(&[workload.clone(), ("id", text(odd)), scale.clone()]),
+            post(&[("workload", text(odd))]),
+            post(&[workload, ("id", text("odd")), scale]),
+        ];
+        for path in [
+            "/jobs",
+            "/jobs/odd",
+            "/status",
+            "/phases",
+            "/jobs/odd/phases",
+        ] {
+            responses.push(get(addr, path));
+        }
+        for method in ["GET", "DELETE"] {
+            for path in [format!("/jobs/{odd}"), format!("/jobs/{odd}/phases")] {
+                responses.push(http(
+                    addr,
+                    &format!("{method} {path} HTTP/1.1\r\nHost: t\r\n\r\n"),
+                ));
+            }
+        }
+        session.wait_jobs_idle();
+        responses.push(http(addr, "DELETE /jobs/odd HTTP/1.1\r\nHost: t\r\n\r\n"));
+        responses.push(get(addr, "/jobs"));
+        let statuses: Vec<&str> = responses.iter().map(|r| &r[9..12]).collect();
+        assert_eq!(
+            statuses,
+            [
+                "201", "400", "400", "409", "200", "200", "200", "200", "200", "404", "404", "404",
+                "404", "200", "200"
+            ]
+        );
+        for response in &responses {
+            let (_, body) = response.split_once("\r\n\r\n").expect("full response");
+            let parsed: Result<serde_json::Value, _> = serde_json::from_str(body);
+            assert!(parsed.is_ok(), "{parsed:?} for {body:?}");
+        }
+        let listing: serde_json::Value =
+            serde_json::from_str(responses[4].split_once("\r\n\r\n").unwrap().1).unwrap();
+        assert_eq!(listing["jobs"][0]["tenant"].as_str(), Some(odd));
+        session.request_quit();
+        session.wait().expect("drains");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_fresh_analyzer_reports_the_admission_report() {
+        let fresh = StreamingAnalyzer::new(StreamingConfig::default()).report();
+        assert_eq!(fresh, PhasesReport::default());
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! `recover_records(dir).to_profile()` reads back must equal, field for
 //! field, the `Profile` the run returned in memory: steps, windows, the op
 //! catalog, step and checkpoint marks, and the loss and store-error
-//! counts. This holds for every workload on either seal lane, for a
-//! served job, and for a run whose store faults the retries absorb.
+//! counts. This holds for every workload on either seal lane and for a
+//! run whose store faults the retries absorb. A served job's records are
+//! checked against the batch profile by the `modes` harness's fleet cases.
 
 use std::path::{Path, PathBuf};
 use tpupoint::prelude::*;
 use tpupoint::profiler::{recover_records, BinaryStore, PipelineConfig, RecordStore, RetryStore};
-use tpupoint::FleetJobRequest;
 
 fn config(id: WorkloadId, scale: f64) -> JobConfig {
     build(
@@ -86,37 +86,6 @@ fn every_workload_reads_back_its_exact_profile_on_either_lane() {
         }
     }
     tpupoint_par::set_threads(0);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn a_served_job_reads_back_the_batch_profile() {
-    let dir = scratch("served");
-    let config = config(WorkloadId::BertMrpc, 0.1);
-    let batch = TpuPoint::builder()
-        .analyzer(true)
-        .output_dir(dir.join("batch"))
-        .build()
-        .profile(config.clone())
-        .expect("batch profile");
-    let session = TpuPoint::builder()
-        .analyzer(true)
-        .output_dir(dir.join("fleet"))
-        .serve("127.0.0.1:0")
-        .serve_pace_us(0)
-        .build()
-        .serve_fleet()
-        .expect("fleet starts");
-    session
-        .submit(FleetJobRequest::new(config).id("solo"))
-        .expect("admits");
-    session.wait_jobs_idle();
-    session.request_quit();
-    session.wait().expect("drains");
-    assert_eq!(
-        recovered(&dir.join("fleet/jobs/solo/records")),
-        batch.profile
-    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
