@@ -10,7 +10,7 @@
 //! max_points`] reproduces that operational limit explicitly.
 
 use crate::elbow::elbow_index;
-use crate::features::{dist2, dist2_rows, FeatureMatrix, LANES};
+use crate::features::{avx2_twin, dist2, dist2_rows, FeatureMatrix, LANES};
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
@@ -24,10 +24,16 @@ pub const NOISE: isize = -1;
 const PAR_NEIGHBOR_MIN_ROWS: usize = 128;
 
 /// Rows measured together against each group of candidates, so a group
-/// is read from memory once per tile rather than once per row. On a
-/// 57k-row profile the matrix outgrows the core's caches: per-row scans
-/// waited on memory, and tiles cut the build from 31.9 to 23.1 s.
-const TILE_ROWS: usize = 16;
+/// is read from memory once per tile rather than once per row: the
+/// matrix's rows over 64, as a power of two from 16 to 256. A small
+/// matrix stays in cache, and small tiles keep each tile's band tight
+/// and give the pool enough of them. On a 57k-row profile the matrix
+/// outgrows the core's caches: per-row scans waited on memory, tiles of
+/// 16 cut the build from 31.9 to 23.1 s, and tiles of 256 cut it from
+/// 22.0 to 13.5 s.
+fn tile_rows(n: usize) -> usize {
+    1 << (n / 64).clamp(16, 256).ilog2()
+}
 
 /// Seeds one [`dist2_rows`] call measures against a group of candidates.
 /// Four seeds keep eight independent addition chains in flight, where one
@@ -37,89 +43,223 @@ const SEEDS_PER_CALL: usize = 4;
 
 /// Rows whose upper halves one pool round scans before they are appended
 /// to the shared buffer, so the per-row vectors never all live at once.
-/// A multiple of [`TILE_ROWS`].
+/// A multiple of every [`tile_rows`].
 const BUILD_BATCH_ROWS: usize = 4096;
+
+/// Relative margin of the norm band. It dwarfs the relative rounding of a
+/// norm, of [`dist2`], of a square root and of the band's own sums, each
+/// at most `dims + 3` units in the last place, for any matrix of fewer
+/// than a million columns.
+const BAND_SLACK: f64 = 1e-9;
+
+/// The rows of a matrix in order of (Euclidean norm, row index), for the
+/// norm band: by the reverse triangle inequality `|‖a‖ − ‖b‖| ≤ ‖a − b‖`,
+/// so a pair whose norms lie further apart than a radius cannot be within
+/// it, and in norm order the pairs within it lie in one window.
+///
+/// Rounding. Let `u` be the unit roundoff and `M` the largest norm. A
+/// computed norm is within `(d + 3)·u·M` of the exact one: `d` squares and
+/// their sum each round by `u` relative, the square root by `u`, and a
+/// square that underflows loses less than `2^-1074`, which is far below
+/// `1e-150` even summed over every column and square-rooted. A computed
+/// `dist2(a, b) = D` is at least `(1 − (d + 2)·u)·‖a − b‖²` less the same
+/// underflow, since each difference rounds by `u` relative (exactly, once
+/// subnormal), each square by `u`, and every term is non-negative. So if
+/// `D ≤ r²` for `r` the computed square root of `r²`, then
+/// `‖a − b‖ ≤ r·(1 + (d + 3)·u) + 1e-150`, and the computed norm gap is
+/// at most that plus twice the norms' error. [`NormOrder::band`] is
+/// `r·(1 + 1e-9) + 1e-9·(1 + M)`, which covers all of it and the rounding
+/// of the band's sum and of the comparison against it, so a pair outside
+/// the band computes `D > r²` and fails any test `D ≤ r²`.
+///
+/// When some norm is not finite, some entry is NaN or infinite or the
+/// squares overflow, and none of this holds: every norm then reads zero
+/// and the band is infinite, so every pair lies within it and the scans
+/// run over the whole matrix, in row order, through the same code.
+struct NormOrder<'a> {
+    /// The rows in norm order.
+    rows: Vec<&'a [f64]>,
+    /// Row index in the matrix of each row in norm order.
+    index: Vec<u32>,
+    /// The norms in norm order, ascending.
+    norms: Vec<f64>,
+    /// The band's absolute part, `1e-9·(1 + M)`; infinite when some norm
+    /// is not finite.
+    slack: f64,
+}
+
+impl<'a> NormOrder<'a> {
+    fn new(matrix: &'a FeatureMatrix) -> NormOrder<'a> {
+        let mut norms: Vec<f64> = matrix
+            .rows
+            .iter()
+            .map(|row| row.iter().map(|x| x * x).sum::<f64>().sqrt())
+            .collect();
+        let slack = match norms
+            .iter()
+            .try_fold(0.0f64, |m, &x| x.is_finite().then(|| m.max(x)))
+        {
+            Some(max) => BAND_SLACK * (1.0 + max),
+            None => {
+                norms.fill(0.0);
+                f64::INFINITY
+            }
+        };
+        let mut index: Vec<u32> = (0..matrix.len() as u32).collect();
+        index.sort_by(|&a, &b| {
+            norms[a as usize]
+                .total_cmp(&norms[b as usize])
+                .then(a.cmp(&b))
+        });
+        NormOrder {
+            rows: index
+                .iter()
+                .map(|&i| matrix.rows[i as usize].as_slice())
+                .collect(),
+            norms: index.iter().map(|&i| norms[i as usize]).collect(),
+            index,
+            slack,
+        }
+    }
+
+    /// Each row's position in norm order, by row index.
+    fn position(&self) -> Vec<u32> {
+        let mut position = vec![0u32; self.index.len()];
+        for (p, &i) in self.index.iter().enumerate() {
+            position[i as usize] = p as u32;
+        }
+        position
+    }
+
+    /// The widest norm gap of a pair whose computed [`dist2`] can be at
+    /// most `r2` (see [`NormOrder`]): NaN when `r2` is NaN, which no
+    /// distance is at most.
+    fn band(&self, r2: f64) -> f64 {
+        r2.sqrt() * (1.0 + BAND_SLACK) + self.slack
+    }
+
+    /// Whether the rows at positions `p` and `q` lie outside each other's
+    /// band for `r2`.
+    fn apart(&self, p: usize, q: usize, r2: f64) -> bool {
+        (self.norms[q] - self.norms[p]).abs() > self.band(r2)
+    }
+
+    /// The end of the band for `r2` above position `p`: every later row
+    /// within it of a row at or before `p` lies before that end, and it
+    /// is never before `p + 1`.
+    fn reach(&self, p: usize, r2: f64) -> usize {
+        let top = self.norms[p] + self.band(r2);
+        self.norms.partition_point(|&m| m <= top).max(p + 1)
+    }
+
+    /// Rewrites each list `entries[offsets[p]..offsets[p + 1]]` of norm
+    /// order positions as the rows' matrix indices, ascending. A bitmap
+    /// of the matrix's rows sorts each list in time linear in its length
+    /// and in the span of rows it covers, and is clear again after each.
+    fn relabel(&self, offsets: &[usize], entries: &mut [u32]) {
+        let mut seen = vec![0u64; self.index.len().div_ceil(64)];
+        for p in 0..offsets.len() - 1 {
+            let list = &mut entries[offsets[p]..offsets[p + 1]];
+            let (mut lo, mut hi) = (seen.len(), 0);
+            for &q in list.iter() {
+                let i = self.index[q as usize] as usize;
+                seen[i / 64] |= 1 << (i % 64);
+                lo = lo.min(i / 64);
+                hi = hi.max(i / 64 + 1);
+            }
+            let mut k = 0;
+            for (w, word) in seen.iter_mut().enumerate().take(hi).skip(lo) {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    list[k] = (w * 64) as u32 + bits.trailing_zeros();
+                    k += 1;
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
 
 /// Pairwise eps-neighborhoods of a matrix, computed once and shared by
 /// every DBSCAN run over it — a sweep varies only `min_samples`, so
 /// recomputing the O(n²) neighbor scan per run is pure waste.
 ///
-/// The lists are one CSR: row i's neighbors are
-/// `entries[offsets[i]..offsets[i + 1]]`, as `u32` row indices, so an
-/// entry takes 4 bytes and no row has an allocation of its own. Each list
-/// keeps ascending row order (the same order the previous inline
-/// `(0..n).filter` scan produced), so BFS expansion and therefore the
-/// cluster labels are bit-identical to the uncached implementation.
+/// The lists are one CSR in norm order (see [`NormOrder`]): row i's
+/// neighbors are `entries[offsets[p]..offsets[p + 1]]` for its position
+/// `p = position[i]`, as `u32` row indices, so an entry takes 4 bytes and
+/// no row has an allocation of its own. Each list keeps ascending row
+/// order (the same order a full `(0..n).filter` scan produces), so BFS
+/// expansion and therefore the cluster labels are bit-identical to the
+/// uncached implementation.
 #[derive(Debug, Clone)]
 pub struct NeighborCache {
     eps: f64,
     offsets: Vec<usize>,
     entries: Vec<u32>,
+    position: Vec<u32>,
 }
 
 impl NeighborCache {
-    /// Builds the cache for `matrix` at radius `eps`, measuring each
-    /// pair once and only as far as its decision needs. Row i scans only
-    /// j ≥ i, with the other rows of its tile of [`TILE_ROWS`] (see
-    /// [`scan_within`]); tiles fan out over the pool for large matrices.
-    /// The lower half is then mirrored from the upper one in place (see
-    /// [`mirror`]), since [`dist2`] is symmetric bit for bit. The
-    /// diagonal is still measured, so a row whose self-distance is NaN
-    /// stays out of its own list, as in a full scan. Every list comes out
-    /// ascending and identical to a full scan at any thread count.
+    /// Builds the cache for `matrix` at radius `eps`, measuring each pair
+    /// the norm band admits once and only as far as its decision needs.
+    /// The rows are walked in norm order, in tiles of [`tile_rows`]: row p
+    /// measures the tile's rows from itself on (see [`scan_within`]), then
+    /// the tile's rows together measure every later row up to the band's
+    /// end above the tile's last row ([`NormOrder::reach`]). Tiles fan out
+    /// over the pool for large matrices. The lower halves are then
+    /// mirrored from the upper ones in place (see [`mirror`]), since
+    /// [`dist2`] is symmetric bit for bit, and each list is mapped back to
+    /// row indices ([`NormOrder::relabel`]). The diagonal is still
+    /// measured, so a row whose self-distance is NaN stays out of its own
+    /// list, as in a full scan. Every list comes out ascending and
+    /// identical to a full scan at any thread count.
+    ///
+    /// The span records the pairs measured, diagonal included, as `pairs`
+    /// out of the `n(n + 1)/2` a full half scan measures, as `of`.
     ///
     /// # Panics
     ///
     /// Panics if `matrix` has more rows than `u32` can index.
     pub fn build(matrix: &FeatureMatrix, eps: f64) -> Self {
-        let _span = tpupoint_obs::span!("dbscan.neighbor_cache");
+        let mut span = tpupoint_obs::span!("dbscan.neighbor_cache");
         let n = matrix.len();
         assert!(
             u32::try_from(n).is_ok(),
             "{n} rows overflow u32 row indices"
         );
         let eps2 = eps * eps;
-        let rows = &matrix.rows;
-        // Upper halves of the rows of tile t: each row measures the
-        // tile's rows from itself on, then the tile's rows together
-        // measure every later row.
-        let tile = |t: usize| -> Vec<Vec<u32>> {
-            let seeds = t * TILE_ROWS..n.min((t + 1) * TILE_ROWS);
-            let mut upper = vec![Vec::new(); seeds.len()];
-            let mut push = |s: usize, j: usize, _| {
-                upper[s].push(j as u32);
-                eps2
-            };
-            for (s, i) in seeds.clone().enumerate() {
-                scan_within(rows, &[&rows[i]], i..seeds.end, &mut [eps2], |_, j, d| {
-                    push(s, j, d)
-                });
-            }
-            let xs: Vec<&[f64]> = rows[seeds.clone()].iter().map(Vec::as_slice).collect();
-            scan_within(rows, &xs, seeds.end..n, &mut vec![eps2; xs.len()], push);
-            upper
-        };
+        let order = NormOrder::new(matrix);
+        let tile_rows = tile_rows(n);
+        let tile = |t: usize| avx2_twin!(scan_tile(&order, t * tile_rows, tile_rows, eps2));
         let pool = tpupoint_par::pool();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         let mut entries = Vec::new();
+        let mut pairs = 0;
         for batch in (0..n).step_by(BUILD_BATCH_ROWS) {
-            let tiles = batch / TILE_ROWS..n.min(batch + BUILD_BATCH_ROWS).div_ceil(TILE_ROWS);
+            let tiles = batch / tile_rows..n.min(batch + BUILD_BATCH_ROWS).div_ceil(tile_rows);
             let upper = if n >= PAR_NEIGHBOR_MIN_ROWS && pool.size() > 1 {
                 pool.par_map_index(tiles.len(), |k| tile(tiles.start + k))
             } else {
                 tiles.map(tile).collect()
             };
-            for up in upper.iter().flatten() {
-                entries.extend_from_slice(up);
-                offsets.push(entries.len());
+            for (up, measured) in &upper {
+                pairs += measured;
+                for up in up {
+                    entries.extend_from_slice(up);
+                    offsets.push(entries.len());
+                }
             }
         }
         mirror(&mut offsets, &mut entries);
+        order.relabel(&offsets, &mut entries);
+        span.record("pairs", pairs);
+        span.record("of", n * (n + 1) / 2);
         NeighborCache {
             eps,
             offsets,
             entries,
+            position: order.position(),
         }
     }
 
@@ -130,7 +270,7 @@ impl NeighborCache {
 
     /// Rows covered by the cache.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.position.len()
     }
 
     /// Whether the cache covers zero rows.
@@ -140,11 +280,38 @@ impl NeighborCache {
 
     /// Neighbors of row `i` (including `i` itself), ascending.
     pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.entries[self.offsets[i]..self.offsets[i + 1]]
+        let p = self.position[i] as usize;
+        &self.entries[self.offsets[p]..self.offsets[p + 1]]
     }
 }
 
-/// Calls `visit(s, j, dist2(xs[s], row j))` for each seed s of `xs` and
+/// The upper halves of the `len` rows of `order` from position `start`
+/// at radius² `eps2`, as norm order positions, with the pairs measured:
+/// each row measures the tile's rows from itself on, then the tile's rows
+/// together measure the later rows within the band above the tile's last
+/// row.
+#[inline(always)]
+fn scan_tile(order: &NormOrder<'_>, start: usize, len: usize, eps2: f64) -> (Vec<Vec<u32>>, usize) {
+    let rows = order.rows.as_slice();
+    let seeds = start..rows.len().min(start + len);
+    let end = order.reach(seeds.end - 1, eps2);
+    let mut upper = vec![Vec::new(); seeds.len()];
+    let mut push = |s: usize, q: usize, _| {
+        upper[s].push(q as u32);
+        eps2
+    };
+    for (s, p) in seeds.clone().enumerate() {
+        scan_within(rows, &[rows[p]], p..seeds.end, &mut [eps2], |_, q, d| {
+            push(s, q, d)
+        });
+    }
+    let xs = &rows[seeds.clone()];
+    scan_within(rows, xs, seeds.end..end, &mut vec![eps2; xs.len()], push);
+    let pairs = xs.len() * (xs.len() + 1) / 2 + xs.len() * (end - seeds.end);
+    (upper, pairs)
+}
+
+/// Calls `visit(s, j, dist2(xs[s], rows[j]))` for each seed s of `xs` and
 /// each row j of `candidates`, in order, whose distance is at most s's
 /// bound in force: `bounds[s]` at first, then whatever the latest visit
 /// for s returned, which must never be larger. `bounds` ends holding the
@@ -156,16 +323,16 @@ impl NeighborCache {
 /// starts and stops early once all its partial sums are past their
 /// bounds. The rest, fewer than [`LANES`], are measured by [`dist2`]. A
 /// visited distance is exact.
+#[inline(always)]
 fn scan_within(
-    rows: &[Vec<f64>],
+    rows: &[&[f64]],
     xs: &[&[f64]],
     candidates: Range<usize>,
     bounds: &mut [f64],
     mut visit: impl FnMut(usize, usize, f64) -> f64,
 ) {
     let (groups, rest) = rows[candidates.clone()].as_chunks::<LANES>();
-    for (g, group) in groups.iter().enumerate() {
-        let group = group.each_ref().map(Vec::as_slice);
+    for (g, &group) in groups.iter().enumerate() {
         let j0 = candidates.start + g * LANES;
         let (fulls, odd) = xs.as_chunks::<SEEDS_PER_CALL>();
         for (c, &seeds) in fulls.iter().enumerate() {
@@ -197,6 +364,7 @@ fn scan_within(
 
 /// Visits lane l of `d[k]`, seed `s0 + k`'s distance to row `j0 + l`, when
 /// it is within the seed's bound, for [`scan_within`].
+#[inline(always)]
 fn take(
     s0: usize,
     j0: usize,
@@ -353,46 +521,62 @@ impl DbscanResult {
 /// the sample inflates eps and (time-weighted) phase coverage degrades as
 /// dense step clusters get merged across real boundaries.
 ///
-/// Each seed's scan abandons a candidate as soon as it cannot be among
-/// the seed's 4 nearest ([`kth_nearest`]), which leaves eps the bits a
-/// selection over every distance gives. A NaN distance is never among
-/// them, so on a matrix holding NaN or infinite values eps comes from
-/// the 4th-smallest non-NaN distances, the same rule that makes a NaN
-/// row nobody's neighbor.
+/// Each seed scans outward from its place in norm order ([`NormOrder`]),
+/// both ways, and stops a way once the norm gap passes the band of the
+/// seed's 4th-smallest distance so far: no row further on can come
+/// nearer. Within that, it abandons a candidate as soon as it cannot be
+/// among the seed's 4 nearest ([`kth_nearest`]), which leaves eps the bits
+/// a selection over every distance gives. A NaN distance is never among
+/// them, so on a matrix holding NaN or infinite values eps comes from the
+/// 4th-smallest non-NaN distances, the same rule that makes a NaN row
+/// nobody's neighbor.
 ///
 /// The seeds' scans are independent and fan out over the pool; their
 /// distances come back in seed order, so eps is bit-identical at any
 /// thread count. The pool pays end to end: with serial scans, perfbench
 /// `analyze-sweep` (2-core host) ran at 0.78x and lost 3 of 3 pairs.
+///
+/// The span records the pairs measured as `pairs`, out of the
+/// `seeds·(n − 1)` a full scan of the seeds measures, as `of`.
 pub fn auto_eps(matrix: &FeatureMatrix) -> f64 {
-    let _span = tpupoint_obs::span!("dbscan.auto_eps");
+    let mut span = tpupoint_obs::span!("dbscan.auto_eps");
     let n = matrix.len();
     if n < 2 {
         return 1.0;
     }
+    let order = NormOrder::new(matrix);
     let stride = n.div_ceil(512);
-    let sample: Vec<usize> = (0..n).step_by(stride).collect();
+    let position = order.position();
+    let sample: Vec<usize> = (0..n)
+        .step_by(stride)
+        .map(|i| position[i] as usize)
+        .collect();
     let k = 3.min(n - 2);
-    let mut knn =
-        tpupoint_par::pool().par_map(&sample, |_, &i| kth_nearest(&matrix.rows, i, k).sqrt());
+    let knn = tpupoint_par::pool().par_map(&sample, |_, &p| avx2_twin!(kth_nearest(&order, p, k)));
+    span.record("pairs", knn.iter().map(|&(_, pairs)| pairs).sum::<usize>());
+    span.record("of", sample.len() * (n - 1));
+    let mut knn: Vec<f64> = knn.into_iter().map(|(d2, _)| d2.sqrt()).collect();
     knn.sort_by(f64::total_cmp);
     let median = knn[knn.len() / 2];
     (1.5 * median).max(1e-9)
 }
 
-/// The k-th smallest (from 0) non-NaN [`dist2`] from row `i` to the
-/// other rows, or `+inf` if fewer than k + 1 exist, for `k < 4` and
-/// `k + 2 <= n`.
+/// The k-th smallest (from 0) non-NaN [`dist2`] from the row at norm
+/// order position `p` to the other rows, or `+inf` if fewer than k + 1
+/// exist, for `k < 4` and `k + 2 <= n`, with the pairs it measured.
 ///
-/// It keeps the k + 1 smallest distances seen so far and abandons a
-/// candidate once its partial sum is above the largest of them (see
-/// [`scan_within`]). Such a candidate could not change the k-th order
-/// statistic, so it comes out the same bits as a selection over every
-/// distance. A NaN distance fails `d < smallest[k]` and is never kept,
-/// so the kept distances lie in `[0, +inf]` and their order is total.
-/// The scan starts at the rows after `i`, which tend
-/// to be the nearest in a profile and tighten the bound soonest.
-fn kth_nearest(rows: &[Vec<f64>], i: usize, k: usize) -> f64 {
+/// It keeps the k + 1 smallest distances seen so far. It walks up and then
+/// down the norm order from `p`, [`LANES`] rows at a time, and stops a way
+/// once the next row lies outside the band of the largest kept distance;
+/// within the band it abandons a candidate once its partial sum is above
+/// that distance (see [`scan_within`]). Neither kind of candidate could
+/// change the k-th order statistic, so it comes out the same bits as a
+/// selection over every distance. A NaN distance fails `d < smallest[k]`
+/// and is never kept, so the kept distances lie in `[0, +inf]` and their
+/// order is total.
+#[inline(always)]
+fn kth_nearest(order: &NormOrder<'_>, p: usize, k: usize) -> (f64, usize) {
+    let rows = order.rows.as_slice();
     let mut smallest = [f64::INFINITY; 4];
     let smallest = &mut smallest[..=k];
     let mut visit = |_, _, d: f64| {
@@ -402,10 +586,23 @@ fn kth_nearest(rows: &[Vec<f64>], i: usize, k: usize) -> f64 {
         }
         smallest[k]
     };
-    let (x, bound) = (&[rows[i].as_slice()], &mut [f64::INFINITY]);
-    scan_within(rows, x, i + 1..rows.len(), bound, &mut visit);
-    scan_within(rows, x, 0..i, bound, &mut visit);
-    smallest[k]
+    let (x, bound) = (&[rows[p]], &mut [f64::INFINITY]);
+    let mut pairs = 0;
+    let mut q = p + 1;
+    while q < rows.len() && !order.apart(p, q, bound[0]) {
+        let next = rows.len().min(q + LANES);
+        scan_within(rows, x, q..next, bound, &mut visit);
+        pairs += next - q;
+        q = next;
+    }
+    let mut q = p;
+    while q > 0 && !order.apart(p, q - 1, bound[0]) {
+        let next = q.saturating_sub(LANES);
+        scan_within(rows, x, next..q, bound, &mut visit);
+        pairs += q - next;
+        q = next;
+    }
+    (bound[0], pairs)
 }
 
 /// Runs DBSCAN.
@@ -764,8 +961,9 @@ mod tests {
         (1.5 * knn[knn.len() / 2]).max(1e-9)
     }
 
-    /// Entries a scan must survive: NaN, both infinities, and finite
-    /// values whose squared differences overflow to infinity.
+    /// Entries a scan must survive: NaN, both infinities, finite values
+    /// whose squared differences overflow to infinity, and finite values
+    /// whose squares overflow, so a row's norm is infinite.
     fn special_f64() -> impl Strategy<Value = f64> {
         proptest::prop_oneof![
             Just(f64::NAN),
@@ -773,7 +971,22 @@ mod tests {
             Just(f64::NEG_INFINITY),
             Just(f64::MAX),
             Just(-f64::MAX),
+            Just(1e160),
+            Just(-1e160),
         ]
+    }
+
+    /// A row's norm, computed as [`NormOrder`] computes it.
+    fn norm(row: &[f64]) -> f64 {
+        row.iter().map(|x| x * x).sum::<f64>().sqrt()
+    }
+
+    /// `x` moved by `ulps` units in the last place.
+    fn nudge(mut x: f64, ulps: i32) -> f64 {
+        for _ in 0..ulps.unsigned_abs() {
+            x = if ulps > 0 { x.next_up() } else { x.next_down() };
+        }
+        x
     }
 
     /// [`mixed_rows`] with row `b` overwritten by row `a` for each
@@ -788,6 +1001,13 @@ mod tests {
         for &(a, b) in dups {
             m.rows[b % n] = m.rows[a % n].clone();
         }
+        edge_rows_with(m, specials)
+    }
+
+    /// `m` with entry `(r, c)` set to `x` for each `(r, c, x)` of
+    /// `specials`; indices wrap around the shape.
+    fn edge_rows_with(mut m: FeatureMatrix, specials: &[(usize, usize, f64)]) -> FeatureMatrix {
+        let (n, dims) = (m.len(), m.dims());
         for &(r, c, x) in specials.iter().filter(|_| dims > 0) {
             m.rows[r % n][c % dims] = x;
         }
@@ -856,12 +1076,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The lane scan, which abandons a group of candidates once all
-        /// are past `eps²`, equals the full scan list for list: at 1–9
-        /// and 76–78 dimensions, at row counts on every side of a multiple
-        /// of [`LANES`] and of `PAR_NEIGHBOR_MIN_ROWS`, at 1 and 4
-        /// threads, with duplicate rows, NaN and infinite entries,
-        /// `eps = 0`, and an `eps²` a pair's distance meets exactly.
+        /// The lane scan, which measures only the pairs the norm band
+        /// admits and abandons a group of candidates once all are past
+        /// `eps²`, equals the full scan list for list: at 1–9 and 76–78
+        /// dimensions, at row counts on every side of a multiple of
+        /// [`LANES`] and of `PAR_NEIGHBOR_MIN_ROWS`, at 1 and 4 threads,
+        /// with duplicate rows, NaN and infinite entries, entries whose
+        /// squares overflow, `eps = 0`, an `eps²` a pair's distance meets
+        /// exactly, and an eps at a pair's norm gap or distance and 1 ulp
+        /// either side of it.
         #[test]
         fn lane_scan_matches_the_full_scan(
             shape in (
@@ -871,23 +1094,37 @@ mod tests {
             ),
             dups in proptest::collection::vec((0usize..1_000, 0usize..1_000), 0..4),
             specials in proptest::collection::vec((0usize..1_000, 0usize..100, special_f64()), 0..4),
-            eps_pick in (0usize..3, 0.0f64..1.5, (0usize..1_000, 0usize..1_000, 0usize..100, -2.0f64..2.0)),
+            eps_pick in (0usize..5, 0.0f64..1.5, (0usize..1_000, 0usize..1_000, 0usize..100, -2.0f64..2.0)),
+            ulp_pick in 0usize..3,
             threads in proptest::prop_oneof![Just(1usize), Just(4usize)],
         ) {
             let (n, dims, _) = shape;
             let mut m = edge_rows(shape, &dups, &[]);
             let (mode, scale, (a, b, c, delta)) = eps_pick;
+            let (a, b, c) = (a % n, b % n, c % dims);
+            let ulps = ulp_pick as i32 - 1;
             let eps = match mode {
                 0 => 0.0,
                 1 => scale * (dims as f64).sqrt(),
-                _ => {
+                2 => {
                     // Row b is row a moved along one coordinate, so their
                     // distance is that move squared: eps² exactly.
-                    let (a, b, c) = (a % n, b % n, c % dims);
                     let mut moved = m.rows[a].clone();
                     moved[c] += delta;
                     m.rows[b] = moved;
                     (m.rows[b][c] - m.rows[a][c]).abs()
+                }
+                3 => {
+                    // Row b is row a scaled, so their norm gap is their
+                    // distance up to rounding: eps sits on the band's edge.
+                    m.rows[b] = m.rows[a].iter().map(|x| x * (1.0 + scale)).collect();
+                    nudge((norm(&m.rows[b]) - norm(&m.rows[a])).abs(), ulps)
+                }
+                _ => {
+                    let mut moved = m.rows[a].clone();
+                    moved[c] += delta;
+                    m.rows[b] = moved;
+                    nudge(dist2(&m.rows[a], &m.rows[b]).sqrt(), ulps)
                 }
             };
             for &(r, c, x) in &specials {
@@ -908,9 +1145,11 @@ mod tests {
 
         /// [`auto_eps`] keeps the selection estimate's bits on finite
         /// matrices: with duplicate rows, with distances that overflow to
-        /// infinity, and over a strided sample of seeds. With NaN or
-        /// infinite entries it must not panic and gives the k-th smallest
-        /// non-NaN distances' estimate.
+        /// infinity, with rows that are scaled copies of others (whose
+        /// norm gap is their distance, on the band's edge), over a strided
+        /// sample of seeds, and at 1 and 4 threads. With NaN or infinite
+        /// entries, or entries whose squares overflow, it must not panic
+        /// and gives the k-th smallest non-NaN distances' estimate.
         #[test]
         fn auto_eps_matches_the_selection_estimate(
             shape in (
@@ -920,14 +1159,73 @@ mod tests {
             ),
             dups in proptest::collection::vec((0usize..1_000, 0usize..1_000), 0..8),
             specials in proptest::collection::vec((0usize..1_000, 0usize..100, special_f64()), 0..3),
+            scaled in proptest::collection::vec((0usize..1_000, 0usize..1_000, 0.0f64..0.5), 0..4),
+            threads in proptest::prop_oneof![Just(1usize), Just(4usize)],
         ) {
-            let m = edge_rows(shape, &dups, &specials);
+            let mut m = edge_rows(shape, &dups, &[]);
+            let n = m.len();
+            for &(a, b, t) in &scaled {
+                m.rows[b % n] = m.rows[a % n].iter().map(|x| x * (1.0 + t)).collect();
+            }
+            let m = edge_rows_with(m, &specials);
+            tpupoint_par::set_threads(threads);
             let oracle = if m.rows.iter().flatten().all(|x| x.is_finite()) {
                 auto_eps_by_selection(&m)
             } else {
                 auto_eps_skipping_nan(&m)
             };
             proptest::prop_assert_eq!(auto_eps(&m).to_bits(), oracle.to_bits());
+        }
+    }
+
+    /// A pair whose computed norm gap rounds above its computed distance:
+    /// row b is row a scaled by `1 + 1e-6`, so the gap cancels to a few
+    /// significant digits. Fifteen rows of smaller norm put a last in
+    /// the first tile and b first in the next, so only the band's
+    /// margin keeps b in a's list.
+    #[test]
+    fn band_margin_keeps_a_pair_whose_norm_gap_rounds_past_eps() {
+        let mut rng = SimRng::seed_from(5);
+        let (a, b, eps) = (0..1_000)
+            .find_map(|_| {
+                let a: Vec<f64> = (0..78).map(|_| 1.0 + rng.standard_normal()).collect();
+                let b: Vec<f64> = a.iter().map(|x| x * (1.0 + 1e-6)).collect();
+                let d2 = dist2(&a, &b);
+                let mut eps = d2.sqrt();
+                while eps * eps < d2 {
+                    eps = eps.next_up();
+                }
+                (norm(&b) > norm(&a) + (eps * eps).sqrt()).then_some((a, b, eps))
+            })
+            .expect("a pair whose gap rounds past eps");
+        let mut rows = vec![vec![0.0; 78]; 15];
+        rows.extend([a, b]);
+        let m = FeatureMatrix {
+            steps: (0..rows.len() as u64).collect(),
+            rows,
+        };
+        let cache = NeighborCache::build(&m, eps);
+        assert_eq!(cache.neighbors(15), [15, 16]);
+        assert_eq!(cache.neighbors(16), [15, 16]);
+    }
+
+    /// Past 2048 rows the tiles grow beyond 16 rows; the lists still
+    /// equal the full scan's, with a NaN row and an infinite one.
+    #[test]
+    fn wide_tiles_match_the_full_scan() {
+        let mut m = mixed_rows(2 * 2048 + 37, 3, 17);
+        assert!(tile_rows(m.len()) > 16);
+        m.rows[9][0] = f64::NAN;
+        for eps in [0.7, 0.0] {
+            let cache = NeighborCache::build(&m, eps);
+            for (i, expected) in full_scan(&m, eps).iter().enumerate() {
+                assert_eq!(cache.neighbors(i), expected.as_slice(), "row {i}");
+            }
+        }
+        m.rows[11][2] = f64::INFINITY;
+        let cache = NeighborCache::build(&m, 0.7);
+        for (i, expected) in full_scan(&m, 0.7).iter().enumerate() {
+            assert_eq!(cache.neighbors(i), expected.as_slice(), "row {i}");
         }
     }
 

@@ -125,6 +125,68 @@ pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
 /// Lanes of the interleaved distance kernels.
 pub(crate) const LANES: usize = 4;
 
+/// Whether this CPU runs AVX2, which [`avx2_twin!`] dispatches on. The
+/// first call also sets the `analyzer.lanes_avx2` gauge: 1 when the lane
+/// kernels run at AVX2 width, 0 when they fall back to the baseline
+/// build's, which is the degraded case.
+pub(crate) fn has_avx2() -> bool {
+    #[cfg(test)]
+    if BASELINE_ONLY.load(std::sync::atomic::Ordering::Relaxed) {
+        return false;
+    }
+    static HAS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *HAS.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        let has = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has = false;
+        tpupoint_obs::metrics()
+            .gauge("analyzer.lanes_avx2")
+            .set(f64::from(u8::from(has)));
+        has
+    })
+}
+
+/// Makes [`has_avx2`] read false, so a test can run the baseline copy of
+/// every twin on a CPU that has AVX2.
+#[cfg(test)]
+pub(crate) static BASELINE_ONLY: std::sync::atomic::AtomicBool =
+    std::sync::atomic::AtomicBool::new(false);
+
+/// Evaluates `$body` in one of two copies: one compiled with AVX2
+/// enabled, when the CPU has it ([`has_avx2`]), and the baseline one
+/// otherwise. `$body` is a call of an `#[inline(always)]` function whose
+/// hot path is `#[inline(always)]` down to [`dist2_rows`], so each copy
+/// holds its own build of the whole loop nest; AVX2 then holds a lane
+/// block of four `f64` in one register where the baseline needs two.
+/// Only `avx2` is enabled and Rust never contracts a multiply and an add
+/// into an FMA, so both copies perform the same IEEE operations in the
+/// same order and return the same bits.
+macro_rules! avx2_twin {
+    ($body:expr) => {{
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = "avx2")]
+            fn avx2<R>(f: impl FnOnce() -> R) -> R {
+                f()
+            }
+            if $crate::features::has_avx2() {
+                let twin = || $body;
+                // SAFETY: `avx2` runs AVX2 instructions, and this CPU has
+                // them (`has_avx2`).
+                unsafe { avx2(twin) }
+            } else {
+                $body
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            $body
+        }
+    }};
+}
+pub(crate) use avx2_twin;
+
 /// Dimensions [`dist2_rows`] sums between two tests of its bounds.
 const BOUND_EVERY: usize = 8;
 
@@ -144,7 +206,7 @@ const BOUND_EVERY: usize = 8;
 /// smaller, so a full sum is above the bound too, or NaN, which passes no
 /// comparison. A NaN partial sum is never above a bound, so its lane runs
 /// to the end. With infinite bounds every lane is measured in full.
-#[inline]
+#[inline(always)]
 pub(crate) fn dist2_rows<const S: usize>(
     rows: [&[f64]; LANES],
     xs: [&[f64]; S],
@@ -284,6 +346,65 @@ mod tests {
         let p = profile_with_steps(&[(1, &[(0, 1, 10)]), (2, &[(0, 2, 20)])]);
         let m = FeatureMatrix::from_profile(&p);
         assert_eq!(m.reduced(MAX_DIMS), m);
+    }
+
+    /// Each AVX2 twin against its baseline copy on the same inputs: the
+    /// neighbor lists and eps of DBSCAN's scans, and the labels,
+    /// centroids and SSE of a k-means seeding and descent. On a CPU
+    /// without AVX2 both runs take the baseline copy.
+    #[test]
+    fn avx2_twins_match_their_baseline_copies_bit_for_bit() {
+        use crate::dbscan::{auto_eps, NeighborCache};
+        use crate::kmeans::{descend, seed_centroids, Points};
+        use std::sync::atomic::Ordering;
+        use tpupoint_simcore::SimRng;
+
+        let mut rng = SimRng::seed_from(21);
+        let rows: Vec<Vec<f64>> = (0..600)
+            .map(|i| {
+                let center = (i % 5) as f64;
+                (0..78)
+                    .map(|_| center + rng.standard_normal() * 0.3)
+                    .collect()
+            })
+            .collect();
+        let matrix = FeatureMatrix {
+            steps: (0..rows.len() as u64).collect(),
+            rows,
+        };
+        let flat = matrix.rows.concat();
+        let points = Points::new(&flat, matrix.len(), matrix.dims());
+        let run = || {
+            let eps = auto_eps(&matrix);
+            let cache = NeighborCache::build(&matrix, eps);
+            let lists: Vec<Vec<u32>> = (0..cache.len())
+                .map(|i| cache.neighbors(i).to_vec())
+                .collect();
+            let (seeds, bounds) = seed_centroids(points, 7, &mut SimRng::seed_from(3));
+            let mut descent = descend(points, seeds, 50, Some(bounds));
+            let sse = descent.exact_sse(points);
+            let centroid_bits: Vec<u64> = descent
+                .centroids
+                .iter()
+                .flatten()
+                .map(|x| x.to_bits())
+                .collect();
+            (
+                eps.to_bits(),
+                lists,
+                descent.assignments,
+                centroid_bits,
+                sse.to_bits(),
+            )
+        };
+        let twin = run();
+        BASELINE_ONLY.store(true, Ordering::Relaxed);
+        let baseline = run();
+        BASELINE_ONLY.store(false, Ordering::Relaxed);
+        assert!(
+            twin == baseline,
+            "an AVX2 twin differs from its baseline copy"
+        );
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   against a transposed block of four centroids (a row's full
 //!   assignment pass). Each lane sums in dimension order from `-0.0`,
 //!   exactly as [`dist2`] does, so the lanes only overlap independent
-//!   addition chains; a NaN lane comes out as `f64::NAN`, as in [`dist2`];
+//!   addition chains; a NaN lane comes out as `f64::NAN`, as in [`dist2`].
+//!   Both passes run in an AVX2 copy when the CPU has AVX2
+//!   ([`avx2_twin!`]), with the same bits;
 //! * the rows that still need a full pass fan out over the pool when
 //!   there are enough of them (each row's nearest centroid is
 //!   independent);
@@ -36,7 +38,7 @@
 //!   one [`run`] each.
 
 use crate::elbow::elbow_index;
-use crate::features::{dist2, dist2_rows, FeatureMatrix, LANES};
+use crate::features::{avx2_twin, dist2, dist2_rows, FeatureMatrix, LANES};
 use tpupoint_simcore::SimRng;
 
 /// Count of rows needing a full distance pass below which the assignment
@@ -238,6 +240,17 @@ fn each_row_dist2(
     centroid: &[f64],
     mut f: impl FnMut(usize, f64),
 ) {
+    avx2_twin!(each_row_dist2_body(points, rows, centroid, &mut f))
+}
+
+/// The body of [`each_row_dist2`], compiled into both of its copies.
+#[inline(always)]
+fn each_row_dist2_body(
+    points: Points<'_>,
+    rows: &[usize],
+    centroid: &[f64],
+    mut f: impl FnMut(usize, f64),
+) {
     let (groups, rest) = rows.as_chunks::<LANES>();
     for group in groups {
         let [d] = dist2_rows(group.map(|i| points.row(i)), [centroid], [f64::INFINITY]);
@@ -293,6 +306,7 @@ impl<'a> CentroidBlocks<'a> {
 
     /// Calls `f(c, dist2(row, centroid c))` for every centroid, in index
     /// order, bit for bit as [`dist2`] (see [`dist2_rows`]).
+    #[inline(always)]
     fn each_dist2(&self, row: &[f64], mut f: impl FnMut(usize, f64)) {
         for (c0, centroids) in self.centroids.chunks(LANES).enumerate() {
             let block = &self.data[c0 * self.dims..][..self.dims];
@@ -394,6 +408,7 @@ impl RowBounds {
     /// exact distance first, then, if that does not clear the lower bound
     /// (or the separation bound), a full pass. Returns (nearest, upper,
     /// lower); the nearest is what [`nearest`] returns.
+    #[inline(always)]
     fn settle(
         &self,
         i: usize,
@@ -652,7 +667,7 @@ pub(crate) fn descend(
         let sep = separation(&centroids);
         let open: Vec<usize> = (0..n).filter(|&i| !b.settled(i, &sep)).collect();
         let blocks = CentroidBlocks::new(&centroids, d);
-        let settle = |i: usize| b.settle(i, points.row(i), &blocks, &sep);
+        let settle = |i: usize| avx2_twin!(b.settle(i, points.row(i), &blocks, &sep));
         let settled: Vec<(usize, f64, f64)> =
             if open.len() >= PAR_ASSIGN_MIN_ROWS && pool.size() > 1 {
                 pool.par_map(&open, |_, &i| settle(i))

@@ -526,7 +526,7 @@ fn load_profile(dir: &str) -> Result<Profile, CliError> {
     } else if summary.manifest.is_some() {
         outln!("  every acknowledged record survived")?;
     }
-    Ok(summary.to_profile())
+    Ok(summary.into_profile())
 }
 
 fn analyze(argv: &[String]) -> CliResult {

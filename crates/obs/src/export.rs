@@ -271,6 +271,9 @@ fn help_text(name: &str) -> String {
         "analyzer.phase_count" => "Phases with at least one assigned step in the streaming analyzer",
         "analyzer.stable_windows" => "Consecutive streaming updates at or above the stability threshold",
         "analyzer.last_transition_step" => "Step of the most recent phase-label change in the streaming timeline",
+        "analyzer.lanes_avx2" => "1 when the analyzer's lane kernels run at AVX2 width, 0 when this CPU lacks AVX2 and they run the baseline build",
+        "store.recover_us" => "Wall time recovering one record directory, microseconds",
+        "store.to_profile_us" => "Wall time building a profile from recovered records, microseconds",
         "store.segments" => "Sealed binary segments currently listed in the store manifest",
         "store.bytes_reclaimed" => "Bytes of disk freed by segments retired by retention",
         "store.bytes_written" => "Bytes of encoded frames written to binary segment files",

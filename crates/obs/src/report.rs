@@ -153,6 +153,18 @@ pub struct PipelineHealth {
     pub queue_depth: u64,
 }
 
+/// Wall time reading record directories back: the profiler's
+/// `recover_records` and the profile built from what it recovered.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecoveryTime {
+    /// Record directories recovered.
+    pub reads: u64,
+    /// Total recovery time, microseconds (`store.recover_us`).
+    pub recover_us: u64,
+    /// Total profile-building time, microseconds (`store.to_profile_us`).
+    pub to_profile_us: u64,
+}
+
 /// Summary computed from a [`MetricsSnapshot`]; see the module docs.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObsReport {
@@ -178,6 +190,11 @@ pub struct ObsReport {
     pub store_format: Option<StoreFormatHealth>,
     /// Seal-pipeline health, when a store was attached.
     pub pipeline_health: Option<PipelineHealth>,
+    /// Record-directory reads, when any ran.
+    pub recovery: Option<RecoveryTime>,
+    /// Whether the analyzer's lane kernels ran at AVX2 width (gauge
+    /// `analyzer.lanes_avx2`), when any ran; false is degraded.
+    pub lanes_avx2: Option<bool>,
 }
 
 impl ObsReport {
@@ -294,6 +311,16 @@ impl ObsReport {
             last_transition_step: gauge("analyzer.last_transition_step").map(|s| s as u64),
         });
 
+        let histogram_sum = |name: &str| snapshot.histograms.get(name).map_or(0, |h| h.sum);
+        let recovery = snapshot
+            .histograms
+            .get("store.recover_us")
+            .map(|recover| RecoveryTime {
+                reads: recover.count,
+                recover_us: recover.sum,
+                to_profile_us: histogram_sum("store.to_profile_us"),
+            });
+
         ObsReport {
             stages,
             algorithms,
@@ -304,6 +331,8 @@ impl ObsReport {
             store_health,
             store_format,
             pipeline_health,
+            recovery,
+            lanes_avx2: gauge("analyzer.lanes_avx2").map(|v| v > 0.0),
         }
     }
 
@@ -444,6 +473,22 @@ impl ObsReport {
                 pipeline.backpressure_waits,
                 pipeline.queue_depth
             );
+        }
+
+        if let Some(recovery) = &self.recovery {
+            let _ = writeln!(
+                out,
+                "record recovery: {} read(s) in {}, profile built in {}",
+                recovery.reads,
+                format_us(recovery.recover_us),
+                format_us(recovery.to_profile_us)
+            );
+        }
+
+        match self.lanes_avx2 {
+            Some(true) => out.push_str("analyzer lanes:  AVX2\n"),
+            Some(false) => out.push_str("analyzer lanes:  baseline, no AVX2 -> DEGRADED\n"),
+            None => {}
         }
         out
     }
@@ -754,6 +799,31 @@ mod tests {
         let report = ObsReport::from_snapshot(&instrumented_snapshot());
         assert!(report.pipeline_health.is_none());
         assert!(!report.render().contains("seal pipeline"));
+    }
+
+    #[test]
+    fn recovery_and_lane_width_show_when_recorded() {
+        let empty = ObsReport::from_snapshot(&Metrics::new().snapshot());
+        assert_eq!((empty.recovery, empty.lanes_avx2), (None, None));
+        let metrics = Metrics::new();
+        metrics.histogram("store.recover_us").record(1500);
+        metrics.histogram("store.to_profile_us").record(700);
+        metrics.gauge("analyzer.lanes_avx2").set(0.0);
+        let report = ObsReport::from_snapshot(&metrics.snapshot());
+        assert_eq!(
+            report.recovery,
+            Some(RecoveryTime {
+                reads: 1,
+                recover_us: 1500,
+                to_profile_us: 700,
+            })
+        );
+        let text = report.render();
+        assert!(text.contains("record recovery: 1 read(s)"), "{text}");
+        assert!(text.contains("no AVX2 -> DEGRADED"), "{text}");
+        metrics.gauge("analyzer.lanes_avx2").set(1.0);
+        let text = ObsReport::from_snapshot(&metrics.snapshot()).render();
+        assert!(text.contains("analyzer lanes:  AVX2\n"), "{text}");
     }
 
     #[test]

@@ -249,6 +249,12 @@ impl SpanGuard {
             start: Instant::now(),
         }
     }
+
+    /// Adds an argument known only once the span's work is done, such as
+    /// a count of what it did.
+    pub fn record(&mut self, key: &'static str, value: impl Into<ArgValue>) {
+        self.args.push((key, value.into()));
+    }
 }
 
 impl Drop for SpanGuard {

@@ -29,6 +29,7 @@ use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 use tpupoint_simcore::OpId;
 
 /// Op ids [`RecoverySummary::to_profile`] keeps for a stream whose
@@ -366,10 +367,16 @@ impl RecoverySummary {
         self.skipped_step_lines > 0 || self.skipped_window_lines > 0 || ms > 0 || mw > 0
     }
 
-    /// Reconstructs the [`Profile`] from the recovered records. For a
-    /// sealed directory with its run record it is exactly the profile the
-    /// run returned; for a torn one it is a best effort, good enough for
-    /// the analyzer to cluster phases.
+    /// [`RecoverySummary::into_profile`] of a copy of the summary, for a
+    /// caller that keeps the summary.
+    pub fn to_profile(&self) -> Profile {
+        self.clone().into_profile()
+    }
+
+    /// Reconstructs the [`Profile`] from the recovered records, moving
+    /// them into it. For a sealed directory with its run record it is
+    /// exactly the profile the run returned; for a torn one it is a best
+    /// effort, good enough for the analyzer to cluster phases.
     ///
     /// The op catalog comes from the manifest when the writer persisted
     /// one ([`RecordStore::set_catalog`]); for streams recorded before the
@@ -384,31 +391,18 @@ impl RecoverySummary {
     /// step's last event end); when three or more records survive, the
     /// highest step is treated as the session-shutdown record, mirroring a
     /// live profile's shape.
-    pub fn to_profile(&self) -> Profile {
-        let manifest = self.manifest.clone().unwrap_or_default();
+    ///
+    /// Its wall time is the `store.to_profile` span and the
+    /// `store.to_profile_us` histogram.
+    pub fn into_profile(self) -> Profile {
+        let _span = tpupoint_obs::span!("store.to_profile", steps = self.steps.len());
+        let started = Instant::now();
+        let manifest = self.manifest.unwrap_or_default();
         let bound = match manifest.op_names.len() {
             0 => MAX_UNCATALOGED_OPS,
             n => u32::try_from(n).unwrap_or(u32::MAX),
         };
-        let mut lost_events = 0u64;
-        let steps: Vec<StepRecord> = self
-            .steps
-            .iter()
-            .map(|r| {
-                let mut r = r.clone();
-                for stats in r.ops.split_off(&OpId(bound)).values() {
-                    lost_events = lost_events.saturating_add(stats.count);
-                }
-                r
-            })
-            .collect();
-        let op_count = steps
-            .iter()
-            .filter_map(|r| r.ops.keys().next_back())
-            .map(|op| op.0 as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let run = self.run.clone().unwrap_or_else(|| {
+        let run = self.run.unwrap_or_else(|| {
             let shutdown_step = if self.steps.len() >= 3 {
                 self.steps.iter().map(|r| r.step).max().unwrap_or(0)
             } else {
@@ -424,6 +418,23 @@ impl RecoverySummary {
                 ..RunRecord::default()
             }
         });
+        let mut lost_events = 0u64;
+        let steps: Vec<StepRecord> = self
+            .steps
+            .into_iter()
+            .map(|mut r| {
+                for stats in r.ops.split_off(&OpId(bound)).values() {
+                    lost_events = lost_events.saturating_add(stats.count);
+                }
+                r
+            })
+            .collect();
+        let op_count = steps
+            .iter()
+            .filter_map(|r| r.ops.keys().next_back())
+            .map(|op| op.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
         let op_count = op_count.max(manifest.op_names.len());
         let mut op_names = manifest.op_names;
         for i in op_names.len()..op_count {
@@ -433,22 +444,30 @@ impl RecoverySummary {
         op_uses_mxu.resize(op_count, false);
         let mut op_on_host = manifest.op_on_host;
         op_on_host.resize(op_count, true);
-        Profile {
+        let profile = Profile {
             model: manifest.model,
             dataset: manifest.dataset,
             op_names,
             op_uses_mxu,
             op_on_host,
             steps,
-            windows: self.windows.clone(),
+            windows: self.windows,
             step_marks: run.step_marks,
             checkpoints: run.checkpoints,
             dropped_windows: run.dropped_windows,
             lost_events: run.lost_events.saturating_add(lost_events),
             store_errors: run.store_errors,
             store_error: run.store_error,
-        }
+        };
+        record_us("store.to_profile_us", started);
+        profile
     }
+}
+
+/// Records the microseconds since `started` into histogram `name`.
+fn record_us(name: &str, started: Instant) {
+    let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    tpupoint_obs::metrics().histogram(name).record(us);
 }
 
 /// Streams records as JSON lines into `<dir>/steps.jsonl.part` and
@@ -632,21 +651,28 @@ pub(crate) fn part_path(dir: &Path, name: &str) -> PathBuf {
 /// `report`, `audit` and `compare` and the facade route through here, so
 /// callers never need to know which format wrote the directory.
 ///
+/// Its wall time is the `store.recover` span and the `store.recover_us`
+/// histogram.
+///
 /// # Errors
 ///
 /// Returns an error when `dir` holds no recognizable record stream at all.
 pub fn recover_records(dir: &Path) -> io::Result<RecoverySummary> {
+    let _span = tpupoint_obs::span!("store.recover");
+    let started = Instant::now();
     let manifest = JsonlStore::load_manifest(dir).unwrap_or(None);
     let binary = match &manifest {
         Some(m) if m.format == FORMAT_BINARY => true,
         Some(_) => false,
         None => crate::segstore::has_segment_files(dir),
     };
-    if binary {
+    let summary = if binary {
         crate::segstore::BinaryStore::recover(dir)
     } else {
         JsonlStore::recover(dir)
-    }
+    };
+    record_us("store.recover_us", started);
+    summary
 }
 
 /// Every file of a record directory, keyed by name: the byte-level view
